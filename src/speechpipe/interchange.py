@@ -239,11 +239,23 @@ class DecodeConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DecodeConfig":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(
+                f"decode config is not valid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno
+            ) from None
         if not isinstance(doc, dict):
             raise FormatError("decode config must be a JSON object")
         known = {"beams", "repetition_penalty", "no_repeat_ngram", "do_sample", "temperature"}
         unknown = set(doc) - known
         if unknown:
             raise FormatError(f"unknown decode-config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            default = getattr(cls, key)
+            allowed = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
+                raise ParameterError(
+                    f"decode-config {key} must be {type(default).__name__}, got {value!r}"
+                )
         return cls(**doc)

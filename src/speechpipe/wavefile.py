@@ -41,6 +41,8 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError("fmt chunk too short", offset=pos)
+            if len(body) < chunk_size:
+                raise FormatError("fmt chunk truncated", offset=pos)
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == _FORMAT_EXTENSIBLE:
                 if chunk_size < 40:
@@ -50,7 +52,7 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise FormatError("data chunk truncated", offset=pos + 8 + len(body))
-            payload = body
+            payload, payload_offset = body, pos
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -64,16 +66,23 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
     if format_code == _FORMAT_PCM:
         if bits != 16:
             raise FormatError(f"unsupported PCM bit depth {bits}: only 16-bit PCM is supported")
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float32) / 32768.0
+        dtype = "<i2"
     elif format_code == _FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise FormatError(f"unsupported float bit depth {bits}: only float32 is supported")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+        dtype = "<f4"
     else:
         raise FormatError(
             f"unsupported codec 0x{format_code:04x}: only PCM 16-bit and IEEE float32"
         )
+    if len(payload) % (bits // 8):
+        raise FormatError(
+            f"data chunk of {len(payload)} bytes is not a whole number of {bits}-bit samples",
+            offset=payload_offset,
+        )
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    if format_code == _FORMAT_PCM:
+        samples /= 32768.0
 
     usable = (len(samples) // n_channels) * n_channels
     frames = samples[:usable].reshape(-1, n_channels)

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's own algorithms: plain-python
 dynamic programming for edit distance, 1 ms frame counting for DER,
 exhaustive permutations for assignment, and a literal re-simulation of the
-merge rule for agglomerative clustering.
+merge rule for agglomerative clustering. `ahc_centroid_reference` is the one
+exception: the library's former loop, kept to check bit-identical output.
 """
 
 from __future__ import annotations
@@ -232,6 +233,78 @@ def ahc_oracle(vectors: np.ndarray, tau: float, min_cluster_size: int) -> list[i
             remap[lab] = len(remap)
         out.append(remap[lab])
     return out
+
+
+def ahc_centroid_reference(vectors: np.ndarray, tau: float, min_cluster_size: int = 1):
+    """The library's former `ahc_centroid`: a full pairwise rescan per merge.
+
+    Same distances, merge order and post-processing as the library, at cubic
+    cost; the library's nearest-partner cache must reproduce it exactly.
+    """
+    from speechpipe.clustering import (
+        ClusterResult,
+        _centroids_for,
+        _relabel_by_first_appearance,
+        cosine_distance_matrix,
+    )
+
+    x = np.asarray(vectors, dtype=np.float64)
+    n = len(x)
+    members: list[list[int] | None] = [[i] for i in range(n)]
+    centroids = x.copy()
+    active = list(range(n))
+    dist = cosine_distance_matrix(centroids, centroids)
+    np.fill_diagonal(dist, np.inf)
+    merge_count = 0
+
+    while len(active) > 1:
+        best = (np.inf, -1, -1)
+        for ai in range(len(active)):
+            for bi in range(ai + 1, len(active)):
+                a, b = active[ai], active[bi]
+                if dist[a, b] < best[0]:
+                    best = (dist[a, b], a, b)
+        d, a, b = best
+        if d >= tau:
+            break
+        members[a] = members[a] + members[b]  # type: ignore[operator]
+        members[b] = None
+        centroids[a] = x[members[a]].mean(axis=0)
+        active.remove(b)
+        merge_count += 1
+        row = cosine_distance_matrix(centroids[a : a + 1], centroids[active]).ravel()
+        for j, other in enumerate(active):
+            dist[a, other] = dist[other, a] = row[j] if other != a else np.inf
+
+    clusters = [members[a] for a in active]
+    sizes = [len(c) for c in clusters]
+    survivors = [c for c in clusters if len(c) >= min_cluster_size]
+    dissolved = 0
+    if not survivors:
+        largest = max(range(len(clusters)), key=lambda i: (sizes[i], -min(clusters[i])))
+        survivors = [clusters[largest]]
+    if len(survivors) < len(clusters):
+        surviving_centroids = np.stack([x[c].mean(axis=0) for c in survivors])
+        strays = sorted(set(range(n)) - {i for c in survivors for i in c})
+        dissolved = len(strays)
+        if strays:
+            d_stray = cosine_distance_matrix(x[strays], surviving_centroids)
+            nearest = np.argmin(d_stray, axis=1)
+            for idx, target in zip(strays, nearest):
+                survivors[target].append(idx)
+
+    labels = np.empty(n, dtype=int)
+    for j, cluster in enumerate(survivors):
+        labels[cluster] = j
+    labels = _relabel_by_first_appearance(labels)
+    k = len(survivors)
+    return ClusterResult(
+        labels,
+        k,
+        _centroids_for(x, labels, k),
+        "ahc-centroid",
+        {"merges": merge_count, "dissolved_points": dissolved, "tau": tau},
+    )
 
 
 # ---------------------------------------------------------------------------

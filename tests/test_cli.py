@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from speechpipe import (
     Waveform,
     der,
     parse_rttm,
+    wav_bytes,
     write_embeddings_file,
     write_rttm,
     write_segments_csv,
@@ -67,6 +69,25 @@ class TestChunkCommand:
         code, out = run(capsys, "chunk", str(bad))
         assert code == 1
         assert "errors" in json.loads(out)
+
+    @pytest.mark.parametrize("defect", ["cut-in-fmt", "odd-pcm16-payload"])
+    def test_malformed_wav_reported_beside_good_file(self, defect, speech_wav, tmp_path, capsys):
+        data = bytearray(wav_bytes([tone(440, 1.0)], SR, "pcm16"))
+        if defect == "cut-in-fmt":
+            data = data[:30]
+        else:
+            data_at = data.index(b"data")
+            struct.pack_into("<I", data, data_at + 4, struct.unpack_from("<I", data, data_at + 4)[0] - 1)
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(bytes(data))
+        code = main(["chunk", str(bad), str(speech_wav), "--workers", "2"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 1
+        assert [f["path"] for f in doc["files"]] == [str(speech_wav)]
+        assert doc["files"][0]["chunks"]
+        assert "byte offset" in doc["errors"][str(bad)]
+        assert "Traceback" not in captured.err
 
     def test_write_chunks(self, speech_wav, tmp_path, capsys):
         out_dir = tmp_path / "pieces"

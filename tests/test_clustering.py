@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from speechpipe import (
     silhouette_score,
     smooth_labels_temporal,
 )
-from synth import ahc_oracle
+from synth import ahc_centroid_reference, ahc_oracle, two_speaker_scene
 
 
 def unit_bundle(rng, center, n, scale=0.03):
@@ -162,6 +163,83 @@ class TestAhcCentroid:
             np.testing.assert_allclose(
                 result.centroids[j], x[result.labels == j].mean(axis=0), atol=1e-12
             )
+
+
+def _awkward_vectors(rng, n: int, d: int) -> np.ndarray:
+    """Random rows with exact duplicates, zero rows or quantised values mixed in."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        x = rng.normal(size=(n, d))
+    elif kind == 1:
+        x = rng.integers(-1, 2, size=(n, d)).astype(float)  # many exact ties
+    elif kind == 2:
+        pool = rng.normal(size=(max(1, n // 4), d))
+        x = pool[rng.integers(len(pool), size=n)]  # duplicate rows
+    else:
+        centers = rng.normal(size=(3, d))
+        x = centers[rng.integers(3, size=n)] + rng.normal(scale=0.3, size=(n, d))
+    if rng.random() < 0.4:
+        x[rng.random(n) < 0.15] = 0.0
+    return x
+
+
+class TestAhcMatchesReference:
+    """The nearest-partner cache reproduces the full pairwise rescan exactly."""
+
+    @staticmethod
+    def check(x, tau, mcs) -> dict:
+        got, want = ahc_centroid(x, tau, mcs), ahc_centroid_reference(x, tau, mcs)
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.k == want.k
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.diagnostics == want.diagnostics
+        return got.diagnostics
+
+    def test_random_awkward_inputs(self):
+        rng = np.random.default_rng(31)
+        dissolved = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 50))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 9)))
+            tau = float(rng.choice([rng.uniform(0.05, 1.5), 1.0, np.inf]))
+            dissolved += self.check(x, tau, int(rng.integers(1, 8)))["dissolved_points"]
+        assert dissolved > 0
+
+    def test_exact_tie_with_merged_cluster_goes_to_smaller_index(self):
+        # A merged centroid lands exactly as far from an earlier row as that
+        # row's cached partner; the earlier-indexed cluster must win the tie.
+        x = np.array([[-1, 1, 0], [0, 1, 0], [1, 1, 1], [1, 1, -1], [-1, 0, -1]], float)
+        self.check(x, 1.01, 1)
+        assert ahc_centroid(x, 1.01).labels.tolist() == [0, 0, 0, 0, 1]
+
+    def test_larger_inputs(self):
+        rng = np.random.default_rng(32)
+        for n, mcs in [(120, 5), (160, 12), (200, 1)]:
+            self.check(_awkward_vectors(rng, n, 16), float(rng.uniform(0.3, 1.0)), mcs)
+
+    def test_recording_sized_scene(self):
+        emb, _ = two_speaker_scene(seed=33, total_seconds=260.0, dim=48)
+        assert len(emb.vectors) >= 290
+        assert self.check(emb.vectors[:300], 0.65, 20)["merges"] > 0
+
+
+class TestAhcScale:
+    def test_two_thousand_windows_finish_quickly(self):
+        emb, _ = two_speaker_scene(seed=34, total_seconds=1750.0)
+        x = emb.vectors[:2000]
+        assert len(x) == 2000
+        start = time.perf_counter()
+        result = ahc_centroid(x, tau=0.65, min_cluster_size=20)
+        elapsed = time.perf_counter() - start
+        assert result.k == 2, result.diagnostics
+        assert elapsed < 15.0, f"{elapsed:.1f}s >= 15s"
+
+    def test_merges_count_without_dissolving(self):
+        emb, _ = two_speaker_scene(seed=35, total_seconds=1750.0)
+        x = emb.vectors[:2000]
+        result = ahc_centroid(x, tau=0.65, min_cluster_size=1)
+        assert result.diagnostics["dissolved_points"] == 0
+        assert result.diagnostics["merges"] == len(x) - result.k
 
 
 class TestKmeans:

@@ -194,3 +194,19 @@ class TestDecodeConfig:
     def test_beams_lower_bound(self):
         with pytest.raises(ParameterError):
             DecodeConfig(beams=0)
+
+    def test_malformed_json_located(self):
+        with pytest.raises(FormatError, match=r"line 2: .*column 14"):
+            DecodeConfig.from_json('{"beams": 5,\n "do_sample" true}')
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"beams": "5"}', '{"beams": 5.0}', '{"beams": true}',
+         '{"do_sample": "no"}', '{"do_sample": 1}', '{"temperature": null}'],
+    )
+    def test_wrongly_typed_value_rejected(self, doc):
+        with pytest.raises(ParameterError, match="decode-config"):
+            DecodeConfig.from_json(doc)
+
+    def test_int_accepted_for_float_field(self):
+        assert DecodeConfig.from_json('{"temperature": 1}').temperature == 1

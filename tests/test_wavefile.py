@@ -69,3 +69,28 @@ def test_load_mono_downmixes(tmp_path):
     write_wav(path, [np.full(100, 0.2, np.float32), np.full(100, 0.6, np.float32)], SR, "float32")
     w = load_mono(path)
     assert np.allclose(w.samples, 0.4, atol=1e-7)
+
+
+def test_truncated_fmt_chunk_located():
+    data = wav_bytes([tone(440, 0.05)], SR, "pcm16")
+    with pytest.raises(FormatError, match=r"fmt chunk truncated \(byte offset 12\)"):
+        read_wav(data[:30])
+
+
+def test_truncated_extensible_fmt_chunk_located():
+    data = bytearray(wav_bytes([tone(440, 0.05)], SR, "pcm16"))
+    fmt_at = data.index(b"fmt ")
+    struct.pack_into("<I", data, fmt_at + 4, 40)
+    struct.pack_into("<H", data, fmt_at + 8, 0xFFFE)
+    with pytest.raises(FormatError, match=r"fmt chunk truncated \(byte offset 12\)"):
+        read_wav(bytes(data[:50]))
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_partial_sample_in_data_chunk_located(encoding):
+    data = bytearray(wav_bytes([tone(440, 0.05)], SR, encoding))
+    data_at = data.index(b"data")
+    (size,) = struct.unpack_from("<I", data, data_at + 4)
+    struct.pack_into("<I", data, data_at + 4, size - 1)
+    with pytest.raises(FormatError, match=rf"not a whole number .*\(byte offset {data_at}\)"):
+        read_wav(bytes(data))
