@@ -40,7 +40,6 @@ from .clustering import (
     estimate_k_silhouette,
     gmm_fit,
     kmeans,
-    overcluster_smooth,
     pca_fit,
     pca_inverse_transform,
     pca_transform,

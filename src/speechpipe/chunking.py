@@ -7,10 +7,10 @@ maximum duration are force-split at exactly that limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .audio import Waveform
-from .errors import ParameterError, StructuralError
+from .errors import FormatError, ParameterError, StructuralError
 from .spans import TimeSpan, check_sorted_disjoint
 
 KIND_SILENCE = "silence"
@@ -49,18 +49,28 @@ class ChunkPlan:
             ],
         }
         if config is not None:
-            doc["config"] = {
-                "min_dur": config.min_dur,
-                "max_dur": config.max_dur,
-                "include_leading_silence": config.include_leading_silence,
-            }
+            doc["config"] = asdict(config)
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChunkPlan":
-        chunks = [TimeSpan(c["start"], c["end"]) for c in doc["chunks"]]
-        kinds = [c["kind"] for c in doc["chunks"]]
-        return cls(chunks, doc["source_duration"], doc["forced_split_count"], kinds)
+        """Inverse of `to_dict`; a document of the wrong shape raises FormatError
+        naming where it is wrong."""
+        if not isinstance(doc, dict):
+            raise FormatError(f"chunk plan must be a JSON object, got {type(doc).__name__}")
+        where = "chunk plan"
+        try:
+            chunks, kinds = [], []
+            for i, c in enumerate(doc["chunks"]):
+                where = f"chunk plan chunks[{i}]"
+                chunks.append(TimeSpan(c["start"], c["end"]))
+                kinds.append(c["kind"])
+            where = "chunk plan"
+            return cls(chunks, doc["source_duration"], doc["forced_split_count"], kinds)
+        except KeyError as exc:
+            raise FormatError(f"{where}: missing key {exc}") from None
+        except (TypeError, ParameterError) as exc:
+            raise FormatError(f"{where}: {exc}") from None
 
 
 def _cut_stretch(
@@ -167,12 +177,7 @@ class BoundaryAudit:
     mean_per_boundary: float
 
     def to_dict(self) -> dict:
-        return {
-            "boundaries": self.boundaries,
-            "straddles_per_boundary": self.straddles_per_boundary,
-            "total_straddles": self.total_straddles,
-            "mean_per_boundary": self.mean_per_boundary,
-        }
+        return asdict(self)
 
 
 def boundary_error_audit(ref_words: list[tuple[str, TimeSpan]], plan: ChunkPlan) -> BoundaryAudit:

@@ -5,7 +5,15 @@ windows, cluster. All reports are JSON on stdout (or --out); per-file work
 runs in a thread pool but outputs are always ordered by sorted input path,
 so results are deterministic regardless of worker count.
 
-Exit codes: 0 success, 1 input error, 2 config error.
+Every flag that overrides a config value comes from one table, `OPTIONS`:
+each row names the flag's dest (the flag is ``--`` plus the dest with
+dashes), the config section and field it sets, its argparse keywords and
+the subcommands that take it. The same rows build the parsers and apply
+the overrides, so a flag and its config key cannot drift apart.
+
+Exit codes: 0 success, 1 input error, 2 config error. Config sections are
+validated when they load and again after flag overrides, so a bad value
+exits 2 before any input file is read.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, fields
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +33,8 @@ from .audio import MusicDetectConfig, Waveform, highpass, music_presence, peak_n
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
 from .clustering import (
     ClusterResult,
+    _centroids_for,
+    _relabel_by_first_appearance,
     ahc_centroid,
     estimate_k_silhouette,
     gmm_fit,
@@ -34,8 +44,8 @@ from .clustering import (
     select_k_gmm,
     smooth_labels_temporal,
 )
-from .errors import ConfigError, PipelineError
-from .interchange import read_embeddings_file, window_schedule
+from .errors import ConfigError, ParameterError, PipelineError
+from .interchange import parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
 from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments_csv
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
@@ -65,21 +75,41 @@ class PreprocessConfig:
 
 @dataclass
 class ClusteringConfig:
-    method: str = "ahc"             # ahc | gmm | kmeans
+    method: str = "ahc"             # ahc | gmm | kmeans, any case
     tau: float = 0.65
     min_cluster_size: int = 20
     pca_components: int = 0         # 0 disables
     k_min: int = 2
     k_max: int = 10
     fixed_k: int = 0                # 0 selects k automatically
-    criterion: str = "AIC"
+    criterion: str = "AIC"          # AIC | BIC, any case
     smoothing_window: int = 1       # 1 disables
     # The over-clustering recipe is method=gmm, fixed_k=25, smoothing_window=5.
+
+    def __post_init__(self):
+        if str(self.method).lower() not in ("ahc", "gmm", "kmeans"):
+            raise ParameterError(f"method must be ahc, gmm or kmeans, got {self.method!r}")
+        if not self.tau > 0:
+            raise ParameterError(f"tau must be positive, got {self.tau}")
+        if self.pca_components < 0 or self.fixed_k < 0:
+            raise ParameterError(
+                f"pca_components and fixed_k must be >= 0, got {self.pca_components} and {self.fixed_k}"
+            )
+        if not 1 <= self.k_min <= self.k_max:
+            raise ParameterError(f"need 1 <= k_min <= k_max, got k_min={self.k_min} k_max={self.k_max}")
+        if str(self.criterion).upper() not in ("AIC", "BIC"):
+            raise ParameterError(f"criterion must be AIC or BIC, got {self.criterion!r}")
+        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+            raise ParameterError(f"smoothing_window must be odd and >= 1, got {self.smoothing_window}")
 
 
 @dataclass
 class DiarizationConfig:
     min_duration_off: float = 0.1
+
+    def __post_init__(self):
+        if not self.min_duration_off >= 0:
+            raise ParameterError(f"min_duration_off must be >= 0, got {self.min_duration_off}")
 
 
 @dataclass
@@ -102,6 +132,30 @@ class PipelineConfig:
         return asdict(self)
 
 
+_CLUSTER_COMMANDS = ("diarize", "cluster")
+
+# Override flags: (dest, config section, field, argparse keywords, subcommands).
+OPTIONS = [
+    ("top_db", "silence", "top_db", {"type": float}, ("chunk",)),
+    ("min_dur", "chunking", "min_dur", {"type": float}, ("chunk",)),
+    ("max_dur", "chunking", "max_dur", {"type": float}, ("chunk",)),
+    ("threshold", "music", "decision_threshold",
+     {"type": float, "help": "override the decision threshold"}, ("detect-music",)),
+    ("method", "clustering", "method", {"choices": ["ahc", "gmm", "kmeans"]}, _CLUSTER_COMMANDS),
+    ("tau", "clustering", "tau", {"type": float}, _CLUSTER_COMMANDS),
+    ("min_cluster_size", "clustering", "min_cluster_size", {"type": int}, _CLUSTER_COMMANDS),
+    ("pca_components", "clustering", "pca_components", {"type": int}, _CLUSTER_COMMANDS),
+    ("fixed_k", "clustering", "fixed_k", {"type": int}, _CLUSTER_COMMANDS),
+    ("k_min", "clustering", "k_min", {"type": int}, _CLUSTER_COMMANDS),
+    ("k_max", "clustering", "k_max", {"type": int}, _CLUSTER_COMMANDS),
+    ("criterion", "clustering", "criterion", {"choices": ["AIC", "BIC"]}, _CLUSTER_COMMANDS),
+    ("smoothing_window", "clustering", "smoothing_window", {"type": int}, _CLUSTER_COMMANDS),
+    ("min_duration_off", "diarization", "min_duration_off", {"type": float}, ("diarize",)),
+    ("collar", "metrics", "collar", {"type": float}, ("score der",)),
+    ("skip_overlap", "metrics", "skip_overlap", {"action": "store_true", "default": None}, ("score der",)),
+]
+
+
 def _build_section(cls, doc: dict, section: str):
     known = {f.name for f in fields(cls)}
     unknown = set(doc) - known
@@ -118,7 +172,7 @@ def load_pipeline_config(path: str | None) -> PipelineConfig:
         return PipelineConfig()
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
@@ -129,48 +183,25 @@ def load_pipeline_config(path: str | None) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     kwargs = {}
-    section_types = {
-        "chunking": ChunkConfig,
-        "silence": SilenceConfig,
-        "preprocess": PreprocessConfig,
-        "clustering": ClusteringConfig,
-        "diarization": DiarizationConfig,
-        "metrics": MetricsConfig,
-        "music": MusicDetectConfig,
-    }
     for name, value in doc.items():
         if not isinstance(value, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-        kwargs[name] = _build_section(section_types[name], value, name)
+        kwargs[name] = _build_section(sections[name], value, name)
     return PipelineConfig(**kwargs)
 
 
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
-    """Flag values override config-file values when the flag was given."""
-    overrides = {
-        "top_db": (config.silence, "top_db"),
-        "min_dur": (config.chunking, "min_dur"),
-        "max_dur": (config.chunking, "max_dur"),
-        "method": (config.clustering, "method"),
-        "tau": (config.clustering, "tau"),
-        "min_cluster_size": (config.clustering, "min_cluster_size"),
-        "pca_components": (config.clustering, "pca_components"),
-        "fixed_k": (config.clustering, "fixed_k"),
-        "k_min": (config.clustering, "k_min"),
-        "k_max": (config.clustering, "k_max"),
-        "criterion": (config.clustering, "criterion"),
-        "smoothing_window": (config.clustering, "smoothing_window"),
-        "min_duration_off": (config.diarization, "min_duration_off"),
-        "collar": (config.metrics, "collar"),
-        "skip_overlap": (config.metrics, "skip_overlap"),
-        "threshold": (config.music, "decision_threshold"),
-    }
-    for flag, (target, attr) in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None and value is not False:
-            setattr(target, attr, value)
-    if getattr(args, "min_dur", None) is not None or getattr(args, "max_dur", None) is not None:
-        ChunkConfig(config.chunking.min_dur, config.chunking.max_dur)  # re-validate
+def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
+    """Flag values replace config-file values when the flag was given; every
+    section a flag changes is validated again."""
+    changes: dict[str, dict] = {}
+    for dest, section, name, _, _ in OPTIONS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            changes.setdefault(section, {})[name] = value
+    try:
+        return replace(config, **{s: replace(getattr(config, s), **kw) for s, kw in changes.items()})
+    except PipelineError as exc:
+        raise ConfigError(f"invalid flag value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +216,36 @@ def _worker_count(args: argparse.Namespace) -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _map_files(paths: list[str], fn, workers: int) -> tuple[dict, dict]:
-    """Run fn over files in a pool; results keyed by path, errors collected."""
-    results: dict[str, object] = {}
-    errors: dict[str, str] = {}
+def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | None]]:
+    """fn over each file, in a pool when workers > 1: (result, None) or
+    (None, error message) per path, in the order of `paths`."""
+    def attempt(path: str):
+        try:
+            return fn(path), None
+        except _INPUT_ERRORS as exc:
+            return None, str(exc)
+
     if workers <= 1 or len(paths) <= 1:
-        for path in paths:
-            try:
-                results[path] = fn(path)
-            except _INPUT_ERRORS as exc:
-                errors[path] = str(exc)
-        return results, errors
+        return [attempt(path) for path in paths]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, path): path for path in paths}
-        for future in as_completed(futures):
-            path = futures[future]
-            try:
-                results[path] = future.result()
-            except _INPUT_ERRORS as exc:
-                errors[path] = str(exc)
-    return results, errors
+        return list(pool.map(attempt, paths))
+
+
+def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
+    """Shared tail of the per-file commands: run `work` over the sorted
+    paths, describe each result in path order, report errors; exit 1 on any."""
+    paths = sorted(args.paths)
+    files, errors = [], {}
+    for path, (result, error) in zip(paths, _map_files(paths, work, _worker_count(args))):
+        if error is None:
+            files.append(describe(path, result))
+        else:
+            errors[path] = error
+    report = {**head, "files": files}
+    if errors:
+        report["errors"] = errors
+    _emit(report, args.out)
+    return 1 if errors else 0
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -227,6 +268,13 @@ def _preprocess(w: Waveform, cfg: PreprocessConfig) -> Waveform:
     if cfg.peak_target:
         w = peak_normalize(w, cfg.peak_target)
     return w
+
+
+def _speech_spans(path: str, config: PipelineConfig):
+    """Read a WAV, condition it and split it at silences: (waveform, spans)."""
+    w = _preprocess(load_mono(path), config.preprocess)
+    s = config.silence
+    return w, split_on_silence(w, s.top_db, s.frame_length, s.hop_length)
 
 
 def _speaker_name(label: int) -> str:
@@ -254,17 +302,9 @@ def _cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -
             k_min = min(cfg.k_min, k_max)
             k, model = select_k_gmm(x, (k_min, k_max), cfg.criterion, seed)
         labels = model.predict(x)
-        labels = np.asarray(smooth_labels_temporal(list(labels), cfg.smoothing_window))
-        kept = {lab: i for i, lab in enumerate(dict.fromkeys(labels.tolist()))}
-        labels = np.array([kept[lab] for lab in labels.tolist()])
-        centroids = np.stack([x[labels == j].mean(axis=0) for j in range(len(kept))])
-        return ClusterResult(
-            labels, len(kept), centroids, "gmm",
-            {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
-             "aic": model.aic(), "bic": model.bic(n), "fitted_k": k, "seed": seed},
-        )
-
-    if method == "kmeans":
+        diagnostics = {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
+                       "aic": model.aic(), "bic": model.bic(n), "fitted_k": k, "seed": seed}
+    else:
         if cfg.fixed_k:
             k = min(cfg.fixed_k, n)
         elif n <= 2:
@@ -274,87 +314,56 @@ def _cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -
             k_min = min(max(2, cfg.k_min), k_max)
             k = estimate_k_silhouette(x, k_min, k_max, seed)
         result = kmeans(x, k, seed)
-        labels = np.asarray(smooth_labels_temporal(list(result.labels), cfg.smoothing_window))
-        kept = {lab: i for i, lab in enumerate(dict.fromkeys(labels.tolist()))}
-        labels = np.array([kept[lab] for lab in labels.tolist()])
-        centroids = np.stack([x[labels == j].mean(axis=0) for j in range(len(kept))])
-        diagnostics = dict(result.diagnostics)
-        diagnostics["estimated_k"] = k
-        return ClusterResult(labels, len(kept), centroids, "kmeans", diagnostics)
+        labels = result.labels
+        diagnostics = {**result.diagnostics, "estimated_k": k}
 
-    raise ConfigError(f"unknown clustering method {cfg.method!r}")
+    # One tail for gmm and kmeans: smooth, renumber by first appearance, and
+    # take centroids in the space that was clustered.
+    labels = np.asarray(smooth_labels_temporal(list(labels), cfg.smoothing_window))
+    labels = _relabel_by_first_appearance(labels)
+    k = len(np.unique(labels))
+    return ClusterResult(labels, k, _centroids_for(x, labels, k), method, diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
-    paths = sorted(args.paths)
-
     def work(path: str):
-        w = _preprocess(load_mono(path), config.preprocess)
-        spans = split_on_silence(
-            w, config.silence.top_db, config.silence.frame_length, config.silence.hop_length
-        )
+        w, spans = _speech_spans(path, config)
         plan = plan_chunks(spans, w.duration_seconds, config.chunking)
         presence = music_presence(w, config.music) if config.preprocess.detect_music else None
         return w, plan, presence
 
-    results, errors = _map_files(paths, work, _worker_count(args))
-
-    files = []
-    for path in paths:
-        if path in errors:
-            continue
-        w, plan, presence = results[path]
+    def describe(path: str, result) -> dict:
+        w, plan, presence = result
         rid = Path(path).stem
         entry = {"path": path, **plan.to_dict(rid, config.chunking)}
         if presence is not None:
             entry["music"] = {"score": presence.score, "is_music": presence.is_music}
-        files.append(entry)
         if args.write_chunks:
             os.makedirs(args.write_chunks, exist_ok=True)
             for i, piece in enumerate(chunk_to_samples(plan, w)):
                 write_wav(os.path.join(args.write_chunks, f"{rid}_chunk{i:03d}.wav"), piece)
         _log(f"chunk: {path}: {len(plan.chunks)} chunks, {plan.forced_split_count} forced")
+        return entry
 
-    report = {"command": "chunk", "config": config.to_dict(), "files": files}
-    if errors:
-        report["errors"] = {p: errors[p] for p in sorted(errors)}
-    _emit(report, args.out)
-    return 1 if errors else 0
+    return _run_batch(args, {"command": "chunk", "config": config.to_dict()}, work, describe)
 
 
 def cmd_detect_music(args: argparse.Namespace, config: PipelineConfig) -> int:
-    paths = sorted(args.paths)
-
     def work(path: str):
         return music_presence(load_mono(path), config.music)
 
-    results, errors = _map_files(paths, work, _worker_count(args))
-    files = []
-    for path in paths:
-        if path in errors:
-            continue
-        presence = results[path]
-        files.append(
-            {
-                "path": path,
-                "score": presence.score,
-                "is_music": presence.is_music,
-                "low_confidence": presence.low_confidence,
-            }
-        )
+    def describe(path: str, presence) -> dict:
         _log(f"detect-music: {path}: score={presence.score:.3f} is_music={presence.is_music}")
-    report = {"command": "detect-music", "config": asdict(config.music), "files": files}
-    if errors:
-        report["errors"] = {p: errors[p] for p in sorted(errors)}
-    _emit(report, args.out)
-    return 1 if errors else 0
+        return {"path": path, "score": presence.score, "is_music": presence.is_music,
+                "low_confidence": presence.low_confidence}
+
+    return _run_batch(args, {"command": "detect-music", "config": asdict(config.music)}, work, describe)
 
 
 def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
-    paths = sorted(args.paths)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -369,42 +378,21 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
         return rid, timeline, result.k
 
-    results, errors = _map_files(paths, work, _worker_count(args))
-    files = []
-    for path in paths:
-        if path in errors:
-            continue
-        rid, timeline, k = results[path]
+    def describe(path: str, result) -> dict:
+        rid, timeline, k = result
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
         Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")
         Path(rttm_path).write_text(write_rttm([timeline]), encoding="utf-8")
-        files.append(
-            {
-                "path": path,
-                "recording_id": rid,
-                "speakers": k,
-                "segments": len(timeline.segments),
-                "csv": csv_path,
-                "rttm": rttm_path,
-            }
-        )
         _log(f"diarize: {path}: {k} speakers, {len(timeline.segments)} segments")
-    report = {
-        "command": "diarize",
-        "seed": args.seed,
-        "config": config.to_dict(),
-        "files": files,
-    }
-    if errors:
-        report["errors"] = {p: errors[p] for p in sorted(errors)}
-    _emit(report, args.out)
-    return 1 if errors else 0
+        return {"path": path, "recording_id": rid, "speakers": k,
+                "segments": len(timeline.segments), "csv": csv_path, "rttm": rttm_path}
+
+    head = {"command": "diarize", "seed": args.seed, "config": config.to_dict()}
+    return _run_batch(args, head, work, describe)
 
 
 def _read_transcript_docs(path: str) -> dict[str, str]:
-    from .interchange import read_transcripts_jsonl
-
     if path.endswith(".jsonl"):
         records = read_transcripts_jsonl(Path(path).read_text(encoding="utf-8"))
         docs: dict[str, list[str]] = {}
@@ -424,53 +412,32 @@ def _read_timelines(path: str, repair: bool) -> dict[str, SpeakerTimeline]:
 
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
+    metric = args.metric
+    if metric == "wer":
+        head = {"command": "score-wer"}
+        read, merge = _read_transcript_docs, merge_wer_reports
+
+        def score(rid: str, ref, hyps):
+            return wer(ref, hyps.get(rid, ""), args.strip_punctuation)
+    else:
+        head = {"command": "score-der", "config": asdict(config.metrics)}
+        read, merge = (lambda path: _read_timelines(path, args.repair)), merge_der_reports
+
+        def score(rid: str, ref, hyps):
+            return der(ref, hyps.get(rid, SpeakerTimeline(rid, [])),
+                       collar=config.metrics.collar, skip_overlap=config.metrics.skip_overlap)
     try:
-        if args.metric == "wer":
-            refs = _read_transcript_docs(args.ref)
-            hyps = _read_transcript_docs(args.hyp)
-            extra = set(hyps) - set(refs)
-            if extra:
-                raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
-            per_file = {}
-            reports = []
-            for rid in sorted(refs):
-                report = wer(refs[rid], hyps.get(rid, ""), args.strip_punctuation)
-                per_file[rid] = report.to_dict()
-                reports.append(report)
-            micro = merge_wer_reports(reports)
-            macro = float(np.mean([r.wer for r in reports]))
-            doc = {
-                "command": "score-wer",
-                "files": per_file,
-                "micro": micro.to_dict(),
-                "macro_wer": macro,
-            }
-        else:
-            refs = _read_timelines(args.ref, args.repair)
-            hyps = _read_timelines(args.hyp, args.repair)
-            extra = set(hyps) - set(refs)
-            if extra:
-                raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
-            per_file = {}
-            reports = []
-            for rid in sorted(refs):
-                hyp_timeline = hyps.get(rid, SpeakerTimeline(rid, []))
-                report = der(
-                    refs[rid], hyp_timeline,
-                    collar=config.metrics.collar,
-                    skip_overlap=config.metrics.skip_overlap,
-                )
-                per_file[rid] = report.to_dict()
-                reports.append(report)
-            micro = merge_der_reports(reports)
-            macro = float(np.mean([r.der for r in reports]))
-            doc = {
-                "command": "score-der",
-                "config": asdict(config.metrics),
-                "files": per_file,
-                "micro": micro.to_dict(),
-                "macro_der": macro,
-            }
+        refs, hyps = read(args.ref), read(args.hyp)
+        extra = set(hyps) - set(refs)
+        if extra:
+            raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
+        reports = {rid: score(rid, refs[rid], hyps) for rid in sorted(refs)}
+        doc = {
+            **head,
+            "files": {rid: report.to_dict() for rid, report in reports.items()},
+            "micro": merge(list(reports.values())).to_dict(),
+            f"macro_{metric}": float(np.mean([getattr(r, metric) for r in reports.values()])),
+        }
     except _INPUT_ERRORS as exc:
         _log(f"score: error: {exc}")
         return 1
@@ -485,11 +452,11 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
     except _INPUT_ERRORS as exc:
         _log(f"repair: error: {exc}")
         return 1
+    doc = {"command": "repair", "strict": args.strict, "report": report.to_dict()}
     if args.strict:
         bad = [o for o in outcomes if o.status == "dropped"]
         for outcome in bad:
             _log(f"repair: {args.path}:{outcome.line_no}: {outcome.diagnosis}")
-        doc = {"command": "repair", "strict": True, "report": report.to_dict()}
         _emit(doc, args.report)
         return 1 if bad else 0
     csv_text = rows_to_csv(outcomes)
@@ -497,7 +464,6 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
-    doc = {"command": "repair", "strict": False, "report": report.to_dict()}
     if args.report:
         _emit(doc, args.report)
     else:
@@ -508,16 +474,14 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
     try:
         if args.path.endswith(".json"):
-            doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
-            plan = ChunkPlan.from_dict(doc if "chunks" in doc else doc["files"][0])
-            spans = plan.chunks
+            doc = parse_json(Path(args.path).read_text(encoding="utf-8"), "chunk plan")
+            # A chunk report (the output of `chunk`) stands for its first file's plan.
+            files = doc.get("files") if isinstance(doc, dict) and "chunks" not in doc else None
+            spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
         else:
-            w = _preprocess(load_mono(args.path), config.preprocess)
-            spans = split_on_silence(
-                w, config.silence.top_db, config.silence.frame_length, config.silence.hop_length
-            )
+            _, spans = _speech_spans(args.path, config)
         schedule = window_schedule(spans, args.window, args.hop)
-    except _INPUT_ERRORS + (KeyError, json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         _log(f"windows: error: {exc}")
         return 1
     report = {
@@ -534,34 +498,21 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
-    paths = sorted(args.paths)
-
     def work(path: str):
         emb = read_embeddings_file(path)
         if len(emb) == 0:
             return emb.recording_id, None
         return emb.recording_id, _cluster_embeddings(emb.vectors, config.clustering, args.seed)
 
-    results, errors = _map_files(paths, work, _worker_count(args))
-    files = []
-    for path in paths:
-        if path in errors:
-            continue
-        rid, result = results[path]
+    def describe(path: str, found) -> dict:
+        rid, result = found
         entry = {"path": path, "recording_id": rid}
         entry.update(result.to_dict() if result else {"k": 0, "labels": []})
-        files.append(entry)
         _log(f"cluster: {path}: k={entry['k']}")
-    report = {
-        "command": "cluster",
-        "seed": args.seed,
-        "config": asdict(config.clustering),
-        "files": files,
-    }
-    if errors:
-        report["errors"] = {p: errors[p] for p in sorted(errors)}
-    _emit(report, args.out)
-    return 1 if errors else 0
+        return entry
+
+    head = {"command": "cluster", "seed": args.seed, "config": asdict(config.clustering)}
+    return _run_batch(args, head, work, describe)
 
 
 # ---------------------------------------------------------------------------
@@ -575,42 +526,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def finish(p: argparse.ArgumentParser, command: str, fn) -> None:
+        """Add the table flags of `command` and the common flags; route to `fn`."""
+        for dest, _, _, kwargs, commands in OPTIONS:
+            if command in commands:
+                p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--workers", type=int, help=f"worker threads (or ${WORKERS_ENV})")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("chunk", help="plan silence-aware chunks for WAV files")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--top-db", dest="top_db", type=float)
-    p.add_argument("--min-dur", dest="min_dur", type=float)
-    p.add_argument("--max-dur", dest="max_dur", type=float)
     p.add_argument("--write-chunks", help="directory for per-chunk WAVs")
-    common(p)
-    p.set_defaults(fn=cmd_chunk)
+    finish(p, "chunk", cmd_chunk)
 
     p = sub.add_parser("detect-music", help="spectral-flux music presence per file")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--threshold", type=float, help="override the decision threshold")
-    common(p)
-    p.set_defaults(fn=cmd_detect_music)
+    finish(p, "detect-music", cmd_detect_music)
 
     p = sub.add_parser("diarize", help="cluster embedding containers into speaker timelines")
     p.add_argument("paths", nargs="+")
     p.add_argument("--out-dir", help="directory for CSV/RTTM outputs (default .)")
-    p.add_argument("--method", choices=["ahc", "gmm", "kmeans"])
-    p.add_argument("--tau", type=float)
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--pca-components", dest="pca_components", type=int)
-    p.add_argument("--fixed-k", dest="fixed_k", type=int)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--criterion", choices=["AIC", "BIC"])
-    p.add_argument("--smoothing-window", dest="smoothing_window", type=int)
-    p.add_argument("--min-duration-off", dest="min_duration_off", type=float)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_diarize)
+    finish(p, "diarize", cmd_diarize)
 
     p = sub.add_parser("score", help="score WER or DER against references")
     score_sub = p.add_subparsers(dest="metric", required=True)
@@ -621,11 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--repair", action="store_true", help="repair CSV inputs instead of strict parsing")
         if metric == "wer":
             sp.add_argument("--strip-punctuation", dest="strip_punctuation", action="store_true")
-        if metric == "der":
-            sp.add_argument("--collar", type=float)
-            sp.add_argument("--skip-overlap", dest="skip_overlap", action="store_true", default=None)
-        common(sp)
-        sp.set_defaults(fn=cmd_score, metric=metric)
+        finish(sp, f"score {metric}", cmd_score)
 
     p = sub.add_parser("repair", help="repair a segments CSV")
     p.add_argument("path")
@@ -639,41 +574,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--window", type=float, default=1.5)
     p.add_argument("--hop", type=float, default=0.75)
-    common(p)
-    p.set_defaults(fn=cmd_windows)
+    finish(p, "windows", cmd_windows)
 
     p = sub.add_parser("cluster", help="cluster embedding containers, report labels")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--method", choices=["ahc", "gmm", "kmeans"])
-    p.add_argument("--tau", type=float)
-    p.add_argument("--min-cluster-size", dest="min_cluster_size", type=int)
-    p.add_argument("--pca-components", dest="pca_components", type=int)
-    p.add_argument("--fixed-k", dest="fixed_k", type=int)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--criterion", choices=["AIC", "BIC"])
-    p.add_argument("--smoothing-window", dest="smoothing_window", type=int)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_cluster)
+    finish(p, "cluster", cmd_cluster)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_pipeline_config(getattr(args, "config", None))
-        _apply_overrides(config, args)
+        config = _apply_overrides(load_pipeline_config(getattr(args, "config", None)), args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2
-    try:
-        return args.fn(args, config)
-    except ConfigError as exc:
-        _log(f"config error: {exc}")
-        return 2
+    return args.fn(args, config)
 
 
 if __name__ == "__main__":

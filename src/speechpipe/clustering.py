@@ -308,7 +308,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1
         remap = {int(old): new for new, old in enumerate(occupied)}
         labels = np.array([remap[int(lab)] for lab in labels])
         k = len(occupied)
-    centers = np.stack([x[labels == j].mean(axis=0) for j in range(k)])
+    centers = _centroids_for(x, labels, k)
     return ClusterResult(
         labels,
         k,
@@ -508,18 +508,6 @@ def select_k_gmm(
             best_k, best_model, best_value = k, model, value
     assert best_model is not None
     return best_k, best_model
-
-
-def overcluster_smooth(x: np.ndarray, seed: int, k: int = 25, window: int = 5) -> np.ndarray:
-    """Over-clustering preset: fixed-k diagonal GMM, then temporal smoothing.
-
-    Deliberately fits more components than plausible speakers and repairs the
-    label sequence with a majority-vote pass.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    model = gmm_fit(x, min(k, len(x)), seed)
-    labels = model.predict(x)
-    return np.asarray(smooth_labels_temporal(list(labels), window))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,10 +70,13 @@ def window_schedule(
         if span.duration < window - 1e-9:
             out.append(ScheduledWindow(span, short=True))
             continue
-        start = span.start
+        # Each start is computed from the span start, not accumulated, so
+        # starts do not drift on long spans.
+        i, start = 0, span.start
         while start + window <= span.end + 1e-9:
             out.append(ScheduledWindow(TimeSpan(start, start + window)))
-            start += hop
+            i += 1
+            start = span.start + i * hop
     return out
 
 
@@ -125,7 +128,10 @@ def read_embeddings(data: bytes) -> EmbeddingSet:
     offset += 4
     if len(data) < offset + rid_len:
         raise FormatError("recording-id truncated", offset=len(data))
-    rid = data[offset : offset + rid_len].decode("utf-8")
+    try:
+        rid = data[offset : offset + rid_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"recording id is not valid UTF-8: {exc.reason}", offset=offset + exc.start) from None
     offset += rid_len
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes", offset=offset)
@@ -136,11 +142,10 @@ def read_embeddings(data: bytes) -> EmbeddingSet:
         raise FormatError(str(exc), offset=_HEADER.size) from None
 
 
-def write_embeddings_file(path, embeddings: EmbeddingSet) -> None:
-    """Write a container atomically (temp file + rename)."""
-    data = write_embeddings(embeddings)
+def write_atomic(path, data: bytes, suffix: str) -> None:
+    """Write `data` to `path` through a temp file (named with `suffix`) and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".emb.tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=suffix)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -151,9 +156,22 @@ def write_embeddings_file(path, embeddings: EmbeddingSet) -> None:
         raise
 
 
+def write_embeddings_file(path, embeddings: EmbeddingSet) -> None:
+    """Write a container atomically (temp file + rename)."""
+    write_atomic(path, write_embeddings(embeddings), ".emb.tmp")
+
+
 def read_embeddings_file(path) -> EmbeddingSet:
     with open(path, "rb") as fh:
         return read_embeddings(fh.read())
+
+
+def parse_json(text: str, what: str):
+    """`json.loads`, with a syntax error raised as FormatError at its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno) from None
 
 
 @dataclass
@@ -228,27 +246,14 @@ class DecodeConfig:
             raise ParameterError("temperature must be positive when sampling")
 
     def to_json(self) -> str:
-        doc = {
-            "beams": self.beams,
-            "repetition_penalty": self.repetition_penalty,
-            "no_repeat_ngram": self.no_repeat_ngram,
-            "do_sample": self.do_sample,
-            "temperature": self.temperature,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DecodeConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"decode config is not valid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno
-            ) from None
+        doc = parse_json(text, "decode config")
         if not isinstance(doc, dict):
             raise FormatError("decode config must be a JSON object")
-        known = {"beams", "repetition_penalty", "no_repeat_ngram", "do_sample", "temperature"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise FormatError(f"unknown decode-config keys: {sorted(unknown)}")
         for key, value in doc.items():

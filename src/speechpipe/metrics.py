@@ -9,7 +9,7 @@ and decomposes the error into miss / false alarm / confusion.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,13 +42,7 @@ class WerReport:
     wer: float
 
     def to_dict(self) -> dict:
-        return {
-            "substitutions": self.substitutions,
-            "deletions": self.deletions,
-            "insertions": self.insertions,
-            "ref_word_count": self.ref_word_count,
-            "wer": self.wer,
-        }
+        return asdict(self)
 
 
 def wer(ref: str, hyp: str, strip_punctuation: bool = False) -> WerReport:
@@ -107,14 +101,7 @@ class DerReport:
     mapping: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "missed": self.missed,
-            "false_alarm": self.false_alarm,
-            "confusion": self.confusion,
-            "total_ref": self.total_ref,
-            "der": self.der,
-            "mapping": dict(sorted(self.mapping.items())),
-        }
+        return {**asdict(self), "mapping": dict(sorted(self.mapping.items()))}
 
 
 def optimal_assignment(cost_matrix: np.ndarray) -> tuple[list[tuple[int, int]], float]:

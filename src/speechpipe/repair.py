@@ -10,7 +10,7 @@ mode accepts are never altered.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
 from .spans import TimeSpan
@@ -38,13 +38,7 @@ class RepairReport:
     rules_fired: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "total_lines": self.total_lines,
-            "parsed_ok": self.parsed_ok,
-            "repaired": self.repaired,
-            "dropped": self.dropped,
-            "rules_fired": dict(sorted(self.rules_fired.items())),
-        }
+        return {**asdict(self), "rules_fired": dict(sorted(self.rules_fired.items()))}
 
 
 @dataclass

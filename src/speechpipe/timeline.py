@@ -36,25 +36,7 @@ class SpeakerTimeline:
         cls, recording_id: str, segments: list[SpeakerSegment]
     ) -> "SpeakerTimeline":
         """Build a normalized timeline: merge same-speaker overlap/adjacency, sort."""
-        by_speaker: dict[str, list[TimeSpan]] = defaultdict(list)
-        for seg in segments:
-            by_speaker[seg.speaker].append(seg.span)
-        merged: list[SpeakerSegment] = []
-        for speaker, spans in by_speaker.items():
-            spans.sort()
-            current: TimeSpan | None = None
-            for span in spans:
-                if current is None:
-                    current = span
-                elif span.start <= current.end:
-                    current = TimeSpan(current.start, max(current.end, span.end))
-                else:
-                    merged.append(SpeakerSegment(current, speaker))
-                    current = span
-            if current is not None:
-                merged.append(SpeakerSegment(current, speaker))
-        merged.sort(key=lambda s: (s.span.start, s.span.end, s.speaker))
-        return cls(recording_id, merged)
+        return cls(recording_id, _merge_per_speaker(segments, lambda current, span: span.start <= current.end))
 
     def speakers(self) -> list[str]:
         return sorted({seg.speaker for seg in self.segments})
@@ -68,6 +50,27 @@ class SpeakerTimeline:
     def total_speech(self) -> float:
         """Total speech time summed per speaker (overlap counts once per speaker)."""
         return sum(seg.span.duration for seg in self.segments)
+
+
+def _merge_per_speaker(segments, joins) -> list[SpeakerSegment]:
+    """Merge each speaker's time-sorted spans into the running one while
+    `joins(running, next)` holds; the result is sorted by (start, end, speaker)."""
+    by_speaker: dict[str, list[TimeSpan]] = defaultdict(list)
+    for seg in segments:
+        by_speaker[seg.speaker].append(seg.span)
+    merged: list[SpeakerSegment] = []
+    for speaker, spans in by_speaker.items():
+        spans.sort()
+        current = spans[0]
+        for span in spans[1:]:
+            if joins(current, span):
+                current = TimeSpan(current.start, max(current.end, span.end))
+            else:
+                merged.append(SpeakerSegment(current, speaker))
+                current = span
+        merged.append(SpeakerSegment(current, speaker))
+    merged.sort(key=lambda s: (s.span.start, s.span.end, s.speaker))
+    return merged
 
 
 def _parse_time(token: str, line_no: int, what: str) -> float:
@@ -121,22 +124,8 @@ def suppress_gaps(t: SpeakerTimeline, min_duration_off: float) -> SpeakerTimelin
     """Absorb same-speaker gaps shorter than `min_duration_off` into one segment."""
     if min_duration_off < 0:
         raise ParameterError(f"min_duration_off must be >= 0, got {min_duration_off}")
-    by_speaker: dict[str, list[TimeSpan]] = defaultdict(list)
-    for seg in t.segments:
-        by_speaker[seg.speaker].append(seg.span)
-    out: list[SpeakerSegment] = []
-    for speaker, spans in by_speaker.items():
-        spans.sort()
-        current = spans[0]
-        for span in spans[1:]:
-            if span.start - current.end < min_duration_off:
-                current = TimeSpan(current.start, max(current.end, span.end))
-            else:
-                out.append(SpeakerSegment(current, speaker))
-                current = span
-        out.append(SpeakerSegment(current, speaker))
-    out.sort(key=lambda s: (s.span.start, s.span.end, s.speaker))
-    return SpeakerTimeline(t.recording_id, out)
+    merged = _merge_per_speaker(t.segments, lambda current, span: span.start - current.end < min_duration_off)
+    return SpeakerTimeline(t.recording_id, merged)
 
 
 def merge_adjacent_windows(

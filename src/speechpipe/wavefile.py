@@ -6,14 +6,13 @@ Compressed or otherwise exotic codecs are rejected with a clear error.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .audio import Waveform, downmix_mono
 from .errors import FormatError, ParameterError
+from .interchange import write_atomic
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -134,14 +133,4 @@ def write_wav(path, channels_or_waveform, sample_rate: int | None = None, encodi
         channels = channels_or_waveform
         if sample_rate is None:
             raise ParameterError("sample_rate is required when writing raw channels")
-    data = wav_bytes(channels, sample_rate, encoding)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".wav.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, wav_bytes(channels, sample_rate, encoding), ".wav.tmp")

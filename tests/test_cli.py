@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,12 +18,13 @@ from speechpipe import (
     der,
     parse_rttm,
     wav_bytes,
+    write_embeddings,
     write_embeddings_file,
     write_rttm,
     write_segments_csv,
     write_wav,
 )
-from speechpipe.cli import main
+from speechpipe.cli import OPTIONS, PipelineConfig, build_parser, main
 from synth import SR, clean_rows, corrupt_row, silence, tone, two_speaker_scene
 
 
@@ -325,6 +328,195 @@ class TestConfig:
         assert code == 0
         entry = json.loads(out)["files"][0]
         assert "music" in entry and set(entry["music"]) == {"score", "is_music"}
+
+
+class TestConfigValidation:
+    """Bad config values exit 2 before any input is read: nothing is written,
+    and a missing input file is never reported."""
+
+    @pytest.mark.parametrize("command, flags, section", [
+        ("diarize", ["--smoothing-window", "4"], None),
+        ("diarize", ["--tau", "0"], None),
+        ("diarize", ["--min-duration-off", "-1"], None),
+        ("diarize", ["--method", "kmeans", "--k-min", "5", "--k-max", "3"], None),
+        ("cluster", ["--pca-components", "-1"], None),
+        ("cluster", ["--fixed-k", "-2"], None),
+        ("diarize", [], {"clustering": {"method": "spectral"}}),
+        ("cluster", [], {"clustering": {"smoothing_window": 4}}),
+        ("cluster", [], {"clustering": {"tau": -0.5}}),
+        ("cluster", [], {"clustering": {"criterion": "HQIC"}}),
+        ("cluster", [], {"clustering": {"k_min": 0}}),
+        ("diarize", [], {"diarization": {"min_duration_off": -0.1}}),
+    ])
+    def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=5)
+        container = tmp_path / "scene.emb"
+        write_embeddings_file(container, emb)
+        out_dir = tmp_path / "out"
+        argv = [command, str(container), str(tmp_path / "missing.emb"), *flags,
+                "--out", str(tmp_path / "report.json")]
+        if command == "diarize":
+            argv += ["--out-dir", str(out_dir)]
+        if section is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(section))
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and "missing.emb" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
+        assert not out_dir.exists()
+
+    def test_chunk_bounds_from_flags_exit_two(self, speech_wav, capsys):
+        code = main(["chunk", str(speech_wav), "--min-dur", "5", "--max-dur", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_method_and_criterion_any_case(self, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=9)
+        container = tmp_path / "scene.emb"
+        write_embeddings_file(container, emb)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"clustering": {"method": "GMM", "criterion": "bic", "k_min": 1, "k_max": 3}}')
+        code, out = run(capsys, "cluster", str(container), "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["files"][0]["method"] == "gmm"
+
+
+class TestLocatedInputErrors:
+    """Malformed inputs exit 1 with a message that says where, never a traceback."""
+
+    def test_non_utf8_recording_id(self, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=5)
+        emb.recording_id = "scene"
+        data = bytearray(write_embeddings(emb))
+        data[-5] = 0xFF
+        container = tmp_path / "scene.emb"
+        container.write_bytes(bytes(data))
+        code = main(["diarize", str(container), "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"byte offset {len(data) - 5}" in json.loads(captured.out)["errors"][str(container)]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text, where", [
+        ("[]", "chunk plan must be a JSON object"),
+        ('{"files": []}', "chunk plan: missing key 'chunks'"),
+        ('{"source_duration": 5, "forced_split_count": 0,'
+         ' "chunks": [{"start": 0, "end": 2, "kind": "silence"}, {"start": 3, "end": "x", "kind": "silence"}]}',
+         "chunk plan chunks[1]:"),
+        ('{"chunks": [\n  {"start": 0,', "line 2: chunk plan is not valid JSON"),
+    ])
+    def test_bad_plan_document(self, text, where, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        code = main(["windows", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert where in captured.err
+        assert "Traceback" not in captured.err
+
+
+# Every flag of every subcommand today: flag -> (dest, type, choices, default, nargs, required).
+_COMMON = {
+    "--config": ("config", None, None, None, None, False),
+    "--out": ("out", None, None, None, None, False),
+    "--workers": ("workers", "int", None, None, None, False),
+}
+_CLUSTERING = {
+    "--method": ("method", None, ["ahc", "gmm", "kmeans"], None, None, False),
+    "--tau": ("tau", "float", None, None, None, False),
+    "--min-cluster-size": ("min_cluster_size", "int", None, None, None, False),
+    "--pca-components": ("pca_components", "int", None, None, None, False),
+    "--fixed-k": ("fixed_k", "int", None, None, None, False),
+    "--k-min": ("k_min", "int", None, None, None, False),
+    "--k-max": ("k_max", "int", None, None, None, False),
+    "--criterion": ("criterion", None, ["AIC", "BIC"], None, None, False),
+    "--smoothing-window": ("smoothing_window", "int", None, None, None, False),
+    "--seed": ("seed", "int", None, 0, None, False),
+    "paths": ("paths", None, None, None, "+", True),
+}
+_SCORE = {
+    "--ref": ("ref", None, None, None, None, True),
+    "--hyp": ("hyp", None, None, None, None, True),
+    "--repair": ("repair", None, None, False, 0, False),
+}
+EXPECTED_FLAGS = {
+    "chunk": {
+        **_COMMON,
+        "paths": ("paths", None, None, None, "+", True),
+        "--top-db": ("top_db", "float", None, None, None, False),
+        "--min-dur": ("min_dur", "float", None, None, None, False),
+        "--max-dur": ("max_dur", "float", None, None, None, False),
+        "--write-chunks": ("write_chunks", None, None, None, None, False),
+    },
+    "detect-music": {
+        **_COMMON,
+        "paths": ("paths", None, None, None, "+", True),
+        "--threshold": ("threshold", "float", None, None, None, False),
+    },
+    "diarize": {
+        **_COMMON,
+        **_CLUSTERING,
+        "--out-dir": ("out_dir", None, None, None, None, False),
+        "--min-duration-off": ("min_duration_off", "float", None, None, None, False),
+    },
+    "cluster": {**_COMMON, **_CLUSTERING},
+    "score wer": {
+        **_COMMON,
+        **_SCORE,
+        "--strip-punctuation": ("strip_punctuation", None, None, False, 0, False),
+    },
+    "score der": {
+        **_COMMON,
+        **_SCORE,
+        "--collar": ("collar", "float", None, None, None, False),
+        "--skip-overlap": ("skip_overlap", None, None, None, 0, False),
+    },
+    "repair": {
+        "path": ("path", None, None, None, None, True),
+        "--strict": ("strict", None, None, False, 0, False),
+        "--out": ("out", None, None, None, None, False),
+        "--report": ("report", None, None, None, None, False),
+        "--config": ("config", None, None, None, None, False),
+    },
+    "windows": {
+        **_COMMON,
+        "path": ("path", None, None, None, None, True),
+        "--window": ("window", "float", None, 1.5, None, False),
+        "--hop": ("hop", "float", None, 0.75, None, False),
+    },
+}
+
+
+def _leaf_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = any(isinstance(a, argparse._SubParsersAction) for a in sub._actions)
+                yield from _leaf_parsers(sub, f"{prefix}{name} ") if nested else [(prefix + name, sub)]
+
+
+class TestOptionTable:
+    def test_rows_name_real_config_fields(self):
+        config = PipelineConfig()
+        for dest, section, name, _, commands in OPTIONS:
+            assert name in {f.name for f in fields(getattr(config, section))}, dest
+            assert set(commands) <= set(EXPECTED_FLAGS), dest
+
+    def test_every_subcommand_keeps_its_flags(self):
+        found = {}
+        for name, parser in _leaf_parsers(build_parser()):
+            found[name] = {
+                "/".join(a.option_strings) or a.dest:
+                    (a.dest, getattr(a.type, "__name__", a.type), a.choices, a.default, a.nargs, a.required)
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            }
+        assert found == EXPECTED_FLAGS
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -427,18 +427,29 @@ class TestSelectK:
 
 
 class TestOverclusterPreset:
+    """The over-clustering recipe (fixed-k GMM, then temporal smoothing) runs
+    through the clustering path of `diarize`/`cluster`:
+    `--method gmm --fixed-k K --smoothing-window W`."""
+
     def test_runs_and_keeps_time_structure(self):
-        from speechpipe import overcluster_smooth
+        from speechpipe.cli import ClusteringConfig, _cluster_embeddings
 
         rng = np.random.default_rng(80)
         a = rng.normal(size=(60, 4)) + [8, 0, 0, 0]
         b = rng.normal(size=(60, 4)) - [8, 0, 0, 0]
         x = np.vstack([a, b])
-        labels = overcluster_smooth(x, seed=0, k=10, window=5)
+        cfg = ClusteringConfig(method="gmm", fixed_k=10, smoothing_window=5)
+        result = _cluster_embeddings(x, cfg, seed=0)
+        labels = result.labels
         assert len(labels) == 120
-        assert len(np.unique(labels)) <= 10
-        again = overcluster_smooth(x, seed=0, k=10, window=5)
-        assert np.array_equal(labels, again)
+        assert len(np.unique(labels)) == result.k <= 10
+        again = _cluster_embeddings(x, cfg, seed=0)
+        assert np.array_equal(labels, again.labels)
+        assert np.array_equal(result.centroids, again.centroids)
+        # The recipe itself, renumbered by first appearance.
+        smoothed = smooth_labels_temporal(list(gmm_fit(x, 10, 0).predict(x)), 5)
+        first = {lab: i for i, lab in enumerate(dict.fromkeys(smoothed))}
+        assert labels.tolist() == [first[lab] for lab in smoothed]
 
 
 class TestSmoothing:

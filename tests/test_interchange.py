@@ -72,6 +72,14 @@ class TestWindowSchedule:
         with pytest.raises(ParameterError):
             window_schedule([TimeSpan(0, 3)], 1.0, 2.0)
 
+    @pytest.mark.parametrize("span, window, hop", [((0.0, 100.0), 1.0, 0.1), ((3.7, 250.0), 1.5, 0.3)])
+    def test_starts_do_not_drift(self, span, window, hop):
+        windows = window_schedule([TimeSpan(*span)], window, hop)
+        starts = [w.span.start for w in windows]
+        assert starts == [span[0] + i * hop for i in range(len(starts))]
+        if span == (0.0, 100.0):
+            assert len(starts) == 991 and starts[500] == 50.0 and starts[-1] == 99.0
+
 
 class TestEmbeddingContainer:
     def test_round_trip(self):
@@ -113,6 +121,13 @@ class TestEmbeddingContainer:
         data = write_embeddings(random_embeddings(rng, n=2, d=2))
         with pytest.raises(FormatError, match="trailing"):
             read_embeddings(data + b"\x00")
+
+    def test_non_utf8_recording_id_names_offset(self):
+        data = bytearray(write_embeddings(EmbeddingSet(np.zeros((1, 2), dtype=np.float32), [TimeSpan(0, 1)], "ab")))
+        id_at = len(data) - 2
+        data[id_at + 1] = 0xFF
+        with pytest.raises(FormatError, match=f"UTF-8.*byte offset {id_at + 1}"):
+            read_embeddings(bytes(data))
 
     def test_unsorted_spans_rejected(self):
         vectors = np.zeros((2, 3), dtype=np.float32)
