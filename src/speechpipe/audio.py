@@ -66,10 +66,15 @@ class FrameSeries:
         return len(self.values)
 
 
-def _frame_view(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
-    """Left-aligned frames; empty (0, frame_length) array when the signal is too short."""
+def check_frame_params(frame_length: int, hop_length: int) -> None:
+    """Raise unless both framing lengths are at least one sample."""
     if frame_length < 1 or hop_length < 1:
         raise ParameterError("frame_length and hop_length must be >= 1")
+
+
+def _frame_view(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
+    """Left-aligned frames; empty (0, frame_length) array when the signal is too short."""
+    check_frame_params(frame_length, hop_length)
     if len(x) < frame_length:
         return np.empty((0, frame_length), dtype=x.dtype)
     return np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop_length]
@@ -149,14 +154,12 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
 
 def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries:
     """Per-frame RMS level in dB, floored at -100 dB for silent frames."""
-    frames = _frame_view(w.samples, frame_length, hop_length)
-    if len(frames) == 0:
-        values = np.empty(0)
-    else:
-        rms = np.sqrt(np.mean(frames.astype(np.float64) ** 2, axis=1))
-        values = np.full(len(rms), SILENCE_FLOOR_DB)
-        nonzero = rms > 0
-        values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)
+    # Views of one float64 copy of the squares: memory does not grow with overlap.
+    squares = np.square(w.samples, dtype=np.float64)
+    rms = np.sqrt(np.mean(_frame_view(squares, frame_length, hop_length), axis=1))
+    values = np.full(len(rms), SILENCE_FLOOR_DB)
+    nonzero = rms > 0
+    values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)
     return FrameSeries(values, frame_length, hop_length, w.sample_rate)
 
 
@@ -175,62 +178,43 @@ def split_on_silence(
     """
     if top_db <= 0:
         raise ParameterError(f"top_db must be positive, got {top_db}")
-    series = frame_rms_db(w, frame_length, hop_length)
-    n_frames = len(series)
-    if n_frames == 0:
+    levels = frame_rms_db(w, frame_length, hop_length).values
+    if len(levels) == 0:
         return []
-    levels = series.values
     peak = levels.max()
     if peak <= DIGITAL_SILENCE_DB:
         return []
     nonsilent = levels > peak - top_db
 
-    sr = w.sample_rate
+    # Runs of non-silent frames: padding with silence makes every rise a
+    # start and every fall the (exclusive) end of one run.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], nonsilent.astype(np.int8), [0]))))
+    starts, ends = edges[::2], edges[1::2]
     n = len(w.samples)
-    edges = np.flatnonzero(np.diff(nonsilent.astype(np.int8)))
-    starts = [int(e) + 1 for e in edges if nonsilent[e + 1]]
-    ends = [int(e) + 1 for e in edges if not nonsilent[e + 1]]
-    if nonsilent[0]:
-        starts.insert(0, 0)
-    if nonsilent[-1]:
-        ends.append(n_frames)
-
-    raw: list[tuple[int, int]] = []
-    for a, b in zip(starts, ends):
-        start_sample = a * hop_length
-        if b == n_frames:
-            end_sample = n
-        else:
-            end_sample = min((b - 1) * hop_length + frame_length, n)
-        raw.append((start_sample, end_sample))
-
+    start_samples = starts * hop_length
+    end_samples = np.minimum((ends - 1) * hop_length + frame_length, n)
+    end_samples[ends == len(levels)] = n
     # Overlapping analysis frames can push a span's tail past the next span's
     # head; cap it so the output stays disjoint.
-    out: list[TimeSpan] = []
-    for i, (start_sample, end_sample) in enumerate(raw):
-        if i + 1 < len(raw):
-            end_sample = min(end_sample, raw[i + 1][0])
-        out.append(TimeSpan(start_sample / sr, end_sample / sr))
-    return out
+    end_samples[:-1] = np.minimum(end_samples[:-1], start_samples[1:])
+    sr = w.sample_rate
+    return [TimeSpan(a / sr, b / sr) for a, b in zip(start_samples.tolist(), end_samples.tolist())]
 
 
-def _stft_magnitude(w: Waveform, frame_length: int, hop_length: int) -> np.ndarray:
-    """Magnitude spectra of Hann-windowed, left-aligned frames."""
+def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive frame-to-frame magnitude-spectrum change (flux[0] = 0) and the
+    magnitude sum of each Hann-windowed, left-aligned frame."""
     frames = _frame_view(w.samples, frame_length, hop_length)
-    if len(frames) == 0:
-        return np.empty((0, frame_length // 2 + 1))
-    window = np.hanning(frame_length)
-    return np.abs(np.fft.rfft(frames.astype(np.float64) * window, axis=1))
+    mags = np.abs(np.fft.rfft(frames.astype(np.float64) * np.hanning(frame_length), axis=1))
+    flux = np.zeros(len(mags))
+    flux[1:] = np.maximum(np.diff(mags, axis=0), 0.0).sum(axis=1)
+    return flux, mags.sum(axis=1)
 
 
 def spectral_flux(w: Waveform, frame_length: int = 2048, hop_length: int = 512) -> FrameSeries:
     """Frame-to-frame positive magnitude-spectrum change; flux[0] = 0."""
-    mags = _stft_magnitude(w, frame_length, hop_length)
-    values = np.zeros(len(mags))
-    if len(mags) > 1:
-        diff = np.diff(mags, axis=0)
-        values[1:] = np.maximum(diff, 0.0).sum(axis=1)
-    return FrameSeries(values, frame_length, hop_length, w.sample_rate)
+    flux, _ = _flux_and_energy(w, frame_length, hop_length)
+    return FrameSeries(flux, frame_length, hop_length, w.sample_rate)
 
 
 @dataclass
@@ -244,6 +228,9 @@ class MusicDetectConfig:
     peak_min_height: float = 0.04    # normalized-flux height for a local max to count
     decision_threshold: float = 0.5  # fraction of music votes that flips is_music
     min_duration: float = 3.0        # shorter inputs are flagged low-confidence
+
+    def __post_init__(self):
+        check_frame_params(self.frame_length, self.hop_length)
 
 
 @dataclass
@@ -261,14 +248,11 @@ def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> Musi
     under pure rescaling of the waveform (peak normalization included).
     """
     cfg = config or MusicDetectConfig()
-    mags = _stft_magnitude(w, cfg.frame_length, cfg.hop_length)
+    flux, energy = _flux_and_energy(w, cfg.frame_length, cfg.hop_length)
     low_confidence = w.duration_seconds < cfg.min_duration
-    if len(mags) < 2:
+    if len(flux) < 2:
         return MusicPresence(0.0, False, low_confidence)
 
-    flux = np.zeros(len(mags))
-    flux[1:] = np.maximum(np.diff(mags, axis=0), 0.0).sum(axis=1)
-    energy = mags.sum(axis=1)
     nflux = np.divide(flux, energy, out=np.zeros_like(flux), where=energy > 1e-12)
 
     frames_per_second = w.sample_rate / cfg.hop_length

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .audio import Waveform
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan, check_sorted_disjoint
+from .spans import TimeSpan, check_sorted_by_start, check_sorted_disjoint
 
 KIND_SILENCE = "silence"
 KIND_FORCED = "forced"
@@ -187,9 +187,7 @@ def boundary_error_audit(ref_words: list[tuple[str, TimeSpan]], plan: ChunkPlan)
     does not coincide with the previous chunk's end (silence gaps are cut on
     both sides).
     """
-    starts = [s.start for _, s in ref_words]
-    if any(b < a for a, b in zip(starts, starts[1:])):
-        raise StructuralError("reference word spans must be sorted by start")
+    check_sorted_by_start([span for _, span in ref_words], "reference word spans")
 
     boundaries: list[float] = []
     for i, chunk in enumerate(plan.chunks):

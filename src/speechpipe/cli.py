@@ -13,7 +13,8 @@ the overrides, so a flag and its config key cannot drift apart.
 
 Exit codes: 0 success, 1 input error, 2 config error. Config sections are
 validated when they load and again after flag overrides, so a bad value
-exits 2 before any input file is read.
+exits 2 before any input file is read. Other input and output errors exit 1
+with one ``<command>: error: <message>`` line, unless reported per file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import MusicDetectConfig, Waveform, highpass, music_presence, peak_normalize, resample, split_on_silence
+from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, music_presence, peak_normalize, resample, split_on_silence
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
 from .clustering import (
     ClusterResult,
@@ -64,6 +65,11 @@ class SilenceConfig:
     frame_length: int = 2048
     hop_length: int = 512
 
+    def __post_init__(self):
+        if self.top_db <= 0:
+            raise ParameterError(f"top_db must be positive, got {self.top_db}")
+        check_frame_params(self.frame_length, self.hop_length)
+
 
 @dataclass
 class PreprocessConfig:
@@ -71,6 +77,13 @@ class PreprocessConfig:
     highpass_hz: float = 60.0       # 0 disables
     peak_target: float = 0.98       # 0 disables
     detect_music: bool = False
+
+    def __post_init__(self):
+        if not (self.target_sample_rate >= 0 and self.highpass_hz >= 0 and 0 <= self.peak_target <= 1):
+            raise ParameterError(
+                "need target_sample_rate >= 0, highpass_hz >= 0 and 0 <= peak_target <= 1, got "
+                f"{self.target_sample_rate}, {self.highpass_hz} and {self.peak_target}"
+            )
 
 
 @dataclass
@@ -116,6 +129,10 @@ class DiarizationConfig:
 class MetricsConfig:
     collar: float = 0.0
     skip_overlap: bool = False
+
+    def __post_init__(self):
+        if self.collar < 0:
+            raise ParameterError(f"collar must be >= 0, got {self.collar}")
 
 
 @dataclass
@@ -296,24 +313,19 @@ def _cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -
     if method == "gmm":
         if cfg.fixed_k:
             model = gmm_fit(x, min(cfg.fixed_k, n), seed)
-            k = model.k
         else:
             k_max = min(cfg.k_max, n)
-            k_min = min(cfg.k_min, k_max)
-            k, model = select_k_gmm(x, (k_min, k_max), cfg.criterion, seed)
+            _, model = select_k_gmm(x, (min(cfg.k_min, k_max), k_max), cfg.criterion, seed)
         labels = model.predict(x)
         diagnostics = {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
-                       "aic": model.aic(), "bic": model.bic(n), "fitted_k": k, "seed": seed}
+                       "aic": model.aic(), "bic": model.bic(n), "fitted_k": model.k, "seed": seed}
     else:
-        if cfg.fixed_k:
-            k = min(cfg.fixed_k, n)
-        elif n <= 2:
-            k = 1  # silhouette needs k_max <= N-1 with k >= 2
+        if cfg.fixed_k or n <= 2:
+            k = min(cfg.fixed_k, n) if cfg.fixed_k else 1  # silhouette needs k_max <= N-1 with k >= 2
+            result = kmeans(x, k, seed)
         else:
             k_max = min(cfg.k_max, n - 1)
-            k_min = min(max(2, cfg.k_min), k_max)
-            k = estimate_k_silhouette(x, k_min, k_max, seed)
-        result = kmeans(x, k, seed)
+            k, result = estimate_k_silhouette(x, min(max(2, cfg.k_min), k_max), k_max, seed)
         labels = result.labels
         diagnostics = {**result.diagnostics, "estimated_k": k}
 
@@ -426,32 +438,23 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         def score(rid: str, ref, hyps):
             return der(ref, hyps.get(rid, SpeakerTimeline(rid, [])),
                        collar=config.metrics.collar, skip_overlap=config.metrics.skip_overlap)
-    try:
-        refs, hyps = read(args.ref), read(args.hyp)
-        extra = set(hyps) - set(refs)
-        if extra:
-            raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
-        reports = {rid: score(rid, refs[rid], hyps) for rid in sorted(refs)}
-        doc = {
-            **head,
-            "files": {rid: report.to_dict() for rid, report in reports.items()},
-            "micro": merge(list(reports.values())).to_dict(),
-            f"macro_{metric}": float(np.mean([getattr(r, metric) for r in reports.values()])),
-        }
-    except _INPUT_ERRORS as exc:
-        _log(f"score: error: {exc}")
-        return 1
+    refs, hyps = read(args.ref), read(args.hyp)
+    extra = set(hyps) - set(refs)
+    if extra:
+        raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
+    reports = {rid: score(rid, refs[rid], hyps) for rid in sorted(refs)}
+    doc = {
+        **head,
+        "files": {rid: report.to_dict() for rid, report in reports.items()},
+        "micro": merge(list(reports.values())).to_dict(),
+        f"macro_{metric}": float(np.mean([getattr(r, metric) for r in reports.values()])),
+    }
     _emit(doc, args.out)
     return 0
 
 
 def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-        outcomes, report = repair_rows(text, strict=args.strict)
-    except _INPUT_ERRORS as exc:
-        _log(f"repair: error: {exc}")
-        return 1
+    outcomes, report = repair_rows(Path(args.path).read_text(encoding="utf-8"), strict=args.strict)
     doc = {"command": "repair", "strict": args.strict, "report": report.to_dict()}
     if args.strict:
         bad = [o for o in outcomes if o.status == "dropped"]
@@ -472,18 +475,14 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
-    try:
-        if args.path.endswith(".json"):
-            doc = parse_json(Path(args.path).read_text(encoding="utf-8"), "chunk plan")
-            # A chunk report (the output of `chunk`) stands for its first file's plan.
-            files = doc.get("files") if isinstance(doc, dict) and "chunks" not in doc else None
-            spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
-        else:
-            _, spans = _speech_spans(args.path, config)
-        schedule = window_schedule(spans, args.window, args.hop)
-    except _INPUT_ERRORS as exc:
-        _log(f"windows: error: {exc}")
-        return 1
+    if args.path.endswith(".json"):
+        doc = parse_json(Path(args.path).read_text(encoding="utf-8"), "chunk plan")
+        # A chunk report (the output of `chunk`) stands for its first file's plan.
+        files = doc.get("files") if isinstance(doc, dict) and "chunks" not in doc else None
+        spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
+    else:
+        _, spans = _speech_spans(args.path, config)
+    schedule = window_schedule(spans, args.window, args.hop)
     report = {
         "command": "windows",
         "window": args.window,
@@ -591,7 +590,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2
-    return args.fn(args, config)
+    try:
+        return args.fn(args, config)
+    except _INPUT_ERRORS as exc:
+        _log(f"{args.command}: error: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

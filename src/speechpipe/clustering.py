@@ -125,13 +125,9 @@ class ClusterResult:
 
 
 def _relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    """Renumber labels 0, 1, ... in order of their first occurrence; same dtype."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first)).astype(labels.dtype)[inverse]
 
 
 def _centroids_for(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -301,13 +297,10 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
-    occupied = np.unique(labels)
-    if len(occupied) < k:
-        # Degenerate inputs (mass duplicates) can strand a cluster; compact
-        # so every reported cluster is non-empty.
-        remap = {int(old): new for new, old in enumerate(occupied)}
-        labels = np.array([remap[int(lab)] for lab in labels])
-        k = len(occupied)
+    # Degenerate inputs (mass duplicates) can strand a cluster; compact so
+    # every reported cluster is non-empty.
+    occupied, labels = np.unique(labels, return_inverse=True)
+    k = len(occupied)
     centers = _centroids_for(x, labels, k)
     return ClusterResult(
         labels,
@@ -344,24 +337,24 @@ def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def estimate_k_silhouette(x: np.ndarray, k_min: int, k_max: int, seed: int) -> int:
-    """Sweep k over [k_min, k_max] with k-means; argmax silhouette, ties to smaller k."""
+def estimate_k_silhouette(x: np.ndarray, k_min: int, k_max: int, seed: int) -> tuple[int, ClusterResult]:
+    """Sweep k over [k_min, k_max] with k-means; argmax silhouette, ties to smaller k.
+
+    Returns the chosen k and its k-means result; when no k yields two
+    clusters, k_min's.
+    """
     n = len(x)
     if not (2 <= k_min <= k_max <= n - 1):
         raise ParameterError(
             f"need 2 <= k_min <= k_max <= N-1 = {n - 1}, got [{k_min}, {k_max}]"
         )
-    best_k = k_min
-    best_score = -np.inf
+    best, best_score = None, -np.inf
     for k in range(k_min, k_max + 1):
-        labels = kmeans(x, k, seed).labels
-        if len(np.unique(labels)) < 2:
-            continue
-        score = silhouette_score(x, labels)
-        if score > best_score:
-            best_score = score
-            best_k = k
-    return best_k
+        result = kmeans(x, k, seed)
+        score = silhouette_score(x, result.labels) if result.k >= 2 else -np.inf
+        if best is None or score > best_score:
+            best, best_score = (k, result), score
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +412,7 @@ class GmmModel:
 def _gmm_em_once(x: np.ndarray, k: int, seed: int, max_iter: int, tol: float) -> GmmModel:
     n, d = x.shape
     init = kmeans(x, k, seed)
+    k = init.k  # fewer than asked when x has fewer distinct points
     weights = np.array([(init.labels == j).mean() for j in range(k)])
     weights = np.maximum(weights, 1.0 / (10.0 * n))
     weights /= weights.sum()

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan
+from .spans import TimeSpan, check_sorted_by_start
 
 EMBEDDING_MAGIC = b"EMB1"
 EMBEDDING_VERSION = 1
@@ -41,9 +41,7 @@ class EmbeddingSet:
             )
         if self.vectors.size and not np.all(np.isfinite(self.vectors)):
             raise ParameterError("embedding vectors must be finite")
-        starts = [s.start for s in self.spans]
-        if any(b < a for a, b in zip(starts, starts[1:])):
-            raise StructuralError("spans must be sorted by start")
+        check_sorted_by_start(self.spans)
 
     def __len__(self) -> int:
         return len(self.spans)

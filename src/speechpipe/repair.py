@@ -59,29 +59,36 @@ def format_seconds(t: float) -> str:
     return text if text else "0"
 
 
-def _strict_diagnosis(line: str) -> str:
-    """Empty string when the row is canonical, else the first failed check."""
-    tokens = line.split(",")
+def _parse_row(tokens: list[str]) -> tuple[tuple[str, float, float, str] | None, str]:
+    """(record, "") when the row's fields are canonical, else (None, the first failed check)."""
     if len(tokens) != 4:
-        return f"expected 4 fields, got {len(tokens)}"
+        return None, f"expected 4 fields, got {len(tokens)}"
     rec_id, start, end, speaker = tokens
     if not _TOKEN_RE.match(rec_id):
-        return f"bad id {rec_id!r}"
+        return None, f"bad id {rec_id!r}"
     if not _TIME_RE.match(start):
-        return f"bad start time {start!r}"
+        return None, f"bad start time {start!r}"
     if not _TIME_RE.match(end):
-        return f"bad end time {end!r}"
+        return None, f"bad end time {end!r}"
     if not _TOKEN_RE.match(speaker):
-        return f"bad speaker {speaker!r}"
-    if not float(start) < float(end):
-        return f"start {start} not before end {end}"
-    return ""
+        return None, f"bad speaker {speaker!r}"
+    t0, t1 = float(start), float(end)
+    if not t0 < t1:
+        return None, f"start {start} not before end {end}"
+    return (rec_id, t0, t1, speaker), ""
 
 
-def _merge_decimal_commas(tokens: list[str]) -> tuple[list[str], bool]:
+def _trim(tokens: list[str]) -> list[str]:
+    return [t.strip() for t in tokens]
+
+
+def _merge_decimal_commas(tokens: list[str]) -> list[str]:
     """Pairwise-merge adjacent all-digit interior tokens left to right."""
+    # Empty tokens mean duplicated delimiters, not decimal commas; let the
+    # collapse rule clear them first and revisit on the next pass.
+    if len(tokens) <= 4 or "" in tokens:
+        return tokens
     out = [tokens[0]]
-    fired = False
     i = 1
     while i < len(tokens) - 1:
         if (
@@ -90,78 +97,57 @@ def _merge_decimal_commas(tokens: list[str]) -> tuple[list[str], bool]:
             and _ALL_DIGITS_RE.match(tokens[i + 1])
         ):
             out.append(tokens[i] + "." + tokens[i + 1])
-            fired = True
             i += 2
         else:
             out.append(tokens[i])
             i += 1
     if i == len(tokens) - 1:
         out.append(tokens[i])
-    return out, fired
+    return out
 
 
-def _repair_line(line: str) -> tuple[tuple[str, float, float, str] | None, list[str]]:
+def _strip_quotes(tokens: list[str]) -> list[str]:
+    return [t[1:-1] if len(t) >= 2 and t[0] == t[-1] and t[0] in "\"'" else t for t in tokens]
+
+
+def _swap_times(tokens: list[str]) -> list[str]:
+    if len(tokens) == 4 and _TIME_RE.match(tokens[1]) and _TIME_RE.match(tokens[2]):
+        if float(tokens[1]) > float(tokens[2]):
+            return [tokens[0], tokens[2], tokens[1], tokens[3]]
+    return tokens
+
+
+def _collapse_delimiters(tokens: list[str]) -> list[str]:
+    if len(tokens) > 4 and "" in tokens:
+        return [t for t in tokens if t != ""]
+    return tokens
+
+
+# Applied in this order on every pass, most conservative first.
+_RULES = [
+    (RULE_TRIM, _trim),
+    (RULE_DECIMAL_COMMA, _merge_decimal_commas),
+    (RULE_QUOTES, _strip_quotes),
+    (RULE_SWAP, _swap_times),
+    (RULE_DELIMITERS, _collapse_delimiters),
+]
+
+
+def _repair_line(tokens: list[str]) -> tuple[tuple[str, float, float, str] | None, list[str]]:
     """Apply the repair rules to fixpoint; None when the row stays unrecoverable."""
-    tokens = line.split(",")
     fired: list[str] = []
-
     for _ in range(4):  # compound corruptions settle within a few passes
         changed = False
-
-        trimmed = [t.strip() for t in tokens]
-        if trimmed != tokens:
-            tokens = trimmed
-            if RULE_TRIM not in fired:
-                fired.append(RULE_TRIM)
-            changed = True
-
-        # Empty tokens mean duplicated delimiters, not decimal commas; let the
-        # collapse rule clear them first and revisit on the next pass.
-        if len(tokens) > 4 and "" not in tokens:
-            merged, did = _merge_decimal_commas(tokens)
-            if did:
-                tokens = merged
-                if RULE_DECIMAL_COMMA not in fired:
-                    fired.append(RULE_DECIMAL_COMMA)
+        for name, rule in _RULES:
+            repaired = rule(tokens)
+            if repaired != tokens:
+                tokens = repaired
+                if name not in fired:
+                    fired.append(name)
                 changed = True
-
-        unquoted = [
-            t[1:-1] if len(t) >= 2 and t[0] == t[-1] and t[0] in "\"'" else t
-            for t in tokens
-        ]
-        if unquoted != tokens:
-            tokens = unquoted
-            if RULE_QUOTES not in fired:
-                fired.append(RULE_QUOTES)
-            changed = True
-
-        if len(tokens) == 4 and _TIME_RE.match(tokens[1]) and _TIME_RE.match(tokens[2]):
-            if float(tokens[1]) > float(tokens[2]):
-                tokens = [tokens[0], tokens[2], tokens[1], tokens[3]]
-                if RULE_SWAP not in fired:
-                    fired.append(RULE_SWAP)
-                changed = True
-
-        if len(tokens) > 4 and "" in tokens:
-            tokens = [t for t in tokens if t != ""]
-            if RULE_DELIMITERS not in fired:
-                fired.append(RULE_DELIMITERS)
-            changed = True
-
         if not changed:
             break
-
-    if len(tokens) != 4:
-        return None, fired
-    rec_id, start, end, speaker = tokens
-    if not (_TOKEN_RE.match(rec_id) and _TOKEN_RE.match(speaker)):
-        return None, fired
-    if not (_TIME_RE.match(start) and _TIME_RE.match(end)):
-        return None, fired
-    t0, t1 = float(start), float(end)
-    if not t0 < t1:
-        return None, fired
-    return (rec_id, t0, t1, speaker), fired
+    return _parse_row(tokens)[0], fired
 
 
 def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], RepairReport]:
@@ -177,19 +163,17 @@ def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], Repa
         if not line.strip():
             continue
         report.total_lines += 1
-        diagnosis = _strict_diagnosis(line)
-        if not diagnosis:
-            rec_id, start, end, speaker = line.split(",")
-            outcomes.append(
-                RowOutcome(line_no, "ok", (rec_id, float(start), float(end), speaker), raw=line)
-            )
+        tokens = line.split(",")
+        record, diagnosis = _parse_row(tokens)
+        if record is not None:
+            outcomes.append(RowOutcome(line_no, "ok", record, raw=line))
             report.parsed_ok += 1
             continue
         if strict:
             outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
             report.dropped += 1
             continue
-        record, rules = _repair_line(line)
+        record, rules = _repair_line(tokens)
         if record is None:
             outcomes.append(RowOutcome(line_no, "dropped", rules=rules, diagnosis=diagnosis))
             report.dropped += 1

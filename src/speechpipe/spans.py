@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 
 
 @dataclass(frozen=True, order=True)
@@ -33,11 +33,15 @@ class TimeSpan:
 
 def check_sorted_disjoint(spans: list[TimeSpan], what: str = "spans") -> None:
     """Raise if consecutive spans are unsorted or overlapping."""
-    from .errors import StructuralError
-
     for prev, cur in zip(spans, spans[1:]):
         if cur.start < prev.end:
             raise StructuralError(
                 f"{what} must be sorted and disjoint: "
                 f"[{prev.start}, {prev.end}) then [{cur.start}, {cur.end})"
             )
+
+
+def check_sorted_by_start(spans: list[TimeSpan], what: str = "spans") -> None:
+    """Raise if a span starts before the span ahead of it."""
+    if any(cur.start < prev.start for prev, cur in zip(spans, spans[1:])):
+        raise StructuralError(f"{what} must be sorted by start")

@@ -6,7 +6,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan
+from .spans import TimeSpan, check_sorted_by_start
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ def merge_adjacent_windows(
         raise StructuralError(
             f"{len(window_spans)} windows but {len(labels)} labels"
         )
-    starts = [s.start for s in window_spans]
-    if any(b < a for a, b in zip(starts, starts[1:])):
-        raise StructuralError("windows must be sorted by start")
+    check_sorted_by_start(window_spans, "windows")
     if not window_spans:
         return SpeakerTimeline(recording_id, [])
 

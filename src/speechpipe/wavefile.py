@@ -30,13 +30,14 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")
 
+    view = memoryview(data)  # chunk bodies are slices of it, not copies
     fmt = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError("fmt chunk too short", offset=pos)
@@ -84,8 +85,8 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
         samples /= 32768.0
 
     usable = (len(samples) // n_channels) * n_channels
-    frames = samples[:usable].reshape(-1, n_channels)
-    return [np.ascontiguousarray(frames[:, c]) for c in range(n_channels)], sample_rate
+    # Each channel is a view of the one decoded (frames, channels) matrix.
+    return list(samples[:usable].reshape(-1, n_channels).T), sample_rate
 
 
 def load_mono(path) -> Waveform:

@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the library's own algorithms: plain-python
 dynamic programming for edit distance, 1 ms frame counting for DER,
 exhaustive permutations for assignment, and a literal re-simulation of the
-merge rule for agglomerative clustering. `ahc_centroid_reference` is the one
-exception: the library's former loop, kept to check bit-identical output.
+merge rule for agglomerative clustering. The `*_reference` functions are the
+exception: the library's former loops, kept to check that their vectorised
+replacements give identical output.
 """
 
 from __future__ import annotations
@@ -305,6 +306,63 @@ def ahc_centroid_reference(vectors: np.ndarray, tau: float, min_cluster_size: in
         "ahc-centroid",
         {"merges": merge_count, "dissolved_points": dissolved, "tau": tau},
     )
+
+
+def relabel_by_first_appearance_reference(labels: np.ndarray) -> np.ndarray:
+    """The library's former `_relabel_by_first_appearance`: one dict lookup per label."""
+    mapping: dict[int, int] = {}
+    out = np.empty_like(labels)
+    for i, lab in enumerate(labels):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Former silence split: runs found and capped in Python loops
+
+def split_on_silence_reference(
+    w: Waveform, top_db: float = 25.0, frame_length: int = 2048, hop_length: int = 512
+) -> list[TimeSpan]:
+    """The library's former `split_on_silence` after its argument check."""
+    from speechpipe.audio import DIGITAL_SILENCE_DB, frame_rms_db
+
+    series = frame_rms_db(w, frame_length, hop_length)
+    n_frames = len(series)
+    if n_frames == 0:
+        return []
+    levels = series.values
+    peak = levels.max()
+    if peak <= DIGITAL_SILENCE_DB:
+        return []
+    nonsilent = levels > peak - top_db
+
+    sr = w.sample_rate
+    n = len(w.samples)
+    edges = np.flatnonzero(np.diff(nonsilent.astype(np.int8)))
+    starts = [int(e) + 1 for e in edges if nonsilent[e + 1]]
+    ends = [int(e) + 1 for e in edges if not nonsilent[e + 1]]
+    if nonsilent[0]:
+        starts.insert(0, 0)
+    if nonsilent[-1]:
+        ends.append(n_frames)
+
+    raw: list[tuple[int, int]] = []
+    for a, b in zip(starts, ends):
+        start_sample = a * hop_length
+        if b == n_frames:
+            end_sample = n
+        else:
+            end_sample = min((b - 1) * hop_length + frame_length, n)
+        raw.append((start_sample, end_sample))
+
+    out: list[TimeSpan] = []
+    for i, (start_sample, end_sample) in enumerate(raw):
+        if i + 1 < len(raw):
+            end_sample = min(end_sample, raw[i + 1][0])
+        out.append(TimeSpan(start_sample / sr, end_sample / sr))
+    return out
 
 
 # ---------------------------------------------------------------------------

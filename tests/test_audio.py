@@ -17,7 +17,7 @@ from speechpipe import (
     spectral_flux,
     split_on_silence,
 )
-from synth import SR, music_proxy, silence, speech_proxy, tone
+from synth import SR, music_proxy, silence, speech_proxy, split_on_silence_reference, tone
 
 
 def analytic_butterworth_hp(freq: float, cutoff: float) -> float:
@@ -155,6 +155,25 @@ class TestFrameRms:
         series = frame_rms_db(Waveform(np.ones(100, dtype=np.float32), SR), 1024, 512)
         assert len(series) == 0
 
+    def test_equals_former_frame_copy_formula(self):
+        # The former formula squared a float64 copy of every overlapping frame.
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            n = int(rng.integers(0, 6000))
+            frame_length = int(rng.integers(1, 2049))
+            hop_length = int(rng.integers(1, 2 * frame_length + 1))
+            x = rng.normal(scale=rng.uniform(1e-5, 0.5), size=n).astype(np.float32)
+            x[int(rng.integers(0, n + 1)) : int(rng.integers(0, n + 1))] = 0.0
+            got = frame_rms_db(Waveform(x, SR), frame_length, hop_length).values
+            want = np.empty(0)
+            if n >= frame_length:
+                frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop_length]
+                rms = np.sqrt(np.mean(frames.astype(np.float64) ** 2, axis=1))
+                want = np.full(len(rms), -100.0)
+                want[rms > 0] = np.maximum(20.0 * np.log10(rms[rms > 0]), -100.0)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSplitOnSilence:
     def test_all_zero_returns_empty(self):
@@ -190,6 +209,25 @@ class TestSplitOnSilence:
             w = Waveform(sig, SR)
             half = Waveform(0.5 * sig, SR)
             assert split_on_silence(w, 25.0) == split_on_silence(half, 25.0)
+
+    def test_equals_former_run_loop(self):
+        rng = np.random.default_rng(13)
+        touching = 0
+        for _ in range(300):
+            pieces = []
+            for _ in range(int(rng.integers(1, 8))):
+                seconds = float(rng.uniform(0.001, 0.3))
+                if rng.random() < 0.5:
+                    pieces.append(tone(rng.uniform(100, 3000), seconds, rng.uniform(0.01, 0.8)))
+                else:
+                    pieces.append(silence(seconds))
+            w = Waveform(np.concatenate(pieces), SR)
+            frame_length = int(rng.integers(16, 2049))
+            args = (float(rng.uniform(1, 60)), frame_length, int(rng.integers(16, 2 * frame_length)))
+            want = split_on_silence_reference(w, *args)
+            assert split_on_silence(w, *args) == want
+            touching += sum(a.end == b.start for a, b in zip(want, want[1:]))
+        assert touching > 0  # the cap on overlapping frames was exercised
 
     def test_spans_sorted_disjoint_within_duration(self):
         rng = np.random.default_rng(3)

@@ -298,6 +298,25 @@ class TestClusterCommand:
         assert entry["k"] == 2
         assert len(entry["labels"]) == len(emb)
 
+    @pytest.mark.parametrize("command, flags", [
+        ("cluster", ["--method", "gmm", "--fixed-k", "4"]),
+        ("cluster", ["--method", "gmm"]),
+        ("diarize", ["--method", "gmm"]),
+    ])
+    def test_gmm_k_above_distinct_points(self, command, flags, tmp_path, capsys):
+        from speechpipe import EmbeddingSet
+
+        # 12 windows holding 3 distinct vectors: k-means can fill only 3 clusters.
+        spans = [TimeSpan(0.75 * i, 0.75 * i + 1.5) for i in range(12)]
+        container = tmp_path / "dup.emb"
+        write_embeddings_file(container, EmbeddingSet(np.repeat(np.eye(3), 4, axis=0), spans, "dup"))
+        argv = [command, str(container), *flags]
+        if command == "diarize":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["files"][0]["k" if command == "cluster" else "speakers"] == 3
+
 
 class TestConfig:
     def test_unknown_config_key_exit_two(self, tmp_path, capsys, speech_wav):
@@ -347,14 +366,22 @@ class TestConfigValidation:
         ("cluster", [], {"clustering": {"criterion": "HQIC"}}),
         ("cluster", [], {"clustering": {"k_min": 0}}),
         ("diarize", [], {"diarization": {"min_duration_off": -0.1}}),
+        ("chunk", [], {"silence": {"hop_length": 0}}),
+        ("chunk", [], {"silence": {"top_db": 0}}),
+        ("chunk", [], {"preprocess": {"peak_target": 2}}),
+        ("chunk", [], {"preprocess": {"highpass_hz": -60}}),
+        ("chunk", [], {"preprocess": {"detect_music": True}, "music": {"hop_length": 0}}),
+        ("score der", ["--collar", "-1"], None),
     ])
     def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
         emb, _ = two_speaker_scene(seed=5)
         container = tmp_path / "scene.emb"
         write_embeddings_file(container, emb)
         out_dir = tmp_path / "out"
-        argv = [command, str(container), str(tmp_path / "missing.emb"), *flags,
-                "--out", str(tmp_path / "report.json")]
+        inputs = [str(container), str(tmp_path / "missing.emb")]
+        if command == "score der":
+            inputs = ["--ref", inputs[0], "--hyp", inputs[1]]
+        argv = [*command.split(), *inputs, *flags, "--out", str(tmp_path / "report.json")]
         if command == "diarize":
             argv += ["--out-dir", str(out_dir)]
         if section is not None:
@@ -418,6 +445,24 @@ class TestLocatedInputErrors:
         assert code == 1
         assert captured.out == ""
         assert where in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("diarize", "--out-dir", "afile"),
+        ("chunk", "--write-chunks", "afile"),
+        ("cluster", "--out", "missing_dir/r.json"),
+    ])
+    def test_unwritable_output(self, command, flag, target, speech_wav, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=5)
+        container = tmp_path / "scene.emb"
+        write_embeddings_file(container, emb)
+        (tmp_path / "afile").write_text("")
+        source = speech_wav if command == "chunk" else container
+        code = main([command, str(source), flag, str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("error:") == 1
+        assert f"{command}: error: " in captured.err
         assert "Traceback" not in captured.err
 
 

@@ -19,7 +19,8 @@ from speechpipe import (
     silhouette_score,
     smooth_labels_temporal,
 )
-from synth import ahc_centroid_reference, ahc_oracle, two_speaker_scene
+from speechpipe.clustering import _relabel_by_first_appearance
+from synth import ahc_centroid_reference, ahc_oracle, relabel_by_first_appearance_reference, two_speaker_scene
 
 
 def unit_bundle(rng, center, n, scale=0.03):
@@ -330,17 +331,41 @@ class TestEstimateK:
     def test_three_clouds(self):
         rng = np.random.default_rng(40)
         x = self._clouds(rng, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert estimate_k_silhouette(x, 2, 8, seed=0) == 3
+        assert estimate_k_silhouette(x, 2, 8, seed=0)[0] == 3
 
     def test_two_clouds(self):
         rng = np.random.default_rng(41)
         x = self._clouds(rng, [[1, 0, 0], [0, 1, 0]])
-        assert estimate_k_silhouette(x, 2, 4, seed=0) == 2
+        assert estimate_k_silhouette(x, 2, 4, seed=0)[0] == 2
 
     def test_degenerate_range(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(20, 3))
-        assert estimate_k_silhouette(x, 3, 3, seed=0) == 3
+        assert estimate_k_silhouette(x, 3, 3, seed=0)[0] == 3
+
+    def test_result_is_kmeans_of_chosen_k(self):
+        rng = np.random.default_rng(43)
+        clouds = self._clouds(rng, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], per=10)
+        # All-equal points never give two clusters: the result is k_min's.
+        for x, k_min, want_k in [(clouds, 2, None), (np.ones((10, 3)), 3, 3)]:
+            for seed in range(3):
+                k, got = estimate_k_silhouette(x, k_min, 6, seed)
+                want = kmeans(x, k, seed)
+                assert want_k is None or k == want_k
+                assert got.labels.tolist() == want.labels.tolist() and got.k == want.k
+                assert np.array_equal(got.centroids, want.centroids)
+                assert got.diagnostics == want.diagnostics
+
+
+class TestRelabel:
+    def test_equals_former_loop(self):
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            dtype = (np.int64, np.int32)[int(rng.integers(2))]
+            labels = rng.integers(-3, int(rng.integers(-2, 12)), size=int(rng.integers(0, 60))).astype(dtype)
+            got, want = _relabel_by_first_appearance(labels), relabel_by_first_appearance_reference(labels)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
 
 
 class TestGmm:
@@ -383,6 +408,16 @@ class TestGmm:
         rng = np.random.default_rng(54)
         model = gmm_fit(rng.normal(size=(50, 6)), 3, seed=0)
         assert model.param_count == 3 * 12 + 2
+
+    def test_k_above_distinct_points_fits_distinct_count(self):
+        # k-means compacts to the 3 distinct points; the model must match it.
+        x = np.repeat(np.eye(3), 4, axis=0)
+        model = gmm_fit(x, 4, seed=0)
+        assert model.k == 3
+        assert model.means.shape == model.variances.shape == (3, 3)
+        assert model.param_count == 3 * 6 + 2
+        assert np.isfinite(model.log_likelihood)
+        assert sorted(np.bincount(model.predict(x)).tolist()) == [4, 4, 4]
 
     def test_restart_reduction_deterministic(self):
         rng = np.random.default_rng(55)
