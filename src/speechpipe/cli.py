@@ -11,10 +11,10 @@ dashes), the config section and field it sets, its argparse keywords and
 the subcommands that take it. The same rows build the parsers and apply
 the overrides, so a flag and its config key cannot drift apart.
 
-Exit codes: 0 success, 1 input error, 2 config error. Config sections are
-validated when they load and again after flag overrides, so a bad value
-exits 2 before any input file is read. Other input and output errors exit 1
-with one ``<command>: error: <message>`` line, unless reported per file.
+Exit codes: 0 success, 1 input error, 2 config error. The config file and
+the flags are built into one config and checked once, so a bad value exits
+2 before any input file is read. Other input and output errors exit 1 with
+one ``<command>: error: <message>`` line, unless reported per file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .clustering import (
     smooth_labels_temporal,
 )
 from .errors import ConfigError, ParameterError, PipelineError
-from .interchange import parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
+from .interchange import build_config, parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
 from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments_csv
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
@@ -152,73 +152,42 @@ class PipelineConfig:
 _CLUSTER_COMMANDS = ("diarize", "cluster")
 
 # Override flags: (dest, config section, field, argparse keywords, subcommands).
+# A numeric field's flag takes its argparse type from the field's default.
 OPTIONS = [
-    ("top_db", "silence", "top_db", {"type": float}, ("chunk",)),
-    ("min_dur", "chunking", "min_dur", {"type": float}, ("chunk",)),
-    ("max_dur", "chunking", "max_dur", {"type": float}, ("chunk",)),
-    ("threshold", "music", "decision_threshold",
-     {"type": float, "help": "override the decision threshold"}, ("detect-music",)),
+    ("top_db", "silence", "top_db", {}, ("chunk",)),
+    ("min_dur", "chunking", "min_dur", {}, ("chunk",)),
+    ("max_dur", "chunking", "max_dur", {}, ("chunk",)),
+    ("threshold", "music", "decision_threshold", {"help": "override the decision threshold"}, ("detect-music",)),
     ("method", "clustering", "method", {"choices": ["ahc", "gmm", "kmeans"]}, _CLUSTER_COMMANDS),
-    ("tau", "clustering", "tau", {"type": float}, _CLUSTER_COMMANDS),
-    ("min_cluster_size", "clustering", "min_cluster_size", {"type": int}, _CLUSTER_COMMANDS),
-    ("pca_components", "clustering", "pca_components", {"type": int}, _CLUSTER_COMMANDS),
-    ("fixed_k", "clustering", "fixed_k", {"type": int}, _CLUSTER_COMMANDS),
-    ("k_min", "clustering", "k_min", {"type": int}, _CLUSTER_COMMANDS),
-    ("k_max", "clustering", "k_max", {"type": int}, _CLUSTER_COMMANDS),
+    ("tau", "clustering", "tau", {}, _CLUSTER_COMMANDS),
+    ("min_cluster_size", "clustering", "min_cluster_size", {}, _CLUSTER_COMMANDS),
+    ("pca_components", "clustering", "pca_components", {}, _CLUSTER_COMMANDS),
+    ("fixed_k", "clustering", "fixed_k", {}, _CLUSTER_COMMANDS),
+    ("k_min", "clustering", "k_min", {}, _CLUSTER_COMMANDS),
+    ("k_max", "clustering", "k_max", {}, _CLUSTER_COMMANDS),
     ("criterion", "clustering", "criterion", {"choices": ["AIC", "BIC"]}, _CLUSTER_COMMANDS),
-    ("smoothing_window", "clustering", "smoothing_window", {"type": int}, _CLUSTER_COMMANDS),
-    ("min_duration_off", "diarization", "min_duration_off", {"type": float}, ("diarize",)),
-    ("collar", "metrics", "collar", {"type": float}, ("score der",)),
+    ("smoothing_window", "clustering", "smoothing_window", {}, _CLUSTER_COMMANDS),
+    ("min_duration_off", "diarization", "min_duration_off", {}, ("diarize",)),
+    ("collar", "metrics", "collar", {}, ("score der",)),
     ("skip_overlap", "metrics", "skip_overlap", {"action": "store_true", "default": None}, ("score der",)),
 ]
 
 
-def _build_section(cls, doc: dict, section: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+def load_pipeline_config(path: str | None, args: argparse.Namespace | None = None) -> PipelineConfig:
+    """The config file (if any) with the given `OPTIONS` flag values laid
+    over it, type- and range-checked once as a whole."""
     try:
-        return cls(**doc)
-    except (TypeError, PipelineError) as exc:
-        raise ConfigError(f"invalid config section {section!r}: {exc}") from None
-
-
-def load_pipeline_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = parse_json(Path(path).read_text(encoding="utf-8"), "config file") if path is not None else {}
+        # A document or section that is not an object is left for build_config to reject.
+        for dest, section, name, _, _ in OPTIONS:
+            value = getattr(args, dest, None)
+            if value is not None and isinstance(doc, dict) and isinstance(doc.setdefault(section, {}), dict):
+                doc[section][name] = value
+        return build_config(PipelineConfig, doc, "config")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must contain a JSON object")
-    sections = {f.name: f.default_factory for f in fields(PipelineConfig)}  # type: ignore[misc]
-    unknown = set(doc) - set(sections)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        kwargs[name] = _build_section(sections[name], value, name)
-    return PipelineConfig(**kwargs)
-
-
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    """Flag values replace config-file values when the flag was given; every
-    section a flag changes is validated again."""
-    changes: dict[str, dict] = {}
-    for dest, section, name, _, _ in OPTIONS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            changes.setdefault(section, {})[name] = value
-    try:
-        return replace(config, **{s: replace(getattr(config, s), **kw) for s, kw in changes.items()})
     except PipelineError as exc:
-        raise ConfigError(f"invalid flag value: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     def finish(p: argparse.ArgumentParser, command: str, fn) -> None:
         """Add the table flags of `command` and the common flags; route to `fn`."""
-        for dest, _, _, kwargs, commands in OPTIONS:
+        for dest, section, name, kwargs, commands in OPTIONS:
             if command in commands:
+                kind = type(getattr(getattr(defaults, section), name))
+                if kind in (int, float):
+                    kwargs = {"type": kind, **kwargs}
                 p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -586,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_pipeline_config(getattr(args, "config", None)), args)
+        config = load_pipeline_config(getattr(args, "config", None), args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -61,8 +62,8 @@ def window_schedule(
     Windows never cross a span boundary. A span shorter than `window` yields
     a single window covering the whole span, flagged short.
     """
-    if not (0 < hop <= window):
-        raise ParameterError(f"need 0 < hop <= window, got hop={hop} window={window}")
+    if not (0 < hop <= window <= sys.float_info.max):
+        raise ParameterError(f"need 0 < hop <= window, both finite, got hop={hop} window={window}")
     out: list[ScheduledWindow] = []
     for span in speech_spans:
         if span.duration < window - 1e-9:
@@ -170,6 +171,34 @@ def parse_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} is not valid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def build_config(cls, doc, what: str):
+    """The dataclass `cls` from a JSON object whose values have their field
+    default's type: an int field takes an int but not a bool, a float field a
+    finite int or float, a bool or str field a bool or str, a dataclass field
+    an object built the same way. Values are kept as given; `cls` checks ranges."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise FormatError(f"unknown {what} keys: {sorted(unknown)}")
+    defaults, kwargs = cls(), dict(doc)
+    for key, value in doc.items():
+        kind = type(getattr(defaults, key))
+        if is_dataclass(kind):
+            kwargs[key] = build_config(kind, value, f"{what}.{key}")
+        elif kind is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise ParameterError(f"{what}.{key} must be a finite number, got {value!r}")
+        elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ParameterError(f"{what}.{key} must be {kind.__name__}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ParameterError(f"{what}: {exc}") from None
 
 
 @dataclass
@@ -187,13 +216,13 @@ def read_transcripts_jsonl(text: str) -> list[TranscriptRecord]:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+            raise FormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from None
         if not isinstance(doc, dict) or not {"id", "start", "end", "text"} <= doc.keys():
             raise FormatError("object must have keys id, start, end, text", line=line_no)
         try:
             span = TimeSpan(float(doc["start"]), float(doc["end"]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(str(exc), line=line_no) from None
         records.append(TranscriptRecord(str(doc["id"]), span, str(doc["text"])))
     records.sort(key=lambda r: (r.recording_id, r.chunk_span.start, r.chunk_span.end))
@@ -248,17 +277,4 @@ class DecodeConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DecodeConfig":
-        doc = parse_json(text, "decode config")
-        if not isinstance(doc, dict):
-            raise FormatError("decode config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise FormatError(f"unknown decode-config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            default = getattr(cls, key)
-            allowed = (int, float) if isinstance(default, float) else type(default)
-            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
-                raise ParameterError(
-                    f"decode-config {key} must be {type(default).__name__}, got {value!r}"
-                )
-        return cls(**doc)
+        return build_config(cls, parse_json(text, "decode config"), "decode-config")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -285,6 +286,17 @@ class TestWindowsCommand:
         starts = [w["start"] for w in json.loads(out)["windows"]]
         assert starts == [0.0, 0.75, 1.5, 2.25, 3.0]
 
+    @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"]])
+    def test_non_finite_window_or_hop_exits_one(self, flags, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"recording_id": "x", "source_duration": 10.0, "forced_split_count": 0,
+                                    "chunks": [{"start": 0.0, "end": 4.5, "kind": "silence"}]}))
+        code = main(["windows", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "windows: error: need 0 < hop <= window, both finite" in captured.err
+
 
 class TestClusterCommand:
     def test_cluster_report(self, tmp_path, capsys):
@@ -337,6 +349,7 @@ class TestConfig:
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["chunking"]["min_dur"] == 3
+        assert '"min_dur": 3,' in out  # an int in a float field is echoed as given
 
     def test_detect_music_toggle_annotates_plans(self, tmp_path, capsys, speech_wav):
         cfg = tmp_path / "cfg.json"
@@ -347,6 +360,17 @@ class TestConfig:
         assert code == 0
         entry = json.loads(out)["files"][0]
         assert "music" in entry and set(entry["music"]) == {"score", "is_music"}
+
+
+SWEEP_VALUES = [1.5, 2.0, "5", True, None, [], -1, 0, 1e308, 1e-300, math.nan, math.inf]
+
+
+def wrong_type(default, value) -> bool:
+    """The config type rule: a float field takes a finite int or float, any
+    other field a value of its default's exact type (so no bool for an int)."""
+    if type(default) is float:
+        return type(value) not in (int, float) or not math.isfinite(value)
+    return type(value) is not type(default)
 
 
 class TestConfigValidation:
@@ -372,8 +396,29 @@ class TestConfigValidation:
         ("chunk", [], {"preprocess": {"highpass_hz": -60}}),
         ("chunk", [], {"preprocess": {"detect_music": True}, "music": {"hop_length": 0}}),
         ("score der", ["--collar", "-1"], None),
+        ("score der", ["--collar", "nan"], None),
+        ("cluster", ["--tau", "inf"], None),
+        ("diarize", ["--min-duration-off", "inf"], None),
+        ("chunk", ["--top-db", "inf"], None),
+        ("detect-music", ["--threshold", "nan"], None),
     ])
     def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
+        self.assert_exit_two(command, flags, section, tmp_path, capsys)
+
+    # Every field of every section, with each sweep value the type rule
+    # rejects, so a new field is covered without editing this test.
+    @pytest.mark.parametrize("section", [
+        pytest.param({s.name: {f.name: value}}, id=f"{s.name}.{f.name}={value!r}")
+        for s in fields(PipelineConfig)
+        for f in fields(s.default_factory)
+        for value in SWEEP_VALUES
+        if wrong_type(getattr(s.default_factory(), f.name), value)
+    ])
+    def test_wrongly_typed_value_exit_two(self, section, tmp_path, capsys):
+        self.assert_exit_two("diarize", [], section, tmp_path, capsys)
+
+    @staticmethod
+    def assert_exit_two(command, flags, section, tmp_path, capsys):
         emb, _ = two_speaker_scene(seed=5)
         container = tmp_path / "scene.emb"
         write_embeddings_file(container, emb)
@@ -411,6 +456,12 @@ class TestConfigValidation:
         code, out = run(capsys, "cluster", str(container), "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["files"][0]["method"] == "gmm"
+
+    def test_config_syntax_error_located(self, speech_wav, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"chunking": {"min_dur": 3},\n "silence" {}}')
+        assert main(["chunk", str(speech_wav), "--config", str(cfg)]) == 2
+        assert "config error: line 2: config file is not valid JSON" in capsys.readouterr().err
 
 
 class TestLocatedInputErrors:

@@ -217,7 +217,8 @@ class TestDecodeConfig:
     @pytest.mark.parametrize(
         "doc",
         ['{"beams": "5"}', '{"beams": 5.0}', '{"beams": true}',
-         '{"do_sample": "no"}', '{"do_sample": 1}', '{"temperature": null}'],
+         '{"do_sample": "no"}', '{"do_sample": 1}', '{"temperature": null}',
+         '{"temperature": NaN}', '{"repetition_penalty": Infinity}'],
     )
     def test_wrongly_typed_value_rejected(self, doc):
         with pytest.raises(ParameterError, match="decode-config"):
