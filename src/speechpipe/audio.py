@@ -20,6 +20,10 @@ from .spans import TimeSpan
 SILENCE_FLOOR_DB = -100.0
 # Below this global frame level the input is treated as digital silence.
 DIGITAL_SILENCE_DB = -80.0
+# Samples per block where a whole-signal float64 temporary would otherwise be
+# made (music-detection STFT, high-pass): 16 MB of float64 each, so memory
+# grows with the float32 signal alone.
+_BLOCK_SAMPLES = 2**21
 
 
 @dataclass
@@ -87,8 +91,14 @@ def downmix_mono(channels: list[np.ndarray], sample_rate: int) -> Waveform:
     lengths = {len(c) for c in channels}
     if len(lengths) != 1:
         raise StructuralError(f"channel lengths differ: {sorted(lengths)}")
-    stacked = np.stack([np.asarray(c, dtype=np.float32) for c in channels])
-    return Waveform(stacked.mean(axis=0), sample_rate)
+    # Summed in channel order in float32, the order and precision of a float32
+    # mean over axis 0, in one buffer. Each channel is cast first: `+=` of a
+    # float64 channel would add in float64.
+    total = np.array(channels[0], dtype=np.float32)
+    for c in channels[1:]:
+        total += np.asarray(c, dtype=np.float32)
+    total /= len(channels)
+    return Waveform(total, sample_rate)
 
 
 def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64, beta: float = 8.6) -> np.ndarray:
@@ -146,10 +156,18 @@ def highpass_coefficients(cutoff_hz: float, sample_rate: int) -> tuple[np.ndarra
 
 
 def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
-    """Apply the Butterworth high-pass once, forward (causal) direction."""
+    """Apply the Butterworth high-pass once, forward (causal) direction.
+
+    Filtered in float64 one block at a time, the filter state carried across
+    block edges, into one float32 output.
+    """
     b, a = highpass_coefficients(cutoff_hz, w.sample_rate)
-    out = sps.lfilter(b, a, w.samples.astype(np.float64))
-    return Waveform(out.astype(np.float32), w.sample_rate)
+    out = np.empty(len(w.samples), dtype=np.float32)
+    zi = np.zeros(max(len(a), len(b)) - 1)
+    for start in range(0, len(out), _BLOCK_SAMPLES):
+        block = w.samples[start : start + _BLOCK_SAMPLES].astype(np.float64)
+        out[start : start + len(block)], zi = sps.lfilter(b, a, block, zi=zi)
+    return Waveform(out, w.sample_rate)
 
 
 def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries:
@@ -203,12 +221,29 @@ def split_on_silence(
 
 def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
     """Positive frame-to-frame magnitude-spectrum change (flux[0] = 0) and the
-    magnitude sum of each Hann-windowed, left-aligned frame."""
+    magnitude sum of each Hann-windowed, left-aligned frame.
+
+    The spectrum is taken a block of frames at a time; the last magnitude
+    row of each block is carried to the next for the flux difference.
+    """
     frames = _frame_view(w.samples, frame_length, hop_length)
-    mags = np.abs(np.fft.rfft(frames.astype(np.float64) * np.hanning(frame_length), axis=1))
-    flux = np.zeros(len(mags))
-    flux[1:] = np.maximum(np.diff(mags, axis=0), 0.0).sum(axis=1)
-    return flux, mags.sum(axis=1)
+    n = len(frames)
+    flux, energy = np.zeros(n), np.zeros(n)
+    if n == 0:
+        return flux, energy
+    window = np.hanning(frame_length)
+    step = max(1, _BLOCK_SAMPLES // frame_length)
+    previous = None
+    for start in range(0, n, step):
+        block = frames[start : start + step].astype(np.float64)
+        block *= window
+        mags = np.abs(np.fft.rfft(block, axis=1))
+        energy[start : start + len(mags)] = mags.sum(axis=1)
+        diffs = np.diff(mags, axis=0, prepend=mags[:1] if previous is None else previous)
+        np.maximum(diffs, 0.0, out=diffs)
+        flux[start : start + len(mags)] = diffs.sum(axis=1)
+        previous = mags[-1:]
+    return flux, energy
 
 
 def spectral_flux(w: Waveform, frame_length: int = 2048, hop_length: int = 512) -> FrameSeries:

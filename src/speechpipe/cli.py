@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -310,22 +311,30 @@ def _cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -
 # Subcommands
 
 def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
+    if args.write_chunks:
+        # Workers write concurrently, so two inputs with one stem would race for the same names.
+        stems = Counter(Path(p).stem for p in set(args.paths))
+        shared = sorted(stem for stem, count in stems.items() if count > 1)
+        if shared:
+            raise PipelineError(f"inputs share the file stems {shared}: their chunk WAVs would overwrite each other")
+        os.makedirs(args.write_chunks, exist_ok=True)
+
     def work(path: str):
+        # The chunk WAVs are written here, so no decoded waveform outlives its file.
         w, spans = _speech_spans(path, config)
         plan = plan_chunks(spans, w.duration_seconds, config.chunking)
         presence = music_presence(w, config.music) if config.preprocess.detect_music else None
-        return w, plan, presence
-
-    def describe(path: str, result) -> dict:
-        w, plan, presence = result
-        rid = Path(path).stem
-        entry = {"path": path, **plan.to_dict(rid, config.chunking)}
-        if presence is not None:
-            entry["music"] = {"score": presence.score, "is_music": presence.is_music}
         if args.write_chunks:
-            os.makedirs(args.write_chunks, exist_ok=True)
+            rid = Path(path).stem
             for i, piece in enumerate(chunk_to_samples(plan, w)):
                 write_wav(os.path.join(args.write_chunks, f"{rid}_chunk{i:03d}.wav"), piece)
+        return plan, presence
+
+    def describe(path: str, result) -> dict:
+        plan, presence = result
+        entry = {"path": path, **plan.to_dict(Path(path).stem, config.chunking)}
+        if presence is not None:
+            entry["music"] = {"score": presence.score, "is_music": presence.is_music}
         _log(f"chunk: {path}: {len(plan.chunks)} chunks, {plan.forced_split_count} forced")
         return entry
 

@@ -366,6 +366,37 @@ def split_on_silence_reference(
 
 
 # ---------------------------------------------------------------------------
+# Former whole-signal audio paths: one float64 temporary the size of the input
+
+def flux_and_energy_reference(w: Waveform, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The library's former `_flux_and_energy`: one spectrogram of every frame."""
+    from speechpipe.audio import _frame_view
+
+    frames = _frame_view(w.samples, frame_length, hop_length)
+    mags = np.abs(np.fft.rfft(frames.astype(np.float64) * np.hanning(frame_length), axis=1))
+    flux = np.zeros(len(mags))
+    flux[1:] = np.maximum(np.diff(mags, axis=0), 0.0).sum(axis=1)
+    return flux, mags.sum(axis=1)
+
+
+def highpass_reference(w: Waveform, cutoff_hz: float) -> Waveform:
+    """The library's former `highpass`: the whole signal filtered in one call."""
+    from scipy import signal as sps
+
+    from speechpipe.audio import highpass_coefficients
+
+    b, a = highpass_coefficients(cutoff_hz, w.sample_rate)
+    out = sps.lfilter(b, a, w.samples.astype(np.float64))
+    return Waveform(out.astype(np.float32), w.sample_rate)
+
+
+def downmix_mono_reference(channels: list[np.ndarray], sample_rate: int) -> Waveform:
+    """The library's former `downmix_mono` after its checks: a mean over stacked channels."""
+    stacked = np.stack([np.asarray(c, dtype=np.float32) for c in channels])
+    return Waveform(stacked.mean(axis=0), sample_rate)
+
+
+# ---------------------------------------------------------------------------
 # Two-speaker embedding scene for end-to-end diarization
 
 def two_speaker_scene(seed: int, total_seconds: float = 120.0, dim: int = 32):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from speechpipe import audio
 from speechpipe import (
     MusicDetectConfig,
     ParameterError,
@@ -17,7 +20,17 @@ from speechpipe import (
     spectral_flux,
     split_on_silence,
 )
-from synth import SR, music_proxy, silence, speech_proxy, split_on_silence_reference, tone
+from synth import (
+    SR,
+    downmix_mono_reference,
+    flux_and_energy_reference,
+    highpass_reference,
+    music_proxy,
+    silence,
+    speech_proxy,
+    split_on_silence_reference,
+    tone,
+)
 
 
 def analytic_butterworth_hp(freq: float, cutoff: float) -> float:
@@ -305,3 +318,90 @@ class TestMusicPresence:
         result = music_presence(music_proxy(6, 12), cfg)
         assert result.score <= 1.0
         assert result.is_music == (result.score > 0.99)
+
+
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def noise(n: int, rng: np.random.Generator) -> Waveform:
+    return Waveform((rng.standard_normal(n) * rng.uniform(0.01, 1.0)).astype(np.float32), SR)
+
+
+class TestBlockedEqualsReference:
+    """The block-wise STFT, high-pass and downmix give the former whole-signal bytes.
+
+    Small block sizes put many block edges inside short signals.
+    """
+
+    @pytest.mark.parametrize("block", [64, 1000, 4096])
+    def test_flux_and_energy(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(block)
+        cases = [(0, 16, 8), (15, 16, 8), (16, 16, 8), (16, 16, 40), (500, 16, 40)]
+        for frame_length, hop_length in [(16, 8), (50, 7), (block + 3, 5)]:
+            step = max(1, block // frame_length)  # frames per block
+            for n_frames in (step - 1, step, step + 1, 3 * step - 1, 3 * step, 3 * step + 1):
+                if n_frames >= 1:
+                    cases.append(((n_frames - 1) * hop_length + frame_length, frame_length, hop_length))
+        for _ in range(30):
+            frame_length = int(rng.integers(1, 3 * block))
+            cases.append((int(rng.integers(0, 8 * block)), frame_length, int(rng.integers(1, 2 * frame_length))))
+        for n, frame_length, hop_length in cases:
+            w = noise(n, rng)
+            want = flux_and_energy_reference(w, frame_length, hop_length)
+            got = audio._flux_and_energy(w, frame_length, hop_length)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1]), (n, frame_length, hop_length)
+
+    def test_flux_and_energy_at_module_block_size(self):
+        w = music_proxy(90, 4)
+        n_frames = (len(w) - 2048) // 512 + 1
+        assert n_frames > 2 * (audio._BLOCK_SAMPLES // 2048)  # at least three blocks
+        want = flux_and_energy_reference(w, 2048, 512)
+        got = audio._flux_and_energy(w, 2048, 512)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("block", [64, 1000, audio._BLOCK_SAMPLES])
+    def test_highpass(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(block + 1)
+        lengths = [0, 1, block - 1, block, block + 1, 3 * block + 5, int(rng.integers(2, 5 * block))]
+        for n in lengths:
+            w = noise(n, rng)
+            cutoff = float(rng.uniform(20, 2000))
+            assert same_bytes(highpass(w, cutoff).samples, highpass_reference(w, cutoff).samples), n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
+    def test_downmix(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).num)
+        scale = 1.0 if np.issubdtype(dtype, np.floating) else 32767.0
+        for n_channels in range(1, 7):
+            for n in (0, 1, 1001):
+                channels = [(rng.uniform(-1, 1, n) * scale).astype(dtype) for _ in range(n_channels)]
+                want = downmix_mono_reference(channels, SR).samples
+                assert same_bytes(downmix_mono(channels, SR).samples, want), (n_channels, n)
+            # Channels as strided views of one interleaved matrix, as a WAV decodes.
+            interleaved = (rng.uniform(-1, 1, (1001, n_channels)) * scale).astype(dtype)
+            views = list(interleaved.T)
+            assert same_bytes(downmix_mono(views, SR).samples, downmix_mono_reference(views, SR).samples)
+
+
+class TestBoundedMemory:
+    """Traced peaks grow with the signal, not with whole-signal float64 temporaries."""
+
+    @pytest.mark.parametrize(
+        "fn", [music_presence, lambda w: highpass(w, 60.0)], ids=["music_presence", "highpass"]
+    )
+    def test_peak_growth_from_two_to_eight_minutes(self, fn):
+        rng = np.random.default_rng(8)
+        peaks, signal_bytes = [], []
+        for minutes in (2, 8):
+            w = Waveform((rng.standard_normal(minutes * 60 * SR) * 0.1).astype(np.float32), SR)
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                fn(w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            signal_bytes.append(w.samples.nbytes)
+        assert peaks[1] - peaks[0] < 2 * (signal_bytes[1] - signal_bytes[0])

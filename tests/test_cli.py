@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -103,6 +104,42 @@ class TestChunkCommand:
         written = sorted(out_dir.glob("*.wav"))
         assert len(written) == len(json.loads(out)["files"][0]["chunks"])
 
+    def test_write_chunks_beside_corrupt_file_any_worker_count(self, tmp_path, capsys):
+        # Chunk WAVs are written by the workers: a failing file must not stop
+        # the good file's writes, and the pieces must not depend on the pool.
+        sig = np.concatenate([tone(440, 4.0), silence(1.0), tone(880, 4.0), silence(1.0), tone(660, 3.0)])
+        good = tmp_path / "good.wav"
+        write_wav(good, Waveform(sig, SR), encoding="float32")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
+        written = {}
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"pieces{workers}"
+            code, out = run(capsys, "chunk", str(good), str(bad), "--min-dur", "3", "--max-dur", "6",
+                            "--write-chunks", str(out_dir), "--workers", workers)
+            doc = json.loads(out)
+            assert code == 1
+            assert list(doc["errors"]) == [str(bad)]
+            assert [f["path"] for f in doc["files"]] == [str(good)]
+            written[workers] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            assert sorted(written[workers]) == [f"good_chunk{i:03d}.wav" for i in range(len(doc["files"][0]["chunks"]))]
+        assert len(written["2"]) >= 2
+        assert written["1"] == written["2"]
+
+    def test_write_chunks_rejects_shared_stems(self, tmp_path, capsys):
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            write_wav(tmp_path / folder / "take.wav", Waveform(tone(440, 2.0), SR))
+        paths = [str(tmp_path / "a" / "take.wav"), str(tmp_path / "b" / "take.wav")]
+        code = main(["chunk", *paths, "--write-chunks", str(tmp_path / "pieces")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("chunk: error: ") == 1
+        assert "'take'" in captured.err
+        assert not (tmp_path / "pieces").exists()
+        code, _ = run(capsys, "chunk", *paths)  # without writes the shared stem is harmless
+        assert code == 0
+
 
 class TestDetectMusicCommand:
     def test_silence_scores_zero(self, tmp_path, capsys):
@@ -131,6 +168,31 @@ class TestDetectMusicCommand:
         _, a = run(capsys, "detect-music", str(path))
         _, b = run(capsys, "detect-music", str(path))
         assert a == b
+
+    def test_frame_longer_than_file_in_bounded_memory(self, tmp_path):
+        # A file shorter than one frame has no frames: nothing frame-sized is
+        # built. The child's address space is capped so that a regression
+        # fails here instead of exhausting the host.
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "short.wav"
+        write_wav(path, Waveform(tone(440, 1.0), SR))
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"music": {"frame_length": 2**31}}))
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "speechpipe.cli", "detect-music", str(path), "--config", str(config)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        entry = json.loads(result.stdout)["files"][0]
+        assert (entry["score"], entry["is_music"], entry["low_confidence"]) == (0.0, False, True)
 
 
 class TestDiarizeCommand:
