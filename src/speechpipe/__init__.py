@@ -33,10 +33,12 @@ from .chunking import (
     plan_chunks,
 )
 from .clustering import (
+    ClusteringConfig,
     ClusterResult,
     GmmModel,
     PcaBasis,
     ahc_centroid,
+    cluster_embeddings,
     estimate_k_silhouette,
     gmm_fit,
     kmeans,

@@ -9,7 +9,7 @@ state, safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -122,6 +122,11 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         return Waveform(w.samples.copy(), w.sample_rate)
     g = math.gcd(target_hz, w.sample_rate)
     up, down = target_hz // g, w.sample_rate // g
+    if 64 * up + 1 > _BLOCK_SAMPLES:  # the filter's taps, each a float64 temporary
+        raise ParameterError(
+            f"cannot resample {w.sample_rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
+            f"needs a {64 * up + 1}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
+        )
     h = _design_resample_filter(up, down)
     out = sps.resample_poly(w.samples.astype(np.float64), up, down, window=h)
     return Waveform(out.astype(np.float32), target_hz)
@@ -273,7 +278,6 @@ class MusicPresence:
     score: float
     is_music: bool
     low_confidence: bool = False
-    window_votes: list[bool] = field(default_factory=list)
 
 
 def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> MusicPresence:
@@ -315,4 +319,4 @@ def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> Musi
         ]
 
     score = sum(votes) / len(votes)
-    return MusicPresence(float(score), bool(score > cfg.decision_threshold), low_confidence, votes)
+    return MusicPresence(float(score), bool(score > cfg.decision_threshold), low_confidence)

@@ -153,7 +153,8 @@ def plan_chunks(nonsilent: list[TimeSpan], total_duration: float, cfg: ChunkConf
 
 
 def chunk_to_samples(plan: ChunkPlan, w: Waveform) -> list[Waveform]:
-    """Extract each chunk's sample slice; boundaries round to the nearest sample."""
+    """Each chunk's sample slice, a view of `w.samples` (no copy); boundaries
+    round to the nearest sample."""
     if abs(plan.source_duration - w.duration_seconds) * w.sample_rate > 1.0:
         raise StructuralError(
             f"plan covers {plan.source_duration:.6f}s but waveform is {w.duration_seconds:.6f}s"
@@ -163,7 +164,7 @@ def chunk_to_samples(plan: ChunkPlan, w: Waveform) -> list[Waveform]:
     for chunk in plan.chunks:
         a = min(int(round(chunk.start * w.sample_rate)), n)
         b = min(int(round(chunk.end * w.sample_rate)), n)
-        out.append(Waveform(w.samples[a:b].copy(), w.sample_rate))
+        out.append(Waveform(w.samples[a:b], w.sample_rate))
     return out
 
 

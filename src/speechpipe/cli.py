@@ -33,19 +33,7 @@ import numpy as np
 from . import __version__
 from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, music_presence, peak_normalize, resample, split_on_silence
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
-from .clustering import (
-    ClusterResult,
-    _centroids_for,
-    _relabel_by_first_appearance,
-    ahc_centroid,
-    estimate_k_silhouette,
-    gmm_fit,
-    kmeans,
-    pca_fit,
-    pca_transform,
-    select_k_gmm,
-    smooth_labels_temporal,
-)
+from .clustering import ClusteringConfig, cluster_embeddings
 from .errors import ConfigError, ParameterError, PipelineError
 from .interchange import build_config, parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
@@ -85,36 +73,6 @@ class PreprocessConfig:
                 "need target_sample_rate >= 0, highpass_hz >= 0 and 0 <= peak_target <= 1, got "
                 f"{self.target_sample_rate}, {self.highpass_hz} and {self.peak_target}"
             )
-
-
-@dataclass
-class ClusteringConfig:
-    method: str = "ahc"             # ahc | gmm | kmeans, any case
-    tau: float = 0.65
-    min_cluster_size: int = 20
-    pca_components: int = 0         # 0 disables
-    k_min: int = 2
-    k_max: int = 10
-    fixed_k: int = 0                # 0 selects k automatically
-    criterion: str = "AIC"          # AIC | BIC, any case
-    smoothing_window: int = 1       # 1 disables
-    # The over-clustering recipe is method=gmm, fixed_k=25, smoothing_window=5.
-
-    def __post_init__(self):
-        if str(self.method).lower() not in ("ahc", "gmm", "kmeans"):
-            raise ParameterError(f"method must be ahc, gmm or kmeans, got {self.method!r}")
-        if not self.tau > 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.pca_components < 0 or self.fixed_k < 0:
-            raise ParameterError(
-                f"pca_components and fixed_k must be >= 0, got {self.pca_components} and {self.fixed_k}"
-            )
-        if not 1 <= self.k_min <= self.k_max:
-            raise ParameterError(f"need 1 <= k_min <= k_max, got k_min={self.k_min} k_max={self.k_max}")
-        if str(self.criterion).upper() not in ("AIC", "BIC"):
-            raise ParameterError(f"criterion must be AIC or BIC, got {self.criterion!r}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ParameterError(f"smoothing_window must be odd and >= 1, got {self.smoothing_window}")
 
 
 @dataclass
@@ -268,45 +226,6 @@ def _speaker_name(label: int) -> str:
     return f"SPK_{label:02d}"
 
 
-def _cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -> ClusterResult:
-    x = np.asarray(vectors, dtype=np.float64)
-    n = len(x)
-    method = cfg.method.lower()
-    if method == "ahc":
-        return ahc_centroid(x, cfg.tau, cfg.min_cluster_size)
-
-    if cfg.pca_components and n >= 2:
-        components = min(cfg.pca_components, n, x.shape[1])
-        basis = pca_fit(x, components)
-        x = pca_transform(basis, x)
-
-    if method == "gmm":
-        if cfg.fixed_k:
-            model = gmm_fit(x, min(cfg.fixed_k, n), seed)
-        else:
-            k_max = min(cfg.k_max, n)
-            _, model = select_k_gmm(x, (min(cfg.k_min, k_max), k_max), cfg.criterion, seed)
-        labels = model.predict(x)
-        diagnostics = {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
-                       "aic": model.aic(), "bic": model.bic(n), "fitted_k": model.k, "seed": seed}
-    else:
-        if cfg.fixed_k or n <= 2:
-            k = min(cfg.fixed_k, n) if cfg.fixed_k else 1  # silhouette needs k_max <= N-1 with k >= 2
-            result = kmeans(x, k, seed)
-        else:
-            k_max = min(cfg.k_max, n - 1)
-            k, result = estimate_k_silhouette(x, min(max(2, cfg.k_min), k_max), k_max, seed)
-        labels = result.labels
-        diagnostics = {**result.diagnostics, "estimated_k": k}
-
-    # One tail for gmm and kmeans: smooth, renumber by first appearance, and
-    # take centroids in the space that was clustered.
-    labels = np.asarray(smooth_labels_temporal(list(labels), cfg.smoothing_window))
-    labels = _relabel_by_first_appearance(labels)
-    k = len(np.unique(labels))
-    return ClusterResult(labels, k, _centroids_for(x, labels, k), method, diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -362,7 +281,7 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
         rid = emb.recording_id or Path(path).stem
         if len(emb) == 0:
             return rid, SpeakerTimeline(rid, []), 0
-        result = _cluster_embeddings(emb.vectors, config.clustering, args.seed)
+        result = cluster_embeddings(emb.vectors, config.clustering, args.seed)
         names = [_speaker_name(int(lab)) for lab in result.labels]
         timeline = merge_adjacent_windows(emb.spans, names, rid)
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
@@ -479,7 +398,7 @@ def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
         emb = read_embeddings_file(path)
         if len(emb) == 0:
             return emb.recording_id, None
-        return emb.recording_id, _cluster_embeddings(emb.vectors, config.clustering, args.seed)
+        return emb.recording_id, cluster_embeddings(emb.vectors, config.clustering, args.seed)
 
     def describe(path: str, found) -> dict:
         rid, result = found

@@ -3,7 +3,8 @@
 PCA, centroid-linkage agglomerative clustering under a cosine-distance
 threshold, k-means with silhouette-based speaker-count estimation,
 diagonal-covariance Gaussian mixtures fit by EM with AIC/BIC model
-selection, and temporal label smoothing.
+selection, and temporal label smoothing; `cluster_embeddings` runs the
+method a `ClusteringConfig` names.
 
 All stochastic routines take explicit seeds; there is no hidden RNG state.
 """
@@ -18,6 +19,10 @@ import numpy as np
 from .errors import ParameterError
 
 VARIANCE_FLOOR = 1e-6
+# Iteration limits and convergence tolerances: Lloyd stops when no center
+# moves by LLOYD_TOL, EM when the log-likelihood gains less than EM_TOL.
+LLOYD_MAX_ITER, LLOYD_TOL = 300, 1e-6
+EM_MAX_ITER, EM_TOL = 200, 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +58,6 @@ class PcaBasis:
     mean: np.ndarray
     components: np.ndarray       # (n_components, D), orthonormal rows
     eigenvalues: np.ndarray      # variance captured per component, descending
-    total_variance: float
-
-    @property
-    def explained_variance_ratio(self) -> np.ndarray:
-        if self.total_variance <= 0:
-            return np.zeros_like(self.eigenvalues)
-        return self.eigenvalues / self.total_variance
 
 
 def pca_fit(x: np.ndarray, components: int) -> PcaBasis:
@@ -87,7 +85,7 @@ def pca_fit(x: np.ndarray, components: int) -> PcaBasis:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    return PcaBasis(mean, directions, eigenvalues[:components], float(eigenvalues.sum()))
+    return PcaBasis(mean, directions, eigenvalues[:components])
 
 
 def pca_transform(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
@@ -262,7 +260,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1e-6) -> ClusterResult:
+def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
     """Lloyd's algorithm with k-means++ initialization; deterministic given `seed`."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -272,7 +270,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1
     centers = _kmeans_pp_init(x, k, rng)
     labels = np.zeros(n, dtype=int)
     inertia_trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         costs = d2[np.arange(n), labels]
@@ -292,7 +290,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 300, tol: float = 1
                 new_centers[j] = x[order[slot]]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        if shift < tol:
+        if shift < LLOYD_TOL:
             break
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
@@ -396,21 +394,13 @@ class GmmModel:
             )
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "weights": [float(v) for v in self.weights],
-            "means": [[float(v) for v in row] for row in self.means],
-            "variances": [[float(v) for v in row] for row in self.variances],
-            "log_likelihood": self.log_likelihood,
-            "param_count": self.param_count,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
-
-def _gmm_em_once(x: np.ndarray, k: int, seed: int, max_iter: int, tol: float) -> GmmModel:
+def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
+    """Diagonal-covariance EM initialized from k-means; deterministic given `seed`."""
+    x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
+    if not (1 <= k <= n):
+        raise ParameterError(f"k must be in [1, N] = [1, {n}], got {k}")
     init = kmeans(x, k, seed)
     k = init.k  # fewer than asked when x has fewer distinct points
     weights = np.array([(init.labels == j).mean() for j in range(k)])
@@ -427,7 +417,7 @@ def _gmm_em_once(x: np.ndarray, k: int, seed: int, max_iter: int, tol: float) ->
     trace: list[float] = []
     previous = -np.inf
     converged = False
-    for iteration in range(max_iter):
+    for iteration in range(EM_MAX_ITER):
         log_joint = model._log_joint(x)
         log_norm = np.logaddexp.reduce(log_joint, axis=1)
         ll = float(log_norm.sum())
@@ -442,9 +432,8 @@ def _gmm_em_once(x: np.ndarray, k: int, seed: int, max_iter: int, tol: float) ->
             diff2 = (x - model.means[j]) ** 2
             model.variances[j] = np.maximum((resp[:, j] @ diff2) / nk[j], VARIANCE_FLOOR)
 
-        if ll - previous < tol and iteration > 0:
+        if ll - previous < EM_TOL and iteration > 0:
             converged = True
-            previous = ll
             break
         previous = ll
 
@@ -458,33 +447,8 @@ def _gmm_em_once(x: np.ndarray, k: int, seed: int, max_iter: int, tol: float) ->
     return model
 
 
-def gmm_fit(x: np.ndarray, k: int, seed: int, restarts: int = 1,
-            max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
-    """Diagonal-covariance EM initialized from k-means; best of `restarts` by log-likelihood.
-
-    The winner is selected by (log_likelihood, -restart_seed), so the outcome
-    is independent of any parallel execution order of the restarts.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if not (1 <= k <= n):
-        raise ParameterError(f"k must be in [1, N] = [1, {n}], got {k}")
-    if restarts < 1:
-        raise ParameterError("restarts must be >= 1")
-    best: GmmModel | None = None
-    best_key: tuple[float, int] | None = None
-    for r in range(restarts):
-        model = _gmm_em_once(x, k, seed + r, max_iter, tol)
-        key = (model.log_likelihood, -(seed + r))
-        if best_key is None or key > best_key:
-            best, best_key = model, key
-    assert best is not None
-    return best
-
-
 def select_k_gmm(
-    x: np.ndarray, k_range: tuple[int, int], criterion: str = "AIC",
-    seed: int = 0, restarts: int = 1,
+    x: np.ndarray, k_range: tuple[int, int], criterion: str = "AIC", seed: int = 0,
 ) -> tuple[int, GmmModel]:
     """Fit over k_range and return the argmin-criterion model, ties toward smaller k."""
     criterion = criterion.upper()
@@ -496,7 +460,7 @@ def select_k_gmm(
         raise ParameterError(f"invalid k_range {k_range} for N={len(x)}")
     best_k, best_model, best_value = k_min, None, np.inf
     for k in range(k_min, k_max + 1):
-        model = gmm_fit(x, k, seed, restarts)
+        model = gmm_fit(x, k, seed)
         value = model.aic() if criterion == "AIC" else model.bic(len(x))
         if value < best_value:
             best_k, best_model, best_value = k, model, value
@@ -535,3 +499,77 @@ def smooth_labels_temporal(labels, window: int) -> list:
                     out[i] = value
                     break
     return out
+
+
+# ---------------------------------------------------------------------------
+# Entry point: the clustering stage of `diarize` and `cluster`
+
+@dataclass
+class ClusteringConfig:
+    method: str = "ahc"             # ahc | gmm | kmeans, any case
+    tau: float = 0.65
+    min_cluster_size: int = 20
+    pca_components: int = 0         # 0 disables
+    k_min: int = 2
+    k_max: int = 10
+    fixed_k: int = 0                # 0 selects k automatically
+    criterion: str = "AIC"          # AIC | BIC, any case
+    smoothing_window: int = 1       # 1 disables
+    # The over-clustering recipe is method=gmm, fixed_k=25, smoothing_window=5.
+
+    def __post_init__(self):
+        if str(self.method).lower() not in ("ahc", "gmm", "kmeans"):
+            raise ParameterError(f"method must be ahc, gmm or kmeans, got {self.method!r}")
+        if not self.tau > 0:
+            raise ParameterError(f"tau must be positive, got {self.tau}")
+        if self.pca_components < 0 or self.fixed_k < 0:
+            raise ParameterError(
+                f"pca_components and fixed_k must be >= 0, got {self.pca_components} and {self.fixed_k}"
+            )
+        if not 1 <= self.k_min <= self.k_max:
+            raise ParameterError(f"need 1 <= k_min <= k_max, got k_min={self.k_min} k_max={self.k_max}")
+        if str(self.criterion).upper() not in ("AIC", "BIC"):
+            raise ParameterError(f"criterion must be AIC or BIC, got {self.criterion!r}")
+        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+            raise ParameterError(f"smoothing_window must be odd and >= 1, got {self.smoothing_window}")
+
+
+def cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -> ClusterResult:
+    """Cluster time-ordered embedding windows by `cfg.method`. AHC reads only
+    `tau` and `min_cluster_size`; gmm and kmeans read the other fields."""
+    x = np.asarray(vectors, dtype=np.float64)
+    n = len(x)
+    method = cfg.method.lower()
+    if method == "ahc":
+        return ahc_centroid(x, cfg.tau, cfg.min_cluster_size)
+
+    if cfg.pca_components and n >= 2:
+        components = min(cfg.pca_components, n, x.shape[1])
+        basis = pca_fit(x, components)
+        x = pca_transform(basis, x)
+
+    if method == "gmm":
+        if cfg.fixed_k:
+            model = gmm_fit(x, min(cfg.fixed_k, n), seed)
+        else:
+            k_max = min(cfg.k_max, n)
+            _, model = select_k_gmm(x, (min(cfg.k_min, k_max), k_max), cfg.criterion, seed)
+        labels = model.predict(x)
+        diagnostics = {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
+                       "aic": model.aic(), "bic": model.bic(n), "fitted_k": model.k, "seed": seed}
+    else:
+        if cfg.fixed_k or n <= 2:
+            k = min(cfg.fixed_k, n) if cfg.fixed_k else 1  # silhouette needs k_max <= N-1 with k >= 2
+            result = kmeans(x, k, seed)
+        else:
+            k_max = min(cfg.k_max, n - 1)
+            k, result = estimate_k_silhouette(x, min(max(2, cfg.k_min), k_max), k_max, seed)
+        labels = result.labels
+        diagnostics = {**result.diagnostics, "estimated_k": k}
+
+    # One tail for gmm and kmeans: smooth, renumber by first appearance, and
+    # take centroids in the space that was clustered.
+    labels = np.asarray(smooth_labels_temporal(list(labels), cfg.smoothing_window))
+    labels = _relabel_by_first_appearance(labels)
+    k = len(np.unique(labels))
+    return ClusterResult(labels, k, _centroids_for(x, labels, k), method, diagnostics)

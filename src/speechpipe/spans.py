@@ -26,10 +26,6 @@ class TimeSpan:
         """True when `instant` lies strictly inside the interval."""
         return self.start < instant < self.end
 
-    def overlap(self, other: "TimeSpan") -> float:
-        """Length of the intersection with `other` (0 when disjoint)."""
-        return max(0.0, min(self.end, other.end) - max(self.start, other.start))
-
 
 def check_sorted_disjoint(spans: list[TimeSpan], what: str = "spans") -> None:
     """Raise if consecutive spans are unsorted or overlapping."""

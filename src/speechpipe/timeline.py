@@ -47,10 +47,6 @@ class SpeakerTimeline:
             totals[seg.speaker] += seg.span.duration
         return dict(totals)
 
-    def total_speech(self) -> float:
-        """Total speech time summed per speaker (overlap counts once per speaker)."""
-        return sum(seg.span.duration for seg in self.segments)
-
 
 def _merge_per_speaker(segments, joins) -> list[SpeakerSegment]:
     """Merge each speaker's time-sorted spans into the running one while

@@ -97,6 +97,14 @@ class TestResample:
         with pytest.raises(ParameterError):
             resample(Waveform(tone(100, 0.1), SR), 0)
 
+    def test_bound_admits_up_to_32767(self):
+        # From 1 Hz the reduced ratio is target/1: 64 * 32767 + 1 taps fit
+        # the 2**21-sample bound, 64 * 32768 + 1 do not.
+        w = Waveform(np.ones(10, dtype=np.float32), 1)
+        assert len(resample(w, 32767)) == 10 * 32767
+        with pytest.raises(ParameterError, match="1 Hz to 32768 Hz"):
+            resample(w, 32768)
+
 
 class TestPeakNormalize:
     def test_scales_by_ratio(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,25 @@ class TestChunkToSamples:
         plan = ChunkPlan([TimeSpan(0, 2.0)], 2.0, 0, ["silence"])
         with pytest.raises(StructuralError):
             chunk_to_samples(plan, w)
+
+    def test_pieces_are_views(self):
+        w = Waveform(tone(440, 3.0), SR)
+        plan = ChunkPlan([TimeSpan(0, 1.3), TimeSpan(1.3, 2.5)], 3.0, 0, ["silence"] * 2)
+        for piece in chunk_to_samples(plan, w):
+            assert np.shares_memory(piece.samples, w.samples)
+
+    def test_peak_below_longest_chunk(self):
+        # Ten minutes at 16 kHz: a copy of every chunk would trace the whole
+        # 38 MB signal; views leave only the per-chunk finiteness checks.
+        w = Waveform(np.zeros(600 * SR, dtype=np.float32), SR)
+        plan = fixed_interval_plan(600.0, 30.0)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            pieces = chunk_to_samples(plan, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(p.samples.nbytes for p in pieces)
 
 
 class TestBoundaryAudit:

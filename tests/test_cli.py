@@ -140,6 +140,34 @@ class TestChunkCommand:
         code, _ = run(capsys, "chunk", *paths)  # without writes the shared stem is harmless
         assert code == 0
 
+    def test_huge_target_rate_reported_per_file(self, tmp_path):
+        # The resampling filter for 16 kHz -> 2**31 - 1 Hz would take 1 TiB;
+        # each file is reported under errors instead. The child's address
+        # space is capped so that a regression fails here instead of
+        # exhausting the host.
+        resource = pytest.importorskip("resource")
+        paths = [str(tmp_path / name) for name in ("a.wav", "b.wav")]
+        for path in paths:
+            write_wav(path, Waveform(tone(440, 1.0), SR))
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"preprocess": {"target_sample_rate": 2**31 - 1}}))
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "speechpipe.cli", "chunk", *paths, "--config", str(config)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = json.loads(result.stdout)["errors"]
+        assert sorted(errors) == paths
+        assert all("16000 Hz to 2147483647 Hz" in message for message in errors.values())
+
 
 class TestDetectMusicCommand:
     def test_silence_scores_zero(self, tmp_path, capsys):

@@ -422,8 +422,8 @@ class TestGmm:
     def test_restart_reduction_deterministic(self):
         rng = np.random.default_rng(55)
         x = rng.normal(size=(120, 2))
-        m1 = gmm_fit(x, 3, seed=7, restarts=4)
-        m2 = gmm_fit(x, 3, seed=7, restarts=4)
+        m1 = gmm_fit(x, 3, seed=7)
+        m2 = gmm_fit(x, 3, seed=7)
         assert m1.log_likelihood == m2.log_likelihood
         assert np.array_equal(m1.means, m2.means)
 
@@ -467,18 +467,18 @@ class TestOverclusterPreset:
     `--method gmm --fixed-k K --smoothing-window W`."""
 
     def test_runs_and_keeps_time_structure(self):
-        from speechpipe.cli import ClusteringConfig, _cluster_embeddings
+        from speechpipe.clustering import ClusteringConfig, cluster_embeddings
 
         rng = np.random.default_rng(80)
         a = rng.normal(size=(60, 4)) + [8, 0, 0, 0]
         b = rng.normal(size=(60, 4)) - [8, 0, 0, 0]
         x = np.vstack([a, b])
         cfg = ClusteringConfig(method="gmm", fixed_k=10, smoothing_window=5)
-        result = _cluster_embeddings(x, cfg, seed=0)
+        result = cluster_embeddings(x, cfg, seed=0)
         labels = result.labels
         assert len(labels) == 120
         assert len(np.unique(labels)) == result.k <= 10
-        again = _cluster_embeddings(x, cfg, seed=0)
+        again = cluster_embeddings(x, cfg, seed=0)
         assert np.array_equal(labels, again.labels)
         assert np.array_equal(result.centroids, again.centroids)
         # The recipe itself, renumbered by first appearance.
