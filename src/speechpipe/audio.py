@@ -24,6 +24,7 @@ DIGITAL_SILENCE_DB = -80.0
 # made (music-detection STFT, high-pass): 16 MB of float64 each, so memory
 # grows with the float32 signal alone.
 _BLOCK_SAMPLES = 2**21
+_TAPS_PER_PHASE = 64  # resampling filter taps per phase of the upsampling factor
 
 
 @dataclass
@@ -101,16 +102,16 @@ def downmix_mono(channels: list[np.ndarray], sample_rate: int) -> Waveform:
     return Waveform(total, sample_rate)
 
 
-def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64, beta: float = 8.6) -> np.ndarray:
+def _design_resample_filter(up: int, down: int) -> np.ndarray:
     """Kaiser-windowed sinc prototype for a polyphase resampler.
 
-    Length is taps_per_phase * up, made odd so the group delay lands on the
+    Length is _TAPS_PER_PHASE * up, made odd so the group delay lands on the
     sample grid and no fractional shift survives a round trip.
     """
-    ntaps = taps_per_phase * up + 1
+    ntaps = _TAPS_PER_PHASE * up + 1
     cutoff = 1.0 / max(up, down)  # relative to Nyquist of the upsampled rate
     k = np.arange(ntaps) - (ntaps - 1) / 2
-    h = cutoff * np.sinc(cutoff * k) * np.kaiser(ntaps, beta)
+    h = cutoff * np.sinc(cutoff * k) * np.kaiser(ntaps, 8.6)
     return h / h.sum()
 
 
@@ -122,10 +123,11 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         return Waveform(w.samples.copy(), w.sample_rate)
     g = math.gcd(target_hz, w.sample_rate)
     up, down = target_hz // g, w.sample_rate // g
-    if 64 * up + 1 > _BLOCK_SAMPLES:  # the filter's taps, each a float64 temporary
+    ntaps = _TAPS_PER_PHASE * up + 1
+    if ntaps > _BLOCK_SAMPLES:  # the filter's taps, each a float64 temporary
         raise ParameterError(
             f"cannot resample {w.sample_rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
-            f"needs a {64 * up + 1}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
+            f"needs a {ntaps}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
         )
     h = _design_resample_filter(up, down)
     out = sps.resample_poly(w.samples.astype(np.float64), up, down, window=h)

@@ -42,7 +42,8 @@ from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppr
 from .wavefile import load_mono, write_wav
 
 WORKERS_ENV = "SPEECHPIPE_WORKERS"
-_INPUT_ERRORS = (PipelineError, OSError, UnicodeDecodeError)
+# A failed allocation (say, an upsampled signal too large) is that file's error.
+_INPUT_ERRORS = (PipelineError, OSError, UnicodeDecodeError, MemoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = score_sub.add_parser(metric)
         sp.add_argument("--ref", required=True)
         sp.add_argument("--hyp", required=True)
-        sp.add_argument("--repair", action="store_true", help="repair CSV inputs instead of strict parsing")
         if metric == "wer":
             sp.add_argument("--strip-punctuation", dest="strip_punctuation", action="store_true")
+        else:
+            sp.add_argument("--repair", action="store_true", help="repair CSV inputs instead of strict parsing")
         finish(sp, f"score {metric}", cmd_score)
 
     p = sub.add_parser("repair", help="repair a segments CSV")

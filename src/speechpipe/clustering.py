@@ -12,6 +12,7 @@ All stochastic routines take explicit seeds; there is no hidden RNG state.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,13 +209,12 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
         partner[rows] = np.argmin(dist[rows], axis=1)
         near[rows] = dist[rows, partner[rows]]
 
+    # Listed by lowest member (b > a joins a), so max() keeps the largest with the lowest member.
     clusters = [members[a] for a in np.flatnonzero(active)]
-    sizes = [len(c) for c in clusters]
     survivors = [c for c in clusters if len(c) >= min_cluster_size]
     dissolved = 0
     if not survivors:
-        largest = max(range(len(clusters)), key=lambda i: (sizes[i], -min(clusters[i])))
-        survivors = [clusters[largest]]
+        survivors = [max(clusters, key=len)]
     if len(survivors) < len(clusters):
         surviving_centroids = np.stack([x[c].mean(axis=0) for c in survivors])
         strays = sorted(set(range(n)) - {i for c in survivors for i in c})
@@ -268,12 +268,15 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
         raise ParameterError(f"k must be in [1, N] = [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, k, rng)
-    labels = np.zeros(n, dtype=int)
+    # One more assignment than updates: the last, after convergence or the limit, is the result.
     inertia_trace: list[float] = []
-    for _ in range(LLOYD_MAX_ITER):
+    shift = np.inf
+    for iteration in range(LLOYD_MAX_ITER + 1):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         costs = d2[np.arange(n), labels]
+        if shift < LLOYD_TOL or iteration == LLOYD_MAX_ITER:
+            break
         inertia_trace.append(float(costs.sum()))
         new_centers = centers.copy()
         empty = []
@@ -290,11 +293,7 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
                 new_centers[j] = x[order[slot]]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        if shift < LLOYD_TOL:
-            break
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
+    inertia = float(costs.sum())
     # Degenerate inputs (mass duplicates) can strand a cluster; compact so
     # every reported cluster is non-empty.
     occupied, labels = np.unique(labels, return_inverse=True)
@@ -380,19 +379,21 @@ class GmmModel:
         return self.param_count * math.log(n) - 2.0 * self.log_likelihood
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self._log_joint(np.asarray(x, dtype=np.float64)), axis=1)
+        return np.argmax(_log_joint(np.asarray(x, np.float64), self.weights, self.means, self.variances), axis=1)
 
-    def _log_joint(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[1]
-        out = np.empty((len(x), self.k))
-        for j in range(self.k):
-            var = self.variances[j]
-            diff2 = (x - self.means[j]) ** 2 / var
-            out[:, j] = (
-                math.log(self.weights[j])
-                - 0.5 * (d * math.log(2 * math.pi) + np.log(var).sum() + diff2.sum(axis=1))
-            )
-        return out
+
+def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """log(weight_j) + log N(x_i | mean_j, diag(variance_j)) for every row i and component j."""
+    d = x.shape[1]
+    out = np.empty((len(x), len(weights)))
+    for j in range(len(weights)):
+        var = variances[j]
+        diff2 = (x - means[j]) ** 2 / var
+        out[:, j] = (
+            math.log(weights[j])
+            - 0.5 * (d * math.log(2 * math.pi) + np.log(var).sum() + diff2.sum(axis=1))
+        )
+    return out
 
 
 def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
@@ -413,38 +414,25 @@ def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
         mask = init.labels == j
         variances[j] = np.maximum(x[mask].var(axis=0), VARIANCE_FLOOR) if mask.sum() > 1 else global_var
 
-    model = GmmModel(weights, means, variances, -np.inf, k * 2 * d + (k - 1))
+    # One more E-step than M-steps: the last, after convergence or the limit, is the final score.
     trace: list[float] = []
-    previous = -np.inf
     converged = False
-    for iteration in range(EM_MAX_ITER):
-        log_joint = model._log_joint(x)
+    for iteration in range(EM_MAX_ITER + 1):
+        log_joint = _log_joint(x, weights, means, variances)
         log_norm = np.logaddexp.reduce(log_joint, axis=1)
-        ll = float(log_norm.sum())
-        trace.append(ll)
+        trace.append(float(log_norm.sum()))
+        if converged or iteration == EM_MAX_ITER:
+            break
+        converged = iteration > 0 and trace[-1] - trace[-2] < EM_TOL
         resp = np.exp(log_joint - log_norm[:, None])
-
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-12)
-        model.weights = nk / n
-        model.means = (resp.T @ x) / nk[:, None]
+        weights = nk / n
+        means = (resp.T @ x) / nk[:, None]
         for j in range(k):
-            diff2 = (x - model.means[j]) ** 2
-            model.variances[j] = np.maximum((resp[:, j] @ diff2) / nk[j], VARIANCE_FLOOR)
-
-        if ll - previous < EM_TOL and iteration > 0:
-            converged = True
-            break
-        previous = ll
-
-    log_joint = model._log_joint(x)
-    final_ll = float(np.logaddexp.reduce(log_joint, axis=1).sum())
-    trace.append(final_ll)
-    model.log_likelihood = final_ll
-    model.converged = converged
-    model.iterations = len(trace) - 1
-    model.ll_trace = trace
-    return model
+            diff2 = (x - means[j]) ** 2
+            variances[j] = np.maximum((resp[:, j] @ diff2) / nk[j], VARIANCE_FLOOR)
+    return GmmModel(weights, means, variances, trace[-1], k * 2 * d + (k - 1), converged, len(trace) - 1, trace)
 
 
 def select_k_gmm(
@@ -487,17 +475,11 @@ def smooth_labels_temporal(labels, window: int) -> list:
     for i in range(len(out)):
         lo = max(0, i - half)
         hi = min(len(out), i + half + 1)
-        votes: dict = {}
-        for value in out[lo:hi]:
-            votes[value] = votes.get(value, 0) + 1
+        votes = Counter(out[lo:hi])
         best_count = max(votes.values())
-        winners = [value for value, count in votes.items() if count == best_count]
-        if out[i] not in winners:
-            # Deterministic pick: first winner in window order.
-            for value in out[lo:hi]:
-                if value in winners:
-                    out[i] = value
-                    break
+        if votes[out[i]] < best_count:
+            # Deterministic pick: first winner in window order, a Counter's key order.
+            out[i] = next(value for value, count in votes.items() if count == best_count)
     return out
 
 

@@ -143,30 +143,18 @@ def merge_adjacent_windows(
     if not window_spans:
         return SpeakerTimeline(recording_id, [])
 
-    # Runs of identical consecutive labels: (label, first index, last index).
-    runs: list[tuple[object, int, int]] = []
-    run_start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[run_start]:
-            runs.append((labels[run_start], run_start, i - 1))
-            run_start = i
-
+    # Close a run of identical labels at each label change and at the end.
     segments: list[SpeakerSegment] = []
     boundary = window_spans[0].start
-    for r, (label, first, last) in enumerate(runs):
-        seg_start = max(boundary, window_spans[first].start)
-        if r + 1 < len(runs):
-            prev_win = window_spans[last]
-            next_win = window_spans[runs[r + 1][1]]
-            if next_win.start < prev_win.end:
-                end = (next_win.start + prev_win.end) / 2.0
-            else:
-                end = prev_win.end
-        else:
-            end = window_spans[last].end
-        if end > seg_start:
-            segments.append(SpeakerSegment(TimeSpan(seg_start, end), str(label)))
-            boundary = end
-        else:
+    first = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[first]:
+            end = window_spans[i - 1].end
+            if i < len(labels) and window_spans[i].start < end:
+                end = (window_spans[i].start + end) / 2.0
+            seg_start = max(boundary, window_spans[first].start)
+            if end > seg_start:
+                segments.append(SpeakerSegment(TimeSpan(seg_start, end), str(labels[first])))
             boundary = max(boundary, end)
+            first = i
     return SpeakerTimeline.from_segments(recording_id, segments)

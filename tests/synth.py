@@ -5,12 +5,13 @@ dynamic programming for edit distance, 1 ms frame counting for DER,
 exhaustive permutations for assignment, and a literal re-simulation of the
 merge rule for agglomerative clustering. The `*_reference` functions are the
 exception: the library's former loops, kept to check that their vectorised
-replacements give identical output.
+or simplified replacements give identical output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -317,6 +318,189 @@ def relabel_by_first_appearance_reference(labels: np.ndarray) -> np.ndarray:
             mapping[lab] = len(mapping)
         out[i] = mapping[lab]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Former diarization steps: a repeated last Lloyd assignment and E-step, a
+# GMM filled in field by field, dict vote counting and a two-pass window merge.
+# The iteration limits are read from `speechpipe.clustering` at call time, so
+# a test that patches them patches both sides.
+
+def kmeans_reference(x: np.ndarray, k: int, seed: int):
+    """The library's former `kmeans`: the last assignment repeated after the loop."""
+    from speechpipe import clustering as C
+
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    centers = C._kmeans_pp_init(x, k, rng)
+    labels = np.zeros(n, dtype=int)
+    inertia_trace: list[float] = []
+    for _ in range(C.LLOYD_MAX_ITER):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        costs = d2[np.arange(n), labels]
+        inertia_trace.append(float(costs.sum()))
+        new_centers = centers.copy()
+        empty = []
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centers[j] = x[mask].mean(axis=0)
+            else:
+                empty.append(j)
+        if empty:
+            order = np.argsort(-costs)
+            for slot, j in enumerate(empty):
+                new_centers[j] = x[order[slot]]
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if shift < C.LLOYD_TOL:
+            break
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), labels].sum())
+    occupied, labels = np.unique(labels, return_inverse=True)
+    k = len(occupied)
+    centers = C._centroids_for(x, labels, k)
+    return C.ClusterResult(
+        labels,
+        k,
+        centers,
+        "kmeans",
+        {"inertia": inertia, "iterations": len(inertia_trace), "inertia_trace": inertia_trace, "seed": seed},
+    )
+
+
+def _log_joint_reference(x: np.ndarray, model) -> np.ndarray:
+    """The former `GmmModel._log_joint` method."""
+    d = x.shape[1]
+    out = np.empty((len(x), model.k))
+    for j in range(model.k):
+        var = model.variances[j]
+        diff2 = (x - model.means[j]) ** 2 / var
+        out[:, j] = (
+            math.log(model.weights[j])
+            - 0.5 * (d * math.log(2 * math.pi) + np.log(var).sum() + diff2.sum(axis=1))
+        )
+    return out
+
+
+def gmm_fit_reference(x: np.ndarray, k: int, seed: int):
+    """The library's former `gmm_fit`: a placeholder model filled in field by
+    field and the last E-step repeated after the loop."""
+    from speechpipe import clustering as C
+
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    init = kmeans_reference(x, k, seed)
+    k = init.k
+    weights = np.array([(init.labels == j).mean() for j in range(k)])
+    weights = np.maximum(weights, 1.0 / (10.0 * n))
+    weights /= weights.sum()
+    means = init.centroids.copy()
+    global_var = np.maximum(x.var(axis=0), C.VARIANCE_FLOOR)
+    variances = np.empty((k, d))
+    for j in range(k):
+        mask = init.labels == j
+        variances[j] = np.maximum(x[mask].var(axis=0), C.VARIANCE_FLOOR) if mask.sum() > 1 else global_var
+
+    model = C.GmmModel(weights, means, variances, -np.inf, k * 2 * d + (k - 1))
+    trace: list[float] = []
+    previous = -np.inf
+    converged = False
+    for iteration in range(C.EM_MAX_ITER):
+        log_joint = _log_joint_reference(x, model)
+        log_norm = np.logaddexp.reduce(log_joint, axis=1)
+        ll = float(log_norm.sum())
+        trace.append(ll)
+        resp = np.exp(log_joint - log_norm[:, None])
+
+        nk = resp.sum(axis=0)
+        nk = np.maximum(nk, 1e-12)
+        model.weights = nk / n
+        model.means = (resp.T @ x) / nk[:, None]
+        for j in range(k):
+            diff2 = (x - model.means[j]) ** 2
+            model.variances[j] = np.maximum((resp[:, j] @ diff2) / nk[j], C.VARIANCE_FLOOR)
+
+        if ll - previous < C.EM_TOL and iteration > 0:
+            converged = True
+            break
+        previous = ll
+
+    log_joint = _log_joint_reference(x, model)
+    final_ll = float(np.logaddexp.reduce(log_joint, axis=1).sum())
+    trace.append(final_ll)
+    model.log_likelihood = final_ll
+    model.converged = converged
+    model.iterations = len(trace) - 1
+    model.ll_trace = trace
+    return model
+
+
+def gmm_predict_reference(model, x: np.ndarray) -> np.ndarray:
+    """The former `GmmModel.predict`."""
+    return np.argmax(_log_joint_reference(np.asarray(x, dtype=np.float64), model), axis=1)
+
+
+def smooth_labels_temporal_reference(labels, window: int) -> list:
+    """The library's former `smooth_labels_temporal` after its argument check:
+    a hand-rolled vote dict and a winners list."""
+    out = list(labels)
+    if window == 1:
+        return out
+    half = window // 2
+    for i in range(len(out)):
+        lo = max(0, i - half)
+        hi = min(len(out), i + half + 1)
+        votes: dict = {}
+        for value in out[lo:hi]:
+            votes[value] = votes.get(value, 0) + 1
+        best_count = max(votes.values())
+        winners = [value for value, count in votes.items() if count == best_count]
+        if out[i] not in winners:
+            for value in out[lo:hi]:
+                if value in winners:
+                    out[i] = value
+                    break
+    return out
+
+
+def merge_adjacent_windows_reference(window_spans: list[TimeSpan], labels: list, recording_id: str = ""):
+    """The library's former `merge_adjacent_windows` after its checks: a list of
+    runs, then a second pass over it. Returns the timeline and how many runs
+    were dropped because they ended inside the previous boundary."""
+    if not window_spans:
+        return SpeakerTimeline(recording_id, []), 0
+    runs: list[tuple[object, int, int]] = []
+    run_start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[run_start]:
+            runs.append((labels[run_start], run_start, i - 1))
+            run_start = i
+
+    segments: list[SpeakerSegment] = []
+    dropped = 0
+    boundary = window_spans[0].start
+    for r, (label, first, last) in enumerate(runs):
+        seg_start = max(boundary, window_spans[first].start)
+        if r + 1 < len(runs):
+            prev_win = window_spans[last]
+            next_win = window_spans[runs[r + 1][1]]
+            if next_win.start < prev_win.end:
+                end = (next_win.start + prev_win.end) / 2.0
+            else:
+                end = prev_win.end
+        else:
+            end = window_spans[last].end
+        if end > seg_start:
+            segments.append(SpeakerSegment(TimeSpan(seg_start, end), str(label)))
+            boundary = end
+        else:
+            dropped += 1
+            boundary = max(boundary, end)
+    return SpeakerTimeline.from_segments(recording_id, segments), dropped
 
 
 # ---------------------------------------------------------------------------

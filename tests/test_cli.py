@@ -18,6 +18,7 @@ from speechpipe import (
     TimeSpan,
     Waveform,
     der,
+    load_mono,
     parse_rttm,
     wav_bytes,
     write_embeddings,
@@ -167,6 +168,55 @@ class TestChunkCommand:
         errors = json.loads(result.stdout)["errors"]
         assert sorted(errors) == paths
         assert all("16000 Hz to 2147483647 Hz" in message for message in errors.values())
+
+    def test_unallocatable_upsampled_output_reported_per_file(self, tmp_path):
+        # 16 kHz -> 131.072 MHz passes the filter bound, but the 5-s file's
+        # 4.9 GiB output cannot be allocated under the 2 GiB address-space
+        # cap: that file is reported under errors and the short file's plan
+        # is still written.
+        resource = pytest.importorskip("resource")
+        long_wav, short_wav = str(tmp_path / "long.wav"), str(tmp_path / "short.wav")
+        write_wav(long_wav, Waveform(tone(440, 5.0), SR))
+        write_wav(short_wav, Waveform(tone(440, 0.05), SR))
+        config = tmp_path / "fast.json"
+        config.write_text(json.dumps({"preprocess": {"target_sample_rate": 131072000}}))
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "speechpipe.cli", "chunk", long_wav, short_wav, "--config", str(config)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        doc = json.loads(result.stdout)
+        assert [f["path"] for f in doc["files"]] == [short_wav]
+        assert doc["files"][0]["chunks"]
+        assert list(doc["errors"]) == [long_wav]
+        assert "Unable to allocate" in doc["errors"][long_wav]
+
+    def test_resampled_input_planned_and_written_at_target_rate(self, speech_wav, tmp_path, capsys):
+        # The same signal at 44.1 kHz: resampled to 16 kHz before planning.
+        sig = np.concatenate([tone(440, 4.0, sr=44100), silence(1.0, sr=44100), tone(880, 4.0, sr=44100)])
+        path = tmp_path / "cd.wav"
+        write_wav(path, Waveform(sig, 44100), encoding="float32")
+        flags = ["--min-dur", "3", "--max-dur", "6"]
+        code, out = run(capsys, "chunk", str(path), *flags, "--write-chunks", str(tmp_path / "pieces"))
+        assert code == 0
+        chunks = json.loads(out)["files"][0]["chunks"]
+        _, native = run(capsys, "chunk", str(speech_wav), *flags)
+        want = json.loads(native)["files"][0]["chunks"]
+        assert [c["kind"] for c in chunks] == [c["kind"] for c in want]
+        for got_chunk, want_chunk in zip(chunks, want):
+            assert got_chunk["start"] == pytest.approx(want_chunk["start"], abs=0.05)
+            assert got_chunk["end"] == pytest.approx(want_chunk["end"], abs=0.05)
+        pieces = sorted((tmp_path / "pieces").glob("*.wav"))
+        assert len(pieces) == len(chunks)
+        assert {load_mono(p).sample_rate for p in pieces} == {SR}
 
 
 class TestDetectMusicCommand:
@@ -420,6 +470,43 @@ class TestClusterCommand:
         assert json.loads(out)["files"][0]["k" if command == "cluster" else "speakers"] == 3
 
 
+    def test_pca_components_cluster_in_reduced_space(self, tmp_path, capsys):
+        paths = []
+        for seed in (9, 10):
+            emb, _ = two_speaker_scene(seed=seed)
+            paths.append(str(tmp_path / f"scene{seed}.emb"))
+            write_embeddings_file(paths[-1], emb)
+        reports = {}
+        for workers in ("1", "2"):
+            code, reports[workers] = run(capsys, "cluster", *paths, "--method", "kmeans",
+                                         "--pca-components", "8", "--workers", workers)
+            assert code == 0
+        assert reports["1"] == reports["2"]
+        files = json.loads(reports["1"])["files"]
+        assert [f["path"] for f in files] == sorted(paths)
+        for entry in files:
+            assert entry["k"] >= 2
+            assert {len(row) for row in entry["centroids"]} == {8}
+        _, full = run(capsys, "cluster", paths[0], "--method", "kmeans")
+        assert {len(row) for row in json.loads(full)["files"][0]["centroids"]} == {emb.vectors.shape[1]}
+
+    def test_kmeans_fixed_k(self, tmp_path, capsys):
+        from speechpipe import kmeans
+
+        emb, _ = two_speaker_scene(seed=9)
+        container = tmp_path / "scene.emb"
+        write_embeddings_file(container, emb)
+        code, out = run(capsys, "cluster", str(container), "--method", "kmeans", "--fixed-k", "3", "--seed", "4")
+        assert code == 0
+        entry = json.loads(out)["files"][0]
+        want = kmeans(emb.vectors, 3, 4)
+        assert entry["method"] == "kmeans" and entry["k"] == want.k == 3
+        assert entry["diagnostics"]["estimated_k"] == 3
+        assert entry["diagnostics"]["inertia"] == want.diagnostics["inertia"]
+        assert entry["diagnostics"]["iterations"] == want.diagnostics["iterations"]
+        assert sorted(set(entry["labels"])) == [0, 1, 2]
+
+
 class TestConfig:
     def test_unknown_config_key_exit_two(self, tmp_path, capsys, speech_wav):
         cfg = tmp_path / "cfg.json"
@@ -629,7 +716,6 @@ _CLUSTERING = {
 _SCORE = {
     "--ref": ("ref", None, None, None, None, True),
     "--hyp": ("hyp", None, None, None, None, True),
-    "--repair": ("repair", None, None, False, 0, False),
 }
 EXPECTED_FLAGS = {
     "chunk": {
@@ -660,6 +746,7 @@ EXPECTED_FLAGS = {
     "score der": {
         **_COMMON,
         **_SCORE,
+        "--repair": ("repair", None, None, False, 0, False),
         "--collar": ("collar", "float", None, None, None, False),
         "--skip-overlap": ("skip_overlap", None, None, None, 0, False),
     },

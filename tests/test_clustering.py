@@ -20,7 +20,16 @@ from speechpipe import (
     smooth_labels_temporal,
 )
 from speechpipe.clustering import _relabel_by_first_appearance
-from synth import ahc_centroid_reference, ahc_oracle, relabel_by_first_appearance_reference, two_speaker_scene
+from synth import (
+    ahc_centroid_reference,
+    ahc_oracle,
+    gmm_fit_reference,
+    gmm_predict_reference,
+    kmeans_reference,
+    relabel_by_first_appearance_reference,
+    smooth_labels_temporal_reference,
+    two_speaker_scene,
+)
 
 
 def unit_bundle(rng, center, n, scale=0.03):
@@ -212,6 +221,26 @@ class TestAhcMatchesReference:
         x = np.array([[-1, 1, 0], [0, 1, 0], [1, 1, 1], [1, 1, -1], [-1, 0, -1]], float)
         self.check(x, 1.01, 1)
         assert ahc_centroid(x, 1.01).labels.tolist() == [0, 0, 0, 0, 1]
+
+    def test_nothing_survives_and_largest_clusters_tie(self):
+        # Every cluster is below min_cluster_size and two share the largest
+        # size: the largest with the lowest member is kept and every other
+        # point joins it, as in the reference and the oracle.
+        x = np.array([[1, 0], [1, 0], [0, 1], [0, 1], [1, 1]], float)
+        assert ahc_centroid(x, 0.1, 1).labels.tolist() == [0, 0, 1, 1, 2]
+        assert self.check(x, 0.1, 3)["dissolved_points"] == 3
+        assert ahc_centroid(x, 0.1, 3).labels.tolist() == ahc_oracle(x, 0.1, 3)
+
+        rng = np.random.default_rng(35)
+        ties = 0
+        for _ in range(300):
+            x = _awkward_vectors(rng, int(rng.integers(2, 30)), int(rng.integers(1, 6)))
+            tau = float(rng.uniform(0.05, 1.2))
+            sizes = sorted(np.bincount(ahc_centroid(x, tau, 1).labels).tolist(), reverse=True)
+            mcs = sizes[0] + 1  # nothing survives
+            self.check(x, tau, mcs)
+            ties += len(sizes) > 1 and sizes[0] == sizes[1]
+        assert ties >= 20
 
     def test_larger_inputs(self):
         rng = np.random.default_rng(32)
@@ -515,3 +544,89 @@ class TestSmoothing:
                 visible = set(state[lo:i]) | set(labels[i:hi])
                 assert out[i] in visible
                 state[i] = out[i]
+
+
+def _same_floats(a, b) -> bool:
+    """Bitwise equality of two float sequences or arrays (NaN matches NaN)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDiarizationStepsMatchReference:
+    """k-means, EM, smoothing: the single-pass loops reproduce the former ones bit for bit."""
+
+    @staticmethod
+    def check_kmeans(x, k, seed) -> dict:
+        got, want = kmeans(x, k, seed), kmeans_reference(x, k, seed)
+        assert got.labels.dtype == want.labels.dtype and got.labels.tolist() == want.labels.tolist()
+        assert got.k == want.k and _same_floats(got.centroids, want.centroids)
+        assert _same_floats(got.diagnostics.pop("inertia_trace"), want.diagnostics.pop("inertia_trace"))
+        assert _same_floats(got.diagnostics.pop("inertia"), want.diagnostics.pop("inertia"))
+        assert got.diagnostics == want.diagnostics
+        return got.diagnostics
+
+    @staticmethod
+    def check_gmm(x, k, seed):
+        got, want = gmm_fit(x, k, seed), gmm_fit_reference(x, k, seed)
+        for name in ("weights", "means", "variances", "ll_trace", "log_likelihood"):
+            assert _same_floats(getattr(got, name), getattr(want, name)), name
+        assert (got.param_count, got.converged, got.iterations) == (want.param_count, want.converged, want.iterations)
+        assert type(got.converged) is bool and type(got.log_likelihood) is float
+        assert got.predict(x).tolist() == gmm_predict_reference(want, x).tolist()
+        return got
+
+    def test_kmeans_random_awkward_inputs(self):
+        rng = np.random.default_rng(90)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 6)))
+            self.check_kmeans(x, int(rng.integers(1, n + 1)), int(rng.integers(1000)))
+
+    def test_gmm_random_awkward_inputs(self):
+        rng = np.random.default_rng(91)
+        outcomes = set()
+        for _ in range(120):
+            n = int(rng.integers(2, 30))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 4)))
+            model = self.check_gmm(x, int(rng.integers(1, min(n, 6) + 1)), int(rng.integers(1000)))
+            outcomes.add(model.converged)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_iteration_limits_reached(self, limit, monkeypatch):
+        import speechpipe.clustering as clustering
+
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", limit)
+        monkeypatch.setattr(clustering, "EM_MAX_ITER", limit)
+        rng = np.random.default_rng(92 + limit)
+        at_lloyd_limit = at_em_limit = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 40))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 5)))
+            k, seed = int(rng.integers(1, min(n, 6) + 1)), int(rng.integers(1000))
+            at_lloyd_limit += self.check_kmeans(x, k, seed)["iterations"] == limit
+            model = self.check_gmm(x, k, seed)
+            at_em_limit += model.iterations == limit and not model.converged
+        assert at_lloyd_limit > 0 and at_em_limit > 0
+
+    def test_k_sweeps(self):
+        # The sweeps call kmeans and gmm_fit; each kept result equals a direct fit.
+        rng = np.random.default_rng(93)
+        for _ in range(20):
+            n = int(rng.integers(8, 30))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 4)))
+            k, got = estimate_k_silhouette(x, 2, min(5, n - 1), 0)
+            assert got.labels.tolist() == kmeans_reference(x, k, 0).labels.tolist()
+            k, model = select_k_gmm(x, (1, min(4, n)), "BIC", 0)
+            assert _same_floats(model.ll_trace, gmm_fit_reference(x, k, 0).ll_trace)
+
+    def test_smoothing_random_sequences(self):
+        rng = np.random.default_rng(94)
+        for case in range(3000):
+            n = int(rng.integers(0, 40))
+            raw = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            labels = (raw.tolist(), list(raw), [f"S{v}" for v in raw])[case % 3]
+            window = int(rng.choice([1, 3, 5, 7, 9]))
+            got, want = smooth_labels_temporal(labels, window), smooth_labels_temporal_reference(labels, window)
+            assert got == want
+            assert all(a is b for a, b in zip(got, want))

@@ -14,6 +14,7 @@ from speechpipe import (
     suppress_gaps,
     write_rttm,
 )
+from synth import merge_adjacent_windows_reference
 
 
 def seg(a, b, spk):
@@ -178,3 +179,27 @@ class TestMergeAdjacentWindows:
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
             merge_adjacent_windows([TimeSpan(0, 1)], ["A", "B"], "r")
+
+    def test_run_inside_previous_boundary_dropped(self):
+        # The long first window puts the boundary at 5.5, after the end of "b".
+        windows = [TimeSpan(0, 10), TimeSpan(1, 2), TimeSpan(3, 8)]
+        t = merge_adjacent_windows(windows, ["a", "b", "c"], "r")
+        assert t.segments == [seg(0, 5.5, "a"), seg(5.5, 8, "c")]
+        assert merge_adjacent_windows_reference(windows, ["a", "b", "c"], "r") == (t, 1)
+
+    def test_equals_former_two_pass_merge(self):
+        rng = np.random.default_rng(5)
+        dropped = 0
+        for case in range(3000):
+            n = int(rng.integers(0, 25))
+            starts = np.cumsum(rng.choice([0.0, 0.25, 0.75, 1.0, rng.uniform(0, 2)], size=n))
+            # Mixed lengths: mostly 1.5 s windows, some short, some long.
+            lengths = rng.choice([1.5, 0.2, 6.0, rng.uniform(0.05, 4)], size=n, p=[0.6, 0.15, 0.1, 0.15])
+            windows = [TimeSpan(float(a), float(a + b)) for a, b in zip(starts, lengths)]
+            labels = rng.integers(0, int(rng.integers(1, 4)), size=n).tolist()
+            if case % 2:
+                labels = [f"SPK_{v:02d}" for v in labels]
+            want, lost = merge_adjacent_windows_reference(windows, labels, "r")
+            assert merge_adjacent_windows(windows, labels, "r") == want
+            dropped += lost
+        assert dropped > 0

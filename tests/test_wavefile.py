@@ -86,6 +86,38 @@ def test_truncated_extensible_fmt_chunk_located():
         read_wav(bytes(data[:50]))
 
 
+def extensible(data: bytes, cb_size: int = 22) -> bytes:
+    """`data` (a plain WAV) with its fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE:
+    cbSize, valid bits, channel mask and the codec as the subformat GUID's
+    first two bytes; a cbSize of 0 leaves the 18-byte chunk too short."""
+    fmt_at = data.index(b"fmt ")
+    (size,) = struct.unpack_from("<I", data, fmt_at + 4)
+    fmt = bytearray(data[fmt_at + 8 : fmt_at + 8 + size])
+    code, bits = struct.unpack_from("<H", fmt, 0)[0], struct.unpack_from("<H", fmt, 14)[0]
+    struct.pack_into("<H", fmt, 0, 0xFFFE)
+    fmt += struct.pack("<H", cb_size)
+    if cb_size:
+        fmt += struct.pack("<HI", bits, 0x4) + struct.pack("<H", code) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    body = data[12:fmt_at] + b"fmt " + struct.pack("<I", len(fmt)) + bytes(fmt) + data[fmt_at + 8 + size :]
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_extensible_fmt_chunk_read_as_its_subformat(encoding):
+    data = wav_bytes([tone(440, 0.05), tone(660, 0.05)], SR, encoding)
+    want, rate = read_wav(data)
+    got, got_rate = read_wav(extensible(data))
+    assert got_rate == rate == SR
+    assert len(got) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_extensible_fmt_chunk_too_short_located():
+    data = extensible(wav_bytes([tone(440, 0.05)], SR, "pcm16"), cb_size=0)
+    with pytest.raises(FormatError, match=r"extensible fmt chunk too short \(byte offset 12\)"):
+        read_wav(data)
+
+
 @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
 def test_partial_sample_in_data_chunk_located(encoding):
     data = bytearray(wav_bytes([tone(440, 0.05)], SR, encoding))
