@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ParameterError, StructuralError
 from .spans import TimeSpan
@@ -129,6 +128,8 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
             f"cannot resample {w.sample_rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
             f"needs a {ntaps}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
         )
+    from scipy import signal as sps  # on first use: a cold start loads no scipy
+
     h = _design_resample_filter(up, down)
     out = sps.resample_poly(w.samples.astype(np.float64), up, down, window=h)
     return Waveform(out.astype(np.float32), target_hz)
@@ -168,6 +169,8 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     Filtered in float64 one block at a time, the filter state carried across
     block edges, into one float32 output.
     """
+    from scipy import signal as sps  # on first use: a cold start loads no scipy
+
     b, a = highpass_coefficients(cutoff_hz, w.sample_rate)
     out = np.empty(len(w.samples), dtype=np.float32)
     zi = np.zeros(max(len(a), len(b)) - 1)

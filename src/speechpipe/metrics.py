@@ -1,9 +1,13 @@
 """Exact WER and DER scoring.
 
 WER uses Levenshtein alignment over word tokens after minimal text
-normalization. DER sweeps boundary events into elementary intervals,
-maps hypothesis speakers to reference speakers by optimal assignment,
-and decomposes the error into miss / false alarm / confusion.
+normalization: the distance rows are computed bit-parallel and keep their
+delta words, so the backtrace counts substitutions, deletions and
+insertions exactly without a distance matrix. DER sweeps boundary events
+into elementary intervals, builds (intervals × speakers) activity arrays,
+maps hypothesis speakers to reference speakers by optimal assignment, and
+decomposes the error into miss / false alarm / confusion, every sum taken
+in interval order. scipy is imported on first use, not with the module.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import unicodedata
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError, StructuralError, UndefinedMetricError
 from .timeline import SpeakerTimeline
@@ -50,6 +53,12 @@ def wer(ref: str, hyp: str, strip_punctuation: bool = False) -> WerReport:
 
     On ties the backtrace prefers the diagonal, so one substitution is
     reported rather than an insertion plus a deletion.
+
+    The distance rows are computed bit-parallel (Myers 1999; Hyyrö 2001),
+    bit j-1 of each word standing for hyp position j. Each row i keeps two
+    of its delta words: `d0`, set where dist[i][j] == dist[i-1][j-1] (else
+    it is one more), and `hp`, set where dist[i][j] == dist[i-1][j] + 1.
+    They answer exactly the two tests of a full-matrix backtrace.
     """
     ref_tokens = normalize_text(ref, strip_punctuation).split()
     hyp_tokens = normalize_text(hyp, strip_punctuation).split()
@@ -57,37 +66,42 @@ def wer(ref: str, hyp: str, strip_punctuation: bool = False) -> WerReport:
         raise UndefinedMetricError("WER is undefined for an empty reference")
 
     n, m = len(ref_tokens), len(hyp_tokens)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int32)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    ref_arr = np.array(ref_tokens)
-    hyp_arr = np.array(hyp_tokens)
-    idx = np.arange(m + 1, dtype=np.int32)
-    base = np.empty(m + 1, dtype=np.int32)
-    for i in range(1, n + 1):
-        # Insertion chains resolve to a prefix running minimum, so one
-        # accumulate per row replaces the sequential inner loop.
-        base[0] = i
-        np.minimum(
-            dist[i - 1, :-1] + (ref_arr[i - 1] != hyp_arr),
-            dist[i - 1, 1:] + 1,
-            out=base[1:],
-        )
-        dist[i] = np.minimum.accumulate(base - idx) + idx
+    mask = (1 << m) - 1
+    peq: dict[str, int] = {}  # token -> bitmask of the hyp positions holding it
+    for j, tok in enumerate(hyp_tokens):
+        peq[tok] = peq.get(tok, 0) | 1 << j
+
+    # vp/vn: where dist[i][j] - dist[i][j-1] is +1/-1; row 0 is dist[0][j] = j.
+    vp, vn = mask, 0
+    rows = [(0, 0)]  # rows[i] for i >= 1; the backtrace never reads row 0
+    for tok in ref_tokens:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | (mask & ~(d0 | vp))
+        hn = vp & d0
+        x = ((hp << 1) | 1) & mask  # dist[i][0] - dist[i-1][0] = +1
+        vn = x & d0
+        vp = ((hn << 1) & mask) | (mask & ~(x | d0))
+        rows.append((d0, hp))
 
     s = d = ins = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref_tokens[i - 1] != hyp_tokens[j - 1]):
-            if ref_tokens[i - 1] != hyp_tokens[j - 1]:
-                s += 1
+    while i > 0 and j > 0:
+        d0, hp = rows[i]
+        cost = ref_tokens[i - 1] != hyp_tokens[j - 1]
+        # A match always sets d0, so the diagonal step costs `cost` exactly
+        # when d0 is set for a match or clear for a mismatch.
+        if (d0 >> (j - 1) & 1) != cost:
+            s += cost
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+        elif hp >> (j - 1) & 1:
             d += 1
             i -= 1
         else:
             ins += 1
             j -= 1
+    d += i  # column 0 is reached by deletions only, row 0 by insertions only
+    ins += j
     return WerReport(s, d, ins, n, (s + d + ins) / n)
 
 
@@ -115,20 +129,32 @@ def optimal_assignment(cost_matrix: np.ndarray) -> tuple[list[tuple[int, int]], 
         raise ParameterError("cost matrix entries must be finite")
     if cost.size == 0:
         return [], 0.0
+    from scipy.optimize import linear_sum_assignment  # on first use: a cold start loads no scipy
+
     rows, cols = linear_sum_assignment(cost)
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
     return pairs, float(cost[rows, cols].sum())
 
 
-def _active_sets(timeline: SpeakerTimeline, edges: np.ndarray) -> list[set[str]]:
-    """Speaker set active in each elementary interval [edges[i], edges[i+1])."""
-    sets: list[set[str]] = [set() for _ in range(len(edges) - 1)]
-    for seg in timeline.segments:
-        lo = int(np.searchsorted(edges, seg.span.start))
-        hi = int(np.searchsorted(edges, seg.span.end))
-        for idx in range(lo, hi):
-            sets[idx].add(seg.speaker)
-    return sets
+def _activity(timeline: SpeakerTimeline, edges: np.ndarray, speakers: list[str]) -> np.ndarray:
+    """(intervals × speakers) bool: is the speaker active in [edges[k], edges[k+1])?
+
+    A speaker whose own segments overlap counts once.
+    """
+    index = {spk: i for i, spk in enumerate(speakers)}
+    delta = np.zeros((len(edges), len(speakers)), dtype=np.int32)
+    segments = timeline.segments
+    if segments:
+        column = [index[seg.speaker] for seg in segments]
+        np.add.at(delta, (np.searchsorted(edges, [seg.span.start for seg in segments]), column), 1)
+        np.add.at(delta, (np.searchsorted(edges, [seg.span.end for seg in segments]), column), -1)
+    return np.cumsum(delta[:-1], axis=0) > 0
+
+
+def _total(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 from first to last, the order of a running `+=`
+    (np.sum may add pairwise, which rounds differently)."""
+    return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
 def der(
@@ -166,43 +192,42 @@ def der(
         raise UndefinedMetricError("DER is undefined when the reference has no speech")
     edges = np.array(sorted(edge_values))
 
-    ref_sets = _active_sets(ref, edges)
-    hyp_sets = _active_sets(hyp, edges)
+    ref_speakers = ref.speakers()
+    hyp_speakers = hyp.speakers()
+    ref_active = _activity(ref, edges, ref_speakers)
+    hyp_active = _activity(hyp, edges, hyp_speakers)
     lengths = np.diff(edges)
     midpoints = (edges[:-1] + edges[1:]) / 2.0
 
-    scored = np.ones(len(lengths), dtype=bool)
-    for lo, hi in exclusions:
-        scored &= ~((midpoints > lo) & (midpoints < hi))
+    # An interval is excluded when its midpoint lies strictly inside some
+    # (lo, hi): +1/-1 at the first and past the last such midpoint.
+    excluded = np.zeros(len(lengths) + 1, dtype=np.int32)
+    if exclusions:
+        lo, hi = np.array(exclusions).T
+        np.add.at(excluded, np.searchsorted(midpoints, lo, "right"), 1)
+        np.add.at(excluded, np.searchsorted(midpoints, hi, "left"), -1)
+    scored = np.cumsum(excluded[:-1]) == 0
     if skip_overlap:
-        scored &= np.array([len(s) < 2 for s in ref_sets])
+        scored &= ref_active.sum(axis=1) < 2
+    sel = np.flatnonzero(scored)
+    ref_active, hyp_active, length = ref_active[sel], hyp_active[sel], lengths[sel]
 
-    ref_speakers = ref.speakers()
-    hyp_speakers = hyp.speakers()
-    ref_index = {spk: i for i, spk in enumerate(ref_speakers)}
-    hyp_index = {spk: i for i, spk in enumerate(hyp_speakers)}
-
+    # overlap[r, h]: scored time where both speak.
     overlap = np.zeros((len(ref_speakers), len(hyp_speakers)))
-    for idx in np.flatnonzero(scored):
-        for r in ref_sets[idx]:
-            for h in hyp_sets[idx]:
-                overlap[ref_index[r], hyp_index[h]] += lengths[idx]
-    if overlap.size:
-        pairs, _ = optimal_assignment(-overlap)
-    else:
-        pairs = []
-    mapping = {hyp_speakers[h]: ref_speakers[r] for r, h in pairs if overlap[r, h] > 0}
+    for r, active in enumerate(ref_active.T):
+        overlap[r] = _total(np.where(active[:, None] & hyp_active, length[:, None], 0.0))
+    pairs, _ = optimal_assignment(-overlap)
+    pairs = [(r, h) for r, h in pairs if overlap[r, h] > 0]
+    mapping = {hyp_speakers[h]: ref_speakers[r] for r, h in pairs}
 
-    missed = false_alarm = confusion = total_ref = 0.0
-    for idx in np.flatnonzero(scored):
-        length = float(lengths[idx])
-        r_set, h_set = ref_sets[idx], hyp_sets[idx]
-        r_count, h_count = len(r_set), len(h_set)
-        total_ref += length * r_count
-        matched = sum(1 for h in h_set if mapping.get(h) in r_set)
-        missed += length * max(0, r_count - h_count)
-        false_alarm += length * max(0, h_count - r_count)
-        confusion += length * (min(r_count, h_count) - matched)
+    r_count, h_count = ref_active.sum(axis=1), hyp_active.sum(axis=1)
+    matched = np.zeros(len(sel), dtype=np.int64)
+    for r, h in pairs:
+        matched += ref_active[:, r] & hyp_active[:, h]
+    total_ref = float(_total(length * r_count))
+    missed = float(_total(length * np.maximum(0, r_count - h_count)))
+    false_alarm = float(_total(length * np.maximum(0, h_count - r_count)))
+    confusion = float(_total(length * (np.minimum(r_count, h_count) - matched)))
 
     if total_ref <= 0:
         raise UndefinedMetricError("DER is undefined when scored reference speech is empty")

@@ -581,6 +581,130 @@ def downmix_mono_reference(channels: list[np.ndarray], sample_rate: int) -> Wave
 
 
 # ---------------------------------------------------------------------------
+# Former scorers: a full distance matrix for WER, a Python set per interval for DER
+
+def wer_reference(ref: str, hyp: str, strip_punctuation: bool = False):
+    """The library's former `wer`: an (n+1)×(m+1) int32 row DP, then the backtrace."""
+    from speechpipe import UndefinedMetricError, WerReport, normalize_text
+
+    ref_tokens = normalize_text(ref, strip_punctuation).split()
+    hyp_tokens = normalize_text(hyp, strip_punctuation).split()
+    if not ref_tokens:
+        raise UndefinedMetricError("WER is undefined for an empty reference")
+
+    n, m = len(ref_tokens), len(hyp_tokens)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int32)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    ref_arr = np.array(ref_tokens)
+    hyp_arr = np.array(hyp_tokens)
+    idx = np.arange(m + 1, dtype=np.int32)
+    base = np.empty(m + 1, dtype=np.int32)
+    for i in range(1, n + 1):
+        base[0] = i
+        np.minimum(
+            dist[i - 1, :-1] + (ref_arr[i - 1] != hyp_arr),
+            dist[i - 1, 1:] + 1,
+            out=base[1:],
+        )
+        dist[i] = np.minimum.accumulate(base - idx) + idx
+
+    s = d = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref_tokens[i - 1] != hyp_tokens[j - 1]):
+            if ref_tokens[i - 1] != hyp_tokens[j - 1]:
+                s += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+            d += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return WerReport(s, d, ins, n, (s + d + ins) / n)
+
+
+def _active_sets_reference(timeline: SpeakerTimeline, edges: np.ndarray) -> list[set[str]]:
+    sets: list[set[str]] = [set() for _ in range(len(edges) - 1)]
+    for seg in timeline.segments:
+        lo = int(np.searchsorted(edges, seg.span.start))
+        hi = int(np.searchsorted(edges, seg.span.end))
+        for idx in range(lo, hi):
+            sets[idx].add(seg.speaker)
+    return sets
+
+
+def der_reference(ref: SpeakerTimeline, hyp: SpeakerTimeline, collar: float = 0.0, skip_overlap: bool = False):
+    """The library's former `der`: speaker sets per elementary interval, summed in loops."""
+    from speechpipe import DerReport, ParameterError, StructuralError, UndefinedMetricError, optimal_assignment
+
+    if ref.recording_id != hyp.recording_id:
+        raise StructuralError(f"recording ids differ: {ref.recording_id!r} vs {hyp.recording_id!r}")
+    if collar < 0:
+        raise ParameterError(f"collar must be >= 0, got {collar}")
+
+    edge_values: set[float] = set()
+    for timeline in (ref, hyp):
+        for seg in timeline.segments:
+            edge_values.add(seg.span.start)
+            edge_values.add(seg.span.end)
+    exclusions: list[tuple[float, float]] = []
+    if collar > 0:
+        for seg in ref.segments:
+            for b in (seg.span.start, seg.span.end):
+                lo, hi = max(0.0, b - collar), b + collar
+                exclusions.append((lo, hi))
+                edge_values.update((lo, hi))
+    if not edge_values:
+        raise UndefinedMetricError("DER is undefined when the reference has no speech")
+    edges = np.array(sorted(edge_values))
+
+    ref_sets = _active_sets_reference(ref, edges)
+    hyp_sets = _active_sets_reference(hyp, edges)
+    lengths = np.diff(edges)
+    midpoints = (edges[:-1] + edges[1:]) / 2.0
+
+    scored = np.ones(len(lengths), dtype=bool)
+    for lo, hi in exclusions:
+        scored &= ~((midpoints > lo) & (midpoints < hi))
+    if skip_overlap:
+        scored &= np.array([len(s) < 2 for s in ref_sets])
+
+    ref_speakers = ref.speakers()
+    hyp_speakers = hyp.speakers()
+    ref_index = {spk: i for i, spk in enumerate(ref_speakers)}
+    hyp_index = {spk: i for i, spk in enumerate(hyp_speakers)}
+
+    overlap = np.zeros((len(ref_speakers), len(hyp_speakers)))
+    for idx in np.flatnonzero(scored):
+        for r in ref_sets[idx]:
+            for h in hyp_sets[idx]:
+                overlap[ref_index[r], hyp_index[h]] += lengths[idx]
+    if overlap.size:
+        pairs, _ = optimal_assignment(-overlap)
+    else:
+        pairs = []
+    mapping = {hyp_speakers[h]: ref_speakers[r] for r, h in pairs if overlap[r, h] > 0}
+
+    missed = false_alarm = confusion = total_ref = 0.0
+    for idx in np.flatnonzero(scored):
+        length = float(lengths[idx])
+        r_set, h_set = ref_sets[idx], hyp_sets[idx]
+        r_count, h_count = len(r_set), len(h_set)
+        total_ref += length * r_count
+        matched = sum(1 for h in h_set if mapping.get(h) in r_set)
+        missed += length * max(0, r_count - h_count)
+        false_alarm += length * max(0, h_count - r_count)
+        confusion += length * (min(r_count, h_count) - matched)
+
+    if total_ref <= 0:
+        raise UndefinedMetricError("DER is undefined when scored reference speech is empty")
+    error = missed + false_alarm + confusion
+    return DerReport(missed, false_alarm, confusion, total_ref, error / total_ref, mapping)
+
+
+# ---------------------------------------------------------------------------
 # Two-speaker embedding scene for end-to-end diarization
 
 def two_speaker_scene(seed: int, total_seconds: float = 120.0, dim: int = 32):

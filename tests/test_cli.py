@@ -799,3 +799,11 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "speechpipe" in result.stdout
+
+
+def test_cold_start_loads_no_scipy():
+    # scipy.signal and scipy.optimize are imported by the functions that use them.
+    code = "import sys, speechpipe.cli; speechpipe.cli.build_parser(); print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -3,9 +3,10 @@ PipelineError escape.
 
 Each parser gets valid documents with random byte or token damage and
 documents built from values at its format's edges (NaN, infinities, huge
-integers, wrong JSON types). The runs are derandomized, so they are the
-same on every machine, and small enough to keep the module at a few
-seconds.
+integers, wrong JSON types). One more test checks the bit-parallel `wer`
+against the former full-matrix DP on tie-dense token lists. The runs are
+derandomized, so they are the same on every machine, and small enough to
+keep the module at a few seconds.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from speechpipe import (
     read_transcripts_jsonl,
     read_wav,
     wav_bytes,
+    wer,
     write_embeddings,
 )
 from speechpipe.cli import OPTIONS, PipelineConfig, load_pipeline_config
+from synth import wer_reference
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -164,3 +167,17 @@ def test_load_pipeline_config(tmp_path_factory, text, flags):
     path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
     path.write_text(text, encoding="utf-8")
     rejects_only_with_pipeline_error(load_pipeline_config, str(path), argparse.Namespace(**flags))
+
+
+# One to three distinct words: most cells tie, so the backtrace's tie rule
+# decides the counts.
+_TIE_DENSE_PAIRS = st.integers(1, 3).map(lambda k: st.sampled_from("abc"[:k])).flatmap(
+    lambda words: st.tuples(st.lists(words, min_size=1, max_size=150), st.lists(words, max_size=150))
+)
+
+
+@FUZZ
+@given(_TIE_DENSE_PAIRS)
+def test_wer_matches_full_matrix_reference(pair):
+    ref_text, hyp_text = (" ".join(tokens) for tokens in pair)
+    assert wer(ref_text, hyp_text).to_dict() == wer_reference(ref_text, hyp_text).to_dict()

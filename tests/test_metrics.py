@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from speechpipe import (
     optimal_assignment,
     wer,
 )
-from synth import edit_distance_oracle, frame_der_oracle, random_timeline
+from synth import der_reference, edit_distance_oracle, frame_der_oracle, random_timeline, wer_reference
 
 
 def seg(a, b, spk):
@@ -229,3 +230,97 @@ class TestDer:
         merged = merge_der_reports([r1, r2])
         assert merged.total_ref == pytest.approx(20.0)
         assert merged.der == pytest.approx(0.1)
+
+
+def random_words(rng: np.random.Generator, alphabet_size: int, n: int) -> str:
+    return " ".join("abcd"[k] for k in rng.integers(0, alphabet_size, n))
+
+
+def report_or_error(score, *args):
+    try:
+        return score(*args).to_dict()
+    except UndefinedMetricError as exc:
+        return str(exc)
+
+
+class TestBitParallelWer:
+    """`wer` against the former full-matrix DP, report for report."""
+
+    # Hyp lengths on both sides of the 64-bit word boundaries.
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 127, 128, 129])
+    def test_matches_reference_at_word_boundaries(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(60):
+            alphabet = int(rng.integers(1, 5))
+            ref = random_words(rng, alphabet, int(rng.integers(1, 201)))
+            hyp = random_words(rng, alphabet, m)
+            assert wer(ref, hyp).to_dict() == wer_reference(ref, hyp).to_dict()
+
+    def test_matches_reference_on_random_lengths(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            alphabet = int(rng.integers(1, 5))
+            ref = random_words(rng, alphabet, int(rng.integers(1, 201)))
+            hyp = random_words(rng, alphabet, int(rng.integers(0, 201)))
+            assert wer(ref, hyp).to_dict() == wer_reference(ref, hyp).to_dict()
+
+    def test_memory_bounded_on_long_transcripts(self):
+        rng = np.random.default_rng(12)
+        words = [f"w{k}" for k in rng.integers(0, 500, 6000)]
+        hyp = list(words)
+        for k in rng.choice(6000, 720, replace=False):  # about 12 % edits
+            hyp[k] = "x" if k % 3 else ""
+        ref_text, hyp_text = " ".join(words), " ".join(hyp)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            report = wer(ref_text, hyp_text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ref_word_count == 6000
+        assert report.substitutions + report.deletions + report.insertions >= 480
+        # The former int32 distance matrix alone was 6001 × 5761 × 4 bytes (138 MB).
+        assert peak < 32 * 2**20
+
+
+class TestArrayDer:
+    """`der` against the former per-interval set loops, float for float."""
+
+    @staticmethod
+    def with_self_overlap(rng: np.random.Generator, t: SpeakerTimeline) -> SpeakerTimeline:
+        """`t` plus segments overlapping the same speaker's, left unmerged
+        (as `SpeakerTimeline(...)` keeps them; `from_segments` would merge)."""
+        segments = list(t.segments)
+        for _ in range(int(rng.integers(1, 4))):
+            base = segments[int(rng.integers(len(segments)))]
+            start = round(base.span.start + float(rng.uniform(0.0, 1.0)), 2)
+            segments.append(seg(start, round(start + float(rng.uniform(0.2, 3.0)), 2), base.speaker))
+        segments.sort(key=lambda s: (s.span.start, s.span.end, s.speaker))
+        return SpeakerTimeline(t.recording_id, segments)
+
+    @pytest.mark.parametrize("collar", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("skip_overlap", [False, True])
+    def test_matches_reference(self, collar, skip_overlap):
+        rng = np.random.default_rng(int(collar * 100) + 2 * skip_overlap)
+        for trial in range(60):
+            ref = self.with_self_overlap(rng, random_timeline(rng, "r", int(rng.integers(1, 5)), max_end=40.0))
+            if trial % 10 == 0:
+                hyp = SpeakerTimeline("r", [])
+            else:
+                hyp = random_timeline(rng, "r", int(rng.integers(1, 6)), max_end=40.0)
+                if trial % 2:
+                    hyp = self.with_self_overlap(rng, hyp)
+            args = (ref, hyp, collar, skip_overlap)
+            assert report_or_error(der, *args) == report_or_error(der_reference, *args)
+
+    def test_self_overlap_counts_once(self):
+        ref = SpeakerTimeline("r", [seg(0, 10, "A"), seg(2, 6, "A")])
+        hyp = SpeakerTimeline("r", [seg(0, 10, "X"), seg(1, 3, "X")])
+        assert der(ref, hyp).to_dict() == der_reference(ref, hyp).to_dict()
+        assert der(ref, hyp).total_ref == 10.0
+        assert der(ref, hyp, skip_overlap=True).total_ref == 10.0
+
+    def test_collar_covering_everything_is_undefined(self):
+        ref = timeline("r", seg(1.0, 1.2, "A"))
+        with pytest.raises(UndefinedMetricError):
+            der(ref, timeline("r", seg(0, 2, "X")), collar=1.0)
