@@ -41,7 +41,6 @@ from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
 from .wavefile import load_mono, write_wav
 
-WORKERS_ENV = "SPEECHPIPE_WORKERS"
 # A failed allocation (say, an upsampled signal too large) is that file's error.
 _INPUT_ERRORS = (PipelineError, OSError, UnicodeDecodeError, MemoryError)
 
@@ -153,15 +152,6 @@ def load_pipeline_config(path: str | None, args: argparse.Namespace | None = Non
 # ---------------------------------------------------------------------------
 # Helpers
 
-def _worker_count(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return min(4, os.cpu_count() or 1)
-
-
 def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | None]]:
     """fn over each file, in a pool when workers > 1: (result, None) or
     (None, error message) per path, in the order of `paths`."""
@@ -179,14 +169,19 @@ def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | N
 
 def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
     """Shared tail of the per-file commands: run `work` over the sorted
-    paths, describe each result in path order, report errors; exit 1 on any."""
+    paths, describe each result in path order, report errors; exit 1 on any.
+    An input error in `work` or `describe` (which may write outputs) is that
+    path's error."""
     paths = sorted(args.paths)
     files, errors = [], {}
-    for path, (result, error) in zip(paths, _map_files(paths, work, _worker_count(args))):
+    for path, (result, error) in zip(paths, _map_files(paths, work, args.workers or min(4, os.cpu_count() or 1))):
         if error is None:
-            files.append(describe(path, result))
-        else:
-            errors[path] = error
+            try:
+                files.append(describe(path, result))
+                continue
+            except _INPUT_ERRORS as exc:
+                error = str(exc)
+        errors[path] = error
     report = {**head, "files": files}
     if errors:
         report["errors"] = errors
@@ -288,8 +283,14 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
         return rid, timeline, result.k
 
+    owners: dict[str, str] = {}
+
     def describe(path: str, result) -> dict:
         rid, timeline, k = result
+        # The first path in sorted order owns a recording id's outputs.
+        owner = owners.setdefault(rid, path)
+        if owner != path:
+            raise PipelineError(f"recording id {rid!r} is also that of {owner}: its outputs would overwrite that file's")
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
         Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--workers", type=int, help=f"worker threads (or ${WORKERS_ENV})")
+        p.add_argument("--workers", type=int, help="worker threads, >= 1 (default: CPUs, at most 4)")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("chunk", help="plan silence-aware chunks for WAV files")
@@ -490,6 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_pipeline_config(getattr(args, "config", None), args)
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

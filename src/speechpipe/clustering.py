@@ -82,10 +82,8 @@ def pca_fit(x: np.ndarray, components: int) -> PcaBasis:
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.maximum(eigenvalues[order], 0.0)
     directions = eigenvectors[:, order].T[:components].copy()
-    for row in directions:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivots = directions[np.arange(components), np.argmax(np.abs(directions), axis=1)]
+    directions[pivots < 0] *= -1.0
     return PcaBasis(mean, directions, eigenvalues[:components])
 
 
@@ -278,19 +276,14 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
         if shift < LLOYD_TOL or iteration == LLOYD_MAX_ITER:
             break
         inertia_trace.append(float(costs.sum()))
+        counts = np.bincount(labels, minlength=k)
         new_centers = centers.copy()
-        empty = []
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = x[mask].mean(axis=0)
-            else:
-                empty.append(j)
-        if empty:
-            # Re-seat empty clusters on the worst-fit points.
-            order = np.argsort(-costs)
-            for slot, j in enumerate(empty):
-                new_centers[j] = x[order[slot]]
+        for j in np.flatnonzero(counts):
+            new_centers[j] = x[labels == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # Re-seat empty clusters, in index order, on the worst-fit points.
+            new_centers[empty] = x[np.argsort(-costs)[: empty.size]]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
     inertia = float(costs.sum())
@@ -345,13 +338,9 @@ def estimate_k_silhouette(x: np.ndarray, k_min: int, k_max: int, seed: int) -> t
         raise ParameterError(
             f"need 2 <= k_min <= k_max <= N-1 = {n - 1}, got [{k_min}, {k_max}]"
         )
-    best, best_score = None, -np.inf
-    for k in range(k_min, k_max + 1):
-        result = kmeans(x, k, seed)
-        score = silhouette_score(x, result.labels) if result.k >= 2 else -np.inf
-        if best is None or score > best_score:
-            best, best_score = (k, result), score
-    return best
+    # max keeps the first of equal scores: ties go to the smaller k.
+    fits = ((k, kmeans(x, k, seed)) for k in range(k_min, k_max + 1))
+    return max(fits, key=lambda fit: silhouette_score(x, fit[1].labels) if fit[1].k >= 2 else -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +393,13 @@ def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
         raise ParameterError(f"k must be in [1, N] = [1, {n}], got {k}")
     init = kmeans(x, k, seed)
     k = init.k  # fewer than asked when x has fewer distinct points
-    weights = np.array([(init.labels == j).mean() for j in range(k)])
-    weights = np.maximum(weights, 1.0 / (10.0 * n))
+    counts = np.bincount(init.labels, minlength=k)
+    weights = np.maximum(counts / n, 1.0 / (10.0 * n))
     weights /= weights.sum()
-    means = init.centroids.copy()
+    means = init.centroids
     global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
-    variances = np.empty((k, d))
-    for j in range(k):
-        mask = init.labels == j
-        variances[j] = np.maximum(x[mask].var(axis=0), VARIANCE_FLOOR) if mask.sum() > 1 else global_var
+    variances = np.stack([np.maximum(x[init.labels == j].var(axis=0), VARIANCE_FLOOR) if counts[j] > 1
+                          else global_var for j in range(k)])
 
     # One more E-step than M-steps: the last, after convergence or the limit, is the final score.
     trace: list[float] = []
@@ -446,14 +433,9 @@ def select_k_gmm(
     x = np.asarray(x, dtype=np.float64)
     if not (1 <= k_min <= k_max <= len(x)):
         raise ParameterError(f"invalid k_range {k_range} for N={len(x)}")
-    best_k, best_model, best_value = k_min, None, np.inf
-    for k in range(k_min, k_max + 1):
-        model = gmm_fit(x, k, seed)
-        value = model.aic() if criterion == "AIC" else model.bic(len(x))
-        if value < best_value:
-            best_k, best_model, best_value = k, model, value
-    assert best_model is not None
-    return best_k, best_model
+    # min keeps the first of equal values: ties go to the smaller k.
+    fits = ((k, gmm_fit(x, k, seed)) for k in range(k_min, k_max + 1))
+    return min(fits, key=lambda fit: fit[1].aic() if criterion == "AIC" else fit[1].bic(len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +513,10 @@ def cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) ->
         x = pca_transform(basis, x)
 
     if method == "gmm":
-        if cfg.fixed_k:
-            model = gmm_fit(x, min(cfg.fixed_k, n), seed)
-        else:
-            k_max = min(cfg.k_max, n)
-            _, model = select_k_gmm(x, (min(cfg.k_min, k_max), k_max), cfg.criterion, seed)
+        # A fixed k is a sweep over that one k.
+        k_max = min(cfg.fixed_k or cfg.k_max, n)
+        k_min = k_max if cfg.fixed_k else min(cfg.k_min, k_max)
+        _, model = select_k_gmm(x, (k_min, k_max), cfg.criterion, seed)
         labels = model.predict(x)
         diagnostics = {"criterion": cfg.criterion, "log_likelihood": model.log_likelihood,
                        "aic": model.aic(), "bic": model.bic(n), "fitted_k": model.k, "seed": seed}

@@ -322,7 +322,8 @@ def relabel_by_first_appearance_reference(labels: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Former diarization steps: a repeated last Lloyd assignment and E-step, a
-# GMM filled in field by field, dict vote counting and a two-pass window merge.
+# GMM filled in field by field, best-so-far k sweeps, a row-by-row PCA sign
+# rule, dict vote counting and a two-pass window merge.
 # The iteration limits are read from `speechpipe.clustering` at call time, so
 # a test that patches them patches both sides.
 
@@ -442,6 +443,58 @@ def gmm_fit_reference(x: np.ndarray, k: int, seed: int):
 def gmm_predict_reference(model, x: np.ndarray) -> np.ndarray:
     """The former `GmmModel.predict`."""
     return np.argmax(_log_joint_reference(np.asarray(x, dtype=np.float64), model), axis=1)
+
+
+def estimate_k_silhouette_reference(x: np.ndarray, k_min: int, k_max: int, seed: int):
+    """The library's former `estimate_k_silhouette` after its range check: a
+    best-so-far loop that replaces the kept k only on a strictly higher score."""
+    from speechpipe import clustering as C
+
+    best, best_score = None, -np.inf
+    for k in range(k_min, k_max + 1):
+        result = C.kmeans(x, k, seed)
+        score = C.silhouette_score(x, result.labels) if result.k >= 2 else -np.inf
+        if best is None or score > best_score:
+            best, best_score = (k, result), score
+    return best
+
+
+def select_k_gmm_reference(x: np.ndarray, k_range: tuple[int, int], criterion: str = "AIC", seed: int = 0):
+    """The library's former `select_k_gmm` after its argument checks: a
+    best-so-far loop that replaces the kept k only on a strictly lower value."""
+    from speechpipe import clustering as C
+
+    criterion = criterion.upper()
+    x = np.asarray(x, dtype=np.float64)
+    best_k, best_model, best_value = k_range[0], None, np.inf
+    for k in range(k_range[0], k_range[1] + 1):
+        model = C.gmm_fit(x, k, seed)
+        value = model.aic() if criterion == "AIC" else model.bic(len(x))
+        if value < best_value:
+            best_k, best_model, best_value = k, model, value
+    assert best_model is not None
+    return best_k, best_model
+
+
+def pca_fit_reference(x: np.ndarray, components: int):
+    """The library's former `pca_fit` after its argument checks: the sign
+    rule applied row by row."""
+    from speechpipe import clustering as C
+
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / (n - 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = np.maximum(eigenvalues[order], 0.0)
+    directions = eigenvectors[:, order].T[:components].copy()
+    for row in directions:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return C.PcaBasis(mean, directions, eigenvalues[:components])
 
 
 def smooth_labels_temporal_reference(labels, window: int) -> list:

@@ -314,6 +314,46 @@ class TestDiarizeCommand:
         assert texts[0] == texts[1]
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unwritable_output_is_that_files_error(self, workers, tmp_path, capsys):
+        paths = []
+        for seed, rid in ((5, "a"), (6, "b")):
+            emb, _ = two_speaker_scene(seed=seed)
+            emb.recording_id = rid
+            paths.append(tmp_path / f"{rid}.emb")
+            write_embeddings_file(paths[-1], emb)
+        out_dir, report = tmp_path / "d", tmp_path / "r.json"
+        (out_dir / "a.csv").mkdir(parents=True)
+        code = main(["diarize", *map(str, paths), "--out-dir", str(out_dir), "--out", str(report),
+                     "--workers", workers])
+        assert code == 1
+        doc = json.loads(report.read_text())
+        assert list(doc["errors"]) == [str(paths[0])]
+        assert [f["recording_id"] for f in doc["files"]] == ["b"]
+        assert (out_dir / "b.csv").is_file() and (out_dir / "b.rttm").is_file()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_repeated_recording_id_is_the_later_files_error(self, workers, tmp_path, capsys):
+        # Both containers hold recording id "scene": the later path must not
+        # overwrite the earlier one's outputs.
+        first, second = tmp_path / "x.emb", tmp_path / "y.emb"
+        for path, seed in ((first, 5), (second, 6)):
+            write_embeddings_file(path, two_speaker_scene(seed=seed)[0])
+        alone = tmp_path / "alone"
+        assert run(capsys, "diarize", str(first), "--out-dir", str(alone))[0] == 0
+        out_dir = tmp_path / "out"
+        code, out = run(capsys, "diarize", str(second), str(first), "--out-dir", str(out_dir),
+                        "--workers", workers)
+        assert code == 1
+        doc = json.loads(out)
+        assert [f["path"] for f in doc["files"]] == [str(first)]
+        assert list(doc["errors"]) == [str(second)]
+        assert "'scene'" in doc["errors"][str(second)] and str(first) in doc["errors"][str(second)]
+        for name in ("scene.csv", "scene.rttm"):
+            assert (out_dir / name).read_bytes() == (alone / name).read_bytes()
+
+
 class TestScoreCommand:
     def test_wer_identical_transcripts(self, tmp_path, capsys):
         lines = (
@@ -578,6 +618,8 @@ class TestConfigValidation:
         ("diarize", ["--min-duration-off", "inf"], None),
         ("chunk", ["--top-db", "inf"], None),
         ("detect-music", ["--threshold", "nan"], None),
+        ("diarize", ["--workers", "0"], None),
+        ("cluster", ["--workers", "-1"], None),
     ])
     def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
         self.assert_exit_two(command, flags, section, tmp_path, capsys)

@@ -19,14 +19,17 @@ from speechpipe import (
     silhouette_score,
     smooth_labels_temporal,
 )
-from speechpipe.clustering import _relabel_by_first_appearance
+from speechpipe.clustering import ClusteringConfig, _relabel_by_first_appearance, cluster_embeddings
 from synth import (
     ahc_centroid_reference,
     ahc_oracle,
     gmm_fit_reference,
     gmm_predict_reference,
+    estimate_k_silhouette_reference,
     kmeans_reference,
+    pca_fit_reference,
     relabel_by_first_appearance_reference,
+    select_k_gmm_reference,
     smooth_labels_temporal_reference,
     two_speaker_scene,
 )
@@ -630,3 +633,87 @@ class TestDiarizationStepsMatchReference:
             got, want = smooth_labels_temporal(labels, window), smooth_labels_temporal_reference(labels, window)
             assert got == want
             assert all(a is b for a, b in zip(got, want))
+
+
+class TestSweepsAndSignRuleMatchReference:
+    """The k sweeps as one max/min, the fixed GMM k as a sweep of one, the
+    bincount k-means update and the masked PCA sign rule reproduce the former
+    loops bit for bit."""
+
+    @staticmethod
+    def check_sweeps(x, k_min, k_max, seed):
+        k, got = estimate_k_silhouette(x, k_min, k_max, seed)
+        want_k, want = estimate_k_silhouette_reference(x, k_min, k_max, seed)
+        assert k == want_k and got.labels.tolist() == want.labels.tolist()
+        assert _same_floats(got.centroids, want.centroids) and got.diagnostics == want.diagnostics
+        for criterion in ("AIC", "bic"):
+            k, model = select_k_gmm(x, (k_min, k_max), criterion, seed)
+            want_k, want = select_k_gmm_reference(x, (k_min, k_max), criterion, seed)
+            assert k == want_k and _same_floats(model.ll_trace, want.ll_trace)
+            assert _same_floats(model.means, want.means) and _same_floats(model.variances, want.variances)
+
+    def test_sweeps_random_awkward_inputs(self):
+        rng = np.random.default_rng(95)
+        for _ in range(25):
+            n = int(rng.integers(6, 30))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 4)))
+            k_min = int(rng.integers(2, 4))
+            self.check_sweeps(x, k_min, int(rng.integers(k_min, min(6, n - 1) + 1)), int(rng.integers(1000)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_ties_go_to_smaller_k(self, seed):
+        # Two distinct points: k = 3 compacts to the k = 2 partition, so both
+        # sweeps see equal scores and must keep k = 2.
+        x = np.repeat([[1.0, 0.0], [0.0, 1.0]], [5, 7], axis=0)[np.random.default_rng(seed).permutation(12)]
+        two, three = kmeans(x, 2, seed), kmeans(x, 3, seed)
+        assert two.labels.tolist() == three.labels.tolist()
+        assert silhouette_score(x, two.labels) == silhouette_score(x, three.labels)
+        assert gmm_fit(x, 2, seed).aic() == gmm_fit(x, 3, seed).aic()
+        assert estimate_k_silhouette(x, 2, 3, seed)[0] == 2
+        assert select_k_gmm(x, (2, 3), "AIC", seed)[0] == 2
+        self.check_sweeps(x, 2, 3, seed)
+
+    def test_empty_clusters_reseated_in_index_order(self, monkeypatch):
+        # Seed every cluster but the first far from the data: the first
+        # assignment leaves them all empty, so the re-seat must run, and the
+        # worst-fit point goes to the lowest empty index.
+        import speechpipe.clustering as clustering
+
+        rng = np.random.default_rng(96)
+        for _ in range(20):
+            n, d, k = int(rng.integers(6, 25)), int(rng.integers(1, 4)), int(rng.integers(3, 6))
+            x = rng.normal(size=(n, d))
+            init = np.vstack([x[:1], 1e3 + rng.normal(size=(k - 1, d))])
+            monkeypatch.setattr(clustering, "_kmeans_pp_init", lambda x, k, rng, init=init: init.copy())
+            first = np.argmin(((x[:, None, :] - init[None, :, :]) ** 2).sum(axis=2), axis=1)
+            assert set(first.tolist()) == {0}
+            TestDiarizationStepsMatchReference.check_kmeans(x, k, 0)
+
+    def test_fixed_k_gmm_is_gmm_fit(self):
+        rng = np.random.default_rng(97)
+        for _ in range(15):
+            n = int(rng.integers(3, 30))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 4)))
+            fixed_k, seed = int(rng.integers(1, 8)), int(rng.integers(1000))
+            got = cluster_embeddings(x, ClusteringConfig(method="gmm", fixed_k=fixed_k), seed)
+            model = gmm_fit(x, min(fixed_k, n), seed)
+            labels = _relabel_by_first_appearance(model.predict(x))
+            assert got.labels.tolist() == labels.tolist()
+            assert got.diagnostics["log_likelihood"] == model.log_likelihood
+            assert got.diagnostics["fitted_k"] == model.k
+
+    def test_pca_sign_rule_matches_former_loop(self):
+        rng = np.random.default_rng(98)
+        flipped = 0
+        for _ in range(200):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+            x = _awkward_vectors(rng, n, d)
+            components = int(rng.integers(1, min(n, d) + 1))
+            got, want = pca_fit(x, components), pca_fit_reference(x, components)
+            for name in ("mean", "components", "eigenvalues"):
+                assert _same_floats(getattr(got, name), getattr(want, name)), name
+            centered = x - x.mean(axis=0)
+            values, vectors = np.linalg.eigh(centered.T @ centered / (n - 1))
+            raw = vectors[:, np.argsort(values)[::-1]].T[:components]
+            flipped += int(np.sum(raw[np.arange(components), np.argmax(np.abs(raw), axis=1)] < 0))
+        assert flipped > 0

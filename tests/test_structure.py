@@ -1,4 +1,6 @@
-"""Module boundaries of the package: no module reaches into another's private names."""
+"""Module boundaries of the package: no module reaches into another's
+private names, and none reads the environment, so every knob is a flag or a
+config field."""
 
 from __future__ import annotations
 
@@ -35,3 +37,21 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert private_imports(path) == []
+
+
+def environment_reads(path: Path) -> list[str]:
+    """`line N: <expression>` for every `os.environ` or `os.getenv` use in
+    `path`, and for every `from os import environ/getenv`."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {a.name}" for a in node.names if a.name in names]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path) == []
