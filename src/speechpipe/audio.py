@@ -299,29 +299,15 @@ def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> Musi
 
     nflux = np.divide(flux, energy, out=np.zeros_like(flux), where=energy > 1e-12)
 
+    # One row per whole one-second window (the remainder frames are dropped);
+    # a signal shorter than one window is a single, low-confidence row.
     frames_per_second = w.sample_rate / cfg.hop_length
-
-    def vote(chunk: np.ndarray) -> bool:
-        median_flux = float(np.median(chunk))
-        interior = chunk[1:-1]
-        is_peak = (
-            (interior > chunk[:-2])
-            & (interior >= chunk[2:])
-            & (interior >= cfg.peak_min_height)
-        )
-        peak_rate = float(is_peak.sum()) * frames_per_second / len(chunk)
-        return bool(median_flux > cfg.flux_threshold and peak_rate > cfg.peak_rate_threshold)
-
     window_frames = max(2, int(round(frames_per_second)))
-    if len(nflux) < window_frames:
-        # Shorter than one analysis window: single vote on what there is.
-        votes = [vote(nflux)]
-        low_confidence = True
-    else:
-        votes = [
-            vote(nflux[start : start + window_frames])
-            for start in range(0, len(nflux) - window_frames + 1, window_frames)
-        ]
-
-    score = sum(votes) / len(votes)
-    return MusicPresence(float(score), bool(score > cfg.decision_threshold), low_confidence)
+    width = min(window_frames, len(nflux))
+    rows = nflux[: len(nflux) // width * width].reshape(-1, width)
+    interior = rows[:, 1:-1]
+    is_peak = (interior > rows[:, :-2]) & (interior >= rows[:, 2:]) & (interior >= cfg.peak_min_height)
+    peak_rate = is_peak.sum(axis=1) * frames_per_second / width
+    votes = (np.median(rows, axis=1) > cfg.flux_threshold) & (peak_rate > cfg.peak_rate_threshold)
+    score = float(np.count_nonzero(votes) / len(votes))
+    return MusicPresence(score, score > cfg.decision_threshold, bool(low_confidence or width < window_frames))

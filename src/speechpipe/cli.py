@@ -153,8 +153,8 @@ def load_pipeline_config(path: str | None, args: argparse.Namespace | None = Non
 # Helpers
 
 def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | None]]:
-    """fn over each file, in a pool when workers > 1: (result, None) or
-    (None, error message) per path, in the order of `paths`."""
+    """fn over each file (or id), in a pool when workers > 1: (result, None)
+    or (None, error message) per path, in the order of `paths`."""
     def attempt(path: str):
         try:
             return fn(path), None
@@ -222,6 +222,14 @@ def _speaker_name(label: int) -> str:
     return f"SPK_{label:02d}"
 
 
+def _cluster_file(path: str, config: PipelineConfig, seed: int):
+    """Read an embedding container: (recording id, which is the file stem when
+    the container's is empty, window spans, clustering or None without windows)."""
+    emb = read_embeddings_file(path)
+    result = cluster_embeddings(emb.vectors, config.clustering, seed) if len(emb) else None
+    return emb.recording_id or Path(path).stem, emb.spans, result
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -273,13 +281,11 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     def work(path: str):
-        emb = read_embeddings_file(path)
-        rid = emb.recording_id or Path(path).stem
-        if len(emb) == 0:
+        rid, spans, result = _cluster_file(path, config, args.seed)
+        if result is None:
             return rid, SpeakerTimeline(rid, []), 0
-        result = cluster_embeddings(emb.vectors, config.clustering, args.seed)
         names = [_speaker_name(int(lab)) for lab in result.labels]
-        timeline = merge_adjacent_windows(emb.spans, names, rid)
+        timeline = merge_adjacent_windows(spans, names, rid)
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
         return rid, timeline, result.k
 
@@ -341,15 +347,27 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     extra = set(hyps) - set(refs)
     if extra:
         raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
-    reports = {rid: score(rid, refs[rid], hyps) for rid in sorted(refs)}
+    # A recording that cannot be scored is that id's error; the rest still
+    # report. One worker: scoring holds the GIL, and two threads measured slower.
+    ids = sorted(refs)
+    reports, errors = {}, {}
+    for rid, (report, error) in zip(ids, _map_files(ids, lambda rid: score(rid, refs[rid], hyps), 1)):
+        if error is None:
+            reports[rid] = report
+        else:
+            errors[rid] = error
+    if errors and not reports:
+        raise PipelineError(errors[ids[0]])
     doc = {
         **head,
         "files": {rid: report.to_dict() for rid, report in reports.items()},
         "micro": merge(list(reports.values())).to_dict(),
         f"macro_{metric}": float(np.mean([getattr(r, metric) for r in reports.values()])),
     }
+    if errors:
+        doc["errors"] = errors
     _emit(doc, args.out)
-    return 0
+    return 1 if errors else 0
 
 
 def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -376,8 +394,10 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.path.endswith(".json"):
         doc = parse_json(Path(args.path).read_text(encoding="utf-8"), "chunk plan")
-        # A chunk report (the output of `chunk`) stands for its first file's plan.
+        # A chunk report (the output of `chunk`) of one file stands for that file's plan.
         files = doc.get("files") if isinstance(doc, dict) and "chunks" not in doc else None
+        if isinstance(files, list) and len(files) > 1:
+            raise PipelineError(f"the chunk report lists {len(files)} files; windows takes the plan of one")
         spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
     else:
         _, spans = _speech_spans(args.path, config)
@@ -396,21 +416,15 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
-    def work(path: str):
-        emb = read_embeddings_file(path)
-        if len(emb) == 0:
-            return emb.recording_id, None
-        return emb.recording_id, cluster_embeddings(emb.vectors, config.clustering, args.seed)
-
     def describe(path: str, found) -> dict:
-        rid, result = found
+        rid, _, result = found
         entry = {"path": path, "recording_id": rid}
         entry.update(result.to_dict() if result else {"k": 0, "labels": []})
         _log(f"cluster: {path}: k={entry['k']}")
         return entry
 
     head = {"command": "cluster", "seed": args.seed, "config": asdict(config.clustering)}
-    return _run_batch(args, head, work, describe)
+    return _run_batch(args, head, lambda path: _cluster_file(path, config, args.seed), describe)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = PipelineConfig()
 
-    def finish(p: argparse.ArgumentParser, command: str, fn) -> None:
-        """Add the table flags of `command` and the common flags; route to `fn`."""
+    def finish(p: argparse.ArgumentParser, command: str, fn, workers: bool = True) -> None:
+        """Add the table flags of `command` and the common flags (`--workers`
+        if it maps over files); route to `fn`."""
         for dest, section, name, kwargs, commands in OPTIONS:
             if command in commands:
                 kind = type(getattr(getattr(defaults, section), name))
@@ -435,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--workers", type=int, help="worker threads, >= 1 (default: CPUs, at most 4)")
+        if workers:
+            p.add_argument("--workers", type=int, help="worker threads, >= 1 (default: CPUs, at most 4)")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("chunk", help="plan silence-aware chunks for WAV files")
@@ -477,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--window", type=float, default=1.5)
     p.add_argument("--hop", type=float, default=0.75)
-    finish(p, "windows", cmd_windows)
+    finish(p, "windows", cmd_windows, workers=False)
 
     p = sub.add_parser("cluster", help="cluster embedding containers, report labels")
     p.add_argument("paths", nargs="+")

@@ -209,23 +209,15 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
 
     # Listed by lowest member (b > a joins a), so max() keeps the largest with the lowest member.
     clusters = [members[a] for a in np.flatnonzero(active)]
-    survivors = [c for c in clusters if len(c) >= min_cluster_size]
-    dissolved = 0
-    if not survivors:
-        survivors = [max(clusters, key=len)]
-    if len(survivors) < len(clusters):
-        surviving_centroids = np.stack([x[c].mean(axis=0) for c in survivors])
-        strays = sorted(set(range(n)) - {i for c in survivors for i in c})
-        dissolved = len(strays)
-        if strays:
-            d_stray = cosine_distance_matrix(x[strays], surviving_centroids)
-            nearest = np.argmin(d_stray, axis=1)
-            for idx, target in zip(strays, nearest):
-                survivors[target].append(idx)
-
-    labels = np.empty(n, dtype=int)
+    survivors = [c for c in clusters if len(c) >= min_cluster_size] or [max(clusters, key=len)]
+    labels = np.full(n, -1)
     for j, cluster in enumerate(survivors):
         labels[cluster] = j
+    # Members of dissolved clusters join the nearest surviving centroid.
+    strays = np.flatnonzero(labels < 0)
+    if len(strays):
+        centroids = np.stack([x[c].mean(axis=0) for c in survivors])
+        labels[strays] = np.argmin(cosine_distance_matrix(x[strays], centroids), axis=1)
     labels = _relabel_by_first_appearance(labels)
     k = len(survivors)
     result_centroids = _centroids_for(x, labels, k)
@@ -234,7 +226,7 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
         k,
         result_centroids,
         "ahc-centroid",
-        {"merges": merge_count, "dissolved_points": dissolved, "tau": tau},
+        {"merges": merge_count, "dissolved_points": len(strays), "tau": tau},
     )
 
 

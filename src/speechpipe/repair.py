@@ -9,12 +9,14 @@ mode accepts are never altered.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
 from .spans import TimeSpan
-from .timeline import SpeakerSegment, SpeakerTimeline
+from .timeline import SpeakerTimeline, timelines_from_rows
 
 HEADER = "id,start,end,speaker"
 
@@ -73,6 +75,8 @@ def _parse_row(tokens: list[str]) -> tuple[tuple[str, float, float, str] | None,
     if not _TOKEN_RE.match(speaker):
         return None, f"bad speaker {speaker!r}"
     t0, t1 = float(start), float(end)
+    if math.isinf(t1):
+        return None, f"bad end time {end!r}"
     if not t0 < t1:
         return None, f"start {start} not before end {end}"
     return (rec_id, t0, t1, speaker), ""
@@ -158,30 +162,21 @@ def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], Repa
         raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
 
     outcomes: list[RowOutcome] = []
-    report = RepairReport()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        report.total_lines += 1
         tokens = line.split(",")
         record, diagnosis = _parse_row(tokens)
         if record is not None:
             outcomes.append(RowOutcome(line_no, "ok", record, raw=line))
-            report.parsed_ok += 1
-            continue
-        if strict:
+        elif strict:
             outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
-            report.dropped += 1
-            continue
-        record, rules = _repair_line(tokens)
-        if record is None:
-            outcomes.append(RowOutcome(line_no, "dropped", rules=rules, diagnosis=diagnosis))
-            report.dropped += 1
         else:
-            outcomes.append(RowOutcome(line_no, "repaired", record, rules, diagnosis))
-            report.repaired += 1
-            for rule in rules:
-                report.rules_fired[rule] = report.rules_fired.get(rule, 0) + 1
+            record, rules = _repair_line(tokens)
+            outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
+    statuses = Counter(o.status for o in outcomes)
+    fired = Counter(rule for o in outcomes if o.status == "repaired" for rule in o.rules)
+    report = RepairReport(len(outcomes), statuses["ok"], statuses["repaired"], statuses["dropped"], dict(fired))
     return outcomes, report
 
 
@@ -194,27 +189,19 @@ def parse_segments_csv(
         for outcome in outcomes:
             if outcome.status == "dropped":
                 raise FormatError(outcome.diagnosis, line=outcome.line_no)
-    grouped: dict[str, list[SpeakerSegment]] = {}
-    for outcome in outcomes:
-        if outcome.record is None:
-            continue
-        rec_id, start, end, speaker = outcome.record
-        grouped.setdefault(rec_id, []).append(
-            SpeakerSegment(TimeSpan(start, end), speaker)
-        )
-    timelines = [SpeakerTimeline.from_segments(rid, segs) for rid, segs in grouped.items()]
-    return timelines, report
+    records = [o.record for o in outcomes if o.record is not None]
+    return timelines_from_rows((rid, TimeSpan(t0, t1), spk) for rid, t0, t1, spk in records), report
+
+
+def _csv_line(rec_id: str, start: float, end: float, speaker: str) -> str:
+    return f"{rec_id},{format_seconds(start)},{format_seconds(end)},{speaker}"
 
 
 def write_segments_csv(timelines: list[SpeakerTimeline]) -> str:
     """Serialize timelines in the canonical CSV format."""
-    lines = [HEADER]
-    for timeline in timelines:
-        for seg in timeline.segments:
-            lines.append(
-                f"{timeline.recording_id},{format_seconds(seg.span.start)},"
-                f"{format_seconds(seg.span.end)},{seg.speaker}"
-            )
+    lines = [HEADER] + [
+        _csv_line(t.recording_id, seg.span.start, seg.span.end, seg.speaker) for t in timelines for seg in t.segments
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -224,13 +211,5 @@ def rows_to_csv(outcomes: list[RowOutcome]) -> str:
     Rows strict mode accepted pass through byte-identical; repaired rows are
     canonically formatted.
     """
-    lines = [HEADER]
-    for outcome in outcomes:
-        if outcome.record is None:
-            continue
-        if outcome.status == "ok":
-            lines.append(outcome.raw)
-            continue
-        rec_id, start, end, speaker = outcome.record
-        lines.append(f"{rec_id},{format_seconds(start)},{format_seconds(end)},{speaker}")
+    lines = [HEADER] + [o.raw if o.status == "ok" else _csv_line(*o.record) for o in outcomes if o.record is not None]
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, StructuralError
@@ -9,14 +10,15 @@ from .errors import ParameterError, StructuralError
 
 @dataclass(frozen=True, order=True)
 class TimeSpan:
-    """Half-open interval ``[start, end)`` in seconds, with ``0 <= start < end``."""
+    """Half-open interval ``[start, end)`` in seconds, with ``0 <= start < end``
+    and ``end`` finite."""
 
     start: float
     end: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start < self.end):
-            raise ParameterError(f"invalid span [{self.start}, {self.end}): need 0 <= start < end")
+        if not (0.0 <= self.start < self.end <= sys.float_info.max):
+            raise ParameterError(f"invalid span [{self.start}, {self.end}): need 0 <= start < end < inf")
 
     @property
     def duration(self) -> float:

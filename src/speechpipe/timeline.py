@@ -79,9 +79,18 @@ def _parse_time(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def timelines_from_rows(rows) -> list[SpeakerTimeline]:
+    """Normalized timelines from `(recording id, span, speaker)` rows, in
+    order of each id's first row."""
+    grouped: dict[str, list[SpeakerSegment]] = {}
+    for recording_id, span, speaker in rows:
+        grouped.setdefault(recording_id, []).append(SpeakerSegment(span, speaker))
+    return [SpeakerTimeline.from_segments(rid, segs) for rid, segs in grouped.items()]
+
+
 def parse_rttm(text: str) -> list[SpeakerTimeline]:
     """Parse RTTM SPEAKER records, grouped by file in order of first appearance."""
-    grouped: dict[str, list[SpeakerSegment]] = {}
+    rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -90,18 +99,18 @@ def parse_rttm(text: str) -> list[SpeakerTimeline]:
             raise FormatError(f"unsupported record type {fields[0]!r}", line=line_no)
         if len(fields) != 10:
             raise FormatError(f"expected 10 fields, got {len(fields)}", line=line_no)
-        file_id = fields[1]
         tbeg = _parse_time(fields[3], line_no, "onset")
         tdur = _parse_time(fields[4], line_no, "duration")
-        speaker = fields[7]
         if tdur <= 0:
             continue  # zero-duration records carry no speech
         # The format carries millisecond precision; snap the reconstructed end
         # so onset+duration arithmetic cannot leak a stray ulp.
-        grouped.setdefault(file_id, []).append(
-            SpeakerSegment(TimeSpan(tbeg, round(tbeg + tdur, 6)), speaker)
-        )
-    return [SpeakerTimeline.from_segments(fid, segs) for fid, segs in grouped.items()]
+        try:
+            span = TimeSpan(tbeg, round(tbeg + tdur, 6))
+        except ParameterError as exc:
+            raise FormatError(str(exc), line=line_no) from None
+        rows.append((fields[1], span, fields[7]))
+    return timelines_from_rows(rows)
 
 
 def write_rttm(timelines: list[SpeakerTimeline]) -> str:

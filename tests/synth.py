@@ -616,6 +616,46 @@ def flux_and_energy_reference(w: Waveform, frame_length: int, hop_length: int) -
     return flux, mags.sum(axis=1)
 
 
+def music_presence_reference(w: Waveform, config=None):
+    """The library's former `music_presence`: one Python vote per window, and
+    a separate single vote for a signal shorter than one window."""
+    from speechpipe.audio import MusicDetectConfig, MusicPresence, _flux_and_energy
+
+    cfg = config or MusicDetectConfig()
+    flux, energy = _flux_and_energy(w, cfg.frame_length, cfg.hop_length)
+    low_confidence = w.duration_seconds < cfg.min_duration
+    if len(flux) < 2:
+        return MusicPresence(0.0, False, low_confidence)
+
+    nflux = np.divide(flux, energy, out=np.zeros_like(flux), where=energy > 1e-12)
+
+    frames_per_second = w.sample_rate / cfg.hop_length
+
+    def vote(chunk: np.ndarray) -> bool:
+        median_flux = float(np.median(chunk))
+        interior = chunk[1:-1]
+        is_peak = (
+            (interior > chunk[:-2])
+            & (interior >= chunk[2:])
+            & (interior >= cfg.peak_min_height)
+        )
+        peak_rate = float(is_peak.sum()) * frames_per_second / len(chunk)
+        return bool(median_flux > cfg.flux_threshold and peak_rate > cfg.peak_rate_threshold)
+
+    window_frames = max(2, int(round(frames_per_second)))
+    if len(nflux) < window_frames:
+        votes = [vote(nflux)]
+        low_confidence = True
+    else:
+        votes = [
+            vote(nflux[start : start + window_frames])
+            for start in range(0, len(nflux) - window_frames + 1, window_frames)
+        ]
+
+    score = sum(votes) / len(votes)
+    return MusicPresence(float(score), bool(score > cfg.decision_threshold), low_confidence)
+
+
 def highpass_reference(w: Waveform, cutoff_hz: float) -> Waveform:
     """The library's former `highpass`: the whole signal filtered in one call."""
     from scipy import signal as sps
@@ -878,3 +918,90 @@ def corrupt_row(row: str, rng: np.random.Generator) -> tuple[str, str]:
         if result is not None and result != row:
             return name, result
     raise AssertionError(f"no corruption applicable to {row!r}")
+
+
+# ---------------------------------------------------------------------------
+# Former annotation parsers: a grouping loop each, counters kept in step
+
+def repair_rows_reference(text: str, strict: bool = False):
+    """The library's former `repair_rows`: four counters and a dict updated
+    inside the branches that build the outcomes."""
+    from speechpipe.errors import FormatError
+    from speechpipe.repair import HEADER, RepairReport, RowOutcome, _parse_row, _repair_line
+
+    lines = text.splitlines()
+    if not lines or lines[0].lstrip("\ufeff").strip() != HEADER:
+        found = lines[0] if lines else "<empty>"
+        raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
+
+    outcomes = []
+    report = RepairReport()
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        report.total_lines += 1
+        tokens = line.split(",")
+        record, diagnosis = _parse_row(tokens)
+        if record is not None:
+            outcomes.append(RowOutcome(line_no, "ok", record, raw=line))
+            report.parsed_ok += 1
+            continue
+        if strict:
+            outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
+            report.dropped += 1
+            continue
+        record, rules = _repair_line(tokens)
+        if record is None:
+            outcomes.append(RowOutcome(line_no, "dropped", rules=rules, diagnosis=diagnosis))
+            report.dropped += 1
+        else:
+            outcomes.append(RowOutcome(line_no, "repaired", record, rules, diagnosis))
+            report.repaired += 1
+            for rule in rules:
+                report.rules_fired[rule] = report.rules_fired.get(rule, 0) + 1
+    return outcomes, report
+
+
+def parse_segments_csv_reference(text: str, strict: bool = False):
+    """The library's former `parse_segments_csv`: its own grouping loop."""
+    from speechpipe.errors import FormatError
+
+    outcomes, report = repair_rows_reference(text, strict=strict)
+    if strict:
+        for outcome in outcomes:
+            if outcome.status == "dropped":
+                raise FormatError(outcome.diagnosis, line=outcome.line_no)
+    grouped: dict[str, list[SpeakerSegment]] = {}
+    for outcome in outcomes:
+        if outcome.record is None:
+            continue
+        rec_id, start, end, speaker = outcome.record
+        grouped.setdefault(rec_id, []).append(SpeakerSegment(TimeSpan(start, end), speaker))
+    timelines = [SpeakerTimeline.from_segments(rid, segs) for rid, segs in grouped.items()]
+    return timelines, report
+
+
+def parse_rttm_reference(text: str):
+    """The library's former `parse_rttm`: its own grouping loop."""
+    from speechpipe.errors import FormatError
+    from speechpipe.timeline import _parse_time
+
+    grouped: dict[str, list[SpeakerSegment]] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if fields[0] != "SPEAKER":
+            raise FormatError(f"unsupported record type {fields[0]!r}", line=line_no)
+        if len(fields) != 10:
+            raise FormatError(f"expected 10 fields, got {len(fields)}", line=line_no)
+        file_id = fields[1]
+        tbeg = _parse_time(fields[3], line_no, "onset")
+        tdur = _parse_time(fields[4], line_no, "duration")
+        speaker = fields[7]
+        if tdur <= 0:
+            continue
+        grouped.setdefault(file_id, []).append(
+            SpeakerSegment(TimeSpan(tbeg, round(tbeg + tdur, 6)), speaker)
+        )
+    return [SpeakerTimeline.from_segments(fid, segs) for fid, segs in grouped.items()]

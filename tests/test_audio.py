@@ -25,6 +25,7 @@ from synth import (
     downmix_mono_reference,
     flux_and_energy_reference,
     highpass_reference,
+    music_presence_reference,
     music_proxy,
     silence,
     speech_proxy,
@@ -326,6 +327,37 @@ class TestMusicPresence:
         result = music_presence(music_proxy(6, 12), cfg)
         assert result.score <= 1.0
         assert result.is_music == (result.score > 0.99)
+
+
+def music_and_speech(n: int, sr: int, rng: np.random.Generator) -> Waveform:
+    """`n` samples of music and speech proxies in turns of 0.5 to 3 s."""
+    pieces, total = [], 0
+    while total < n:
+        proxy = music_proxy if rng.integers(2) else speech_proxy
+        piece = proxy(float(rng.uniform(0.5, 3.0)), int(rng.integers(2**31)), sr).samples
+        pieces.append(piece)
+        total += len(piece)
+    return Waveform(np.concatenate(pieces)[:n], sr)
+
+
+class TestMusicPresenceEqualsReference:
+    def test_seeded_inputs(self):
+        """Shorter than one window, whole windows and remainder frames, at three rates and two hops."""
+        rng = np.random.default_rng(80)
+        scores = set()
+        for sr in (8000, 16000, 22050):
+            for hop in (256, 512):
+                cfg = MusicDetectConfig(hop_length=hop)
+                window = max(2, round(sr / hop))
+                for n_frames in (0, 1, 2, 3, window - 1, window, 4 * window, 4 * window + 1, 6 * window - 1,
+                                 int(rng.integers(window, 12 * window))):
+                    n = (n_frames - 1) * hop + cfg.frame_length if n_frames else cfg.frame_length - 1
+                    w = music_and_speech(n, sr, rng)
+                    got, want = music_presence(w, cfg), music_presence_reference(w, cfg)
+                    assert (got.score, got.is_music, got.low_confidence) == (
+                        want.score, want.is_music, want.low_confidence), (sr, hop, n_frames)
+                    scores.add(got.score)
+        assert any(0 < score < 1 for score in scores)
 
 
 def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:

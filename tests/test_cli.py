@@ -403,6 +403,59 @@ class TestScoreCommand:
         code, _ = run(capsys, "score", "der", "--ref", str(ref), "--hyp", str(hyp), "--repair")
         assert code == 0
 
+    @pytest.mark.parametrize("name, row, where", [
+        ("hyp.rttm", "SPEAKER a 1 1.000 inf <NA> <NA> B <NA> <NA>", "line 2: invalid span [1.0, inf)"),
+        ("hyp.rttm", "SPEAKER a 1 nan 1.000 <NA> <NA> B <NA> <NA>", "line 2: invalid span [nan, nan)"),
+        ("hyp.rttm", "SPEAKER a 1 1.000 1e-7 <NA> <NA> B <NA> <NA>", "line 2: invalid span [1.0, 1.0)"),
+        ("hyp.csv", "a,1," + "9" * 400 + ",B", "line 3: bad end time '999"),
+    ])
+    def test_non_finite_or_empty_time_is_located(self, name, row, where, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER a 1 0.000 5.000 <NA> <NA> A <NA> <NA>\n")
+        hyp = tmp_path / name
+        head = "SPEAKER a 1 0.000 1.000 <NA> <NA> B <NA> <NA>" if name.endswith(".rttm") else "id,start,end,speaker\na,0,1,B"
+        hyp.write_text(f"{head}\n{row}\n")
+        code = main(["score", "der", "--ref", str(ref), "--hyp", str(hyp)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert where in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_repair_drops_an_infinite_end_time(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER a 1 0.000 5.000 <NA> <NA> A <NA> <NA>\n")
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text("id,start,end,speaker\na,0,1,B\na,1," + "9" * 400 + ",B\n")
+        code, out = run(capsys, "score", "der", "--ref", str(ref), "--hyp", str(hyp), "--repair")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert doc["files"]["a"]["der"] == pytest.approx(0.8)
+
+    def test_undefined_recording_is_that_ids_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.jsonl"
+        hyp = tmp_path / "hyp.jsonl"
+        ref.write_text('{"id":"a","start":0,"end":5,"text":"ami bhalo achi"}\n'
+                       '{"id":"b","start":0,"end":5,"text":"  "}\n'
+                       '{"id":"c","start":0,"end":5,"text":"tumi"}\n')
+        hyp.write_text('{"id":"a","start":0,"end":5,"text":"ami bhalo"}\n')
+        code, out = run(capsys, "score", "wer", "--ref", str(ref), "--hyp", str(hyp), "--workers", "2")
+        assert code == 1
+        doc = json.loads(out)
+        assert sorted(doc["files"]) == ["a", "c"]
+        assert doc["errors"] == {"b": "WER is undefined for an empty reference"}
+        assert doc["micro"]["ref_word_count"] == 4
+        assert doc["macro_wer"] == pytest.approx((1 / 3 + 1) / 2)
+
+    def test_no_recording_scores_one_error_line(self, tmp_path, capsys):
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text('{"id":"b","start":0,"end":5,"text":""}\n{"id":"c","start":0,"end":5,"text":" "}\n')
+        code = main(["score", "wer", "--ref", str(ref), "--hyp", str(ref)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "score: error: WER is undefined for an empty reference\n"
+
 
 class TestRepairCommand:
     def test_clean_file_identity(self, tmp_path, capsys):
@@ -466,6 +519,25 @@ class TestWindowsCommand:
         starts = [w["start"] for w in json.loads(out)["windows"]]
         assert starts == [0.0, 0.75, 1.5, 2.25, 3.0]
 
+    def test_chunk_report_of_one_file(self, speech_wav, tmp_path, capsys):
+        plans = tmp_path / "plans.json"
+        assert main(["chunk", str(speech_wav), "--out", str(plans)]) == 0
+        code, out = run(capsys, "windows", str(plans))
+        assert code == 0
+        assert json.loads(out)["windows"]
+
+    def test_chunk_report_of_two_files_exits_one(self, speech_wav, tmp_path, capsys):
+        other = tmp_path / "other.wav"
+        write_wav(other, Waveform(tone(440, 3.0), SR), encoding="float32")
+        plans = tmp_path / "plans.json"
+        assert main(["chunk", str(speech_wav), str(other), "--out", str(plans)]) == 0
+        capsys.readouterr()
+        code = main(["windows", str(plans)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "windows: error: the chunk report lists 2 files" in captured.err
+
     @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"]])
     def test_non_finite_window_or_hop_exits_one(self, flags, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -489,6 +561,18 @@ class TestClusterCommand:
         entry = json.loads(out)["files"][0]
         assert entry["k"] == 2
         assert len(entry["labels"]) == len(emb)
+
+    def test_cluster_and_diarize_give_one_recording_id(self, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=9)
+        emb.recording_id = ""
+        container = tmp_path / "noid.emb"
+        write_embeddings_file(container, emb)
+        ids = []
+        for argv in (["cluster"], ["diarize", "--out-dir", str(tmp_path / "out")]):
+            code, out = run(capsys, *argv, str(container))
+            assert code == 0
+            ids.append(json.loads(out)["files"][0]["recording_id"])
+        assert ids == ["noid", "noid"]
 
     @pytest.mark.parametrize("command, flags", [
         ("cluster", ["--method", "gmm", "--fixed-k", "4"]),
@@ -800,7 +884,8 @@ EXPECTED_FLAGS = {
         "--config": ("config", None, None, None, None, False),
     },
     "windows": {
-        **_COMMON,
+        "--config": _COMMON["--config"],
+        "--out": _COMMON["--out"],
         "path": ("path", None, None, None, None, True),
         "--window": ("window", "float", None, 1.5, None, False),
         "--hop": ("hop", "float", None, 0.75, None, False),

@@ -1,5 +1,6 @@
 """Property tests of the parsers: no input lets an exception other than a
-PipelineError escape.
+PipelineError escape, and the RTTM and segments-CSV parsers give finite
+times only, or an error that names its line.
 
 Each parser gets valid documents with random byte or token damage and
 documents built from values at its format's edges (NaN, infinities, huge
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 from dataclasses import fields
 
@@ -100,17 +102,31 @@ def test_read_embeddings(data):
     rejects_only_with_pipeline_error(read_embeddings, data)
 
 
+def finite_times_or_error_at_a_line(timelines) -> None:
+    """An annotation parser's result has finite times only; its errors name a line."""
+    try:
+        spans = [seg.span for timeline in timelines() for seg in timeline.segments]
+    except PipelineError as exc:
+        assert getattr(exc, "line", None) is not None, exc
+        return
+    assert all(math.isfinite(span.start) and math.isfinite(span.end) for span in spans)
+
+
 @FUZZ
 @given(st.lists(tokens_line(_RTTM_TOKENS, [" ", "\t"]), max_size=6).map("\n".join))
+@example("SPEAKER f1 1 0 inf <NA> <NA> spk <NA> <NA>")
+@example("SPEAKER f1 1 nan 1 <NA> <NA> spk <NA> <NA>")
 def test_parse_rttm(text):
-    rejects_only_with_pipeline_error(parse_rttm, text)
+    finite_times_or_error_at_a_line(lambda: parse_rttm(text))
 
 
 @FUZZ
 @given(st.lists(tokens_line(_CSV_TOKENS, [",", ";", ", ", "\t"]), max_size=6), st.booleans(), st.booleans())
+@example(["rec,0,%d,spk" % HUGE_INT], True, False)
+@example(["rec,0,%d,spk" % HUGE_INT], True, True)
 def test_parse_segments_csv(rows, with_header, strict):
     text = "\n".join((["id,start,end,speaker"] if with_header else []) + rows)
-    rejects_only_with_pipeline_error(parse_segments_csv, text, strict)
+    finite_times_or_error_at_a_line(lambda: parse_segments_csv(text, strict)[0])
 
 
 _RECORDS = st.fixed_dictionaries(

@@ -11,7 +11,7 @@ from speechpipe import (
     rows_to_csv,
     write_segments_csv,
 )
-from synth import clean_rows, corrupt_row
+from synth import clean_rows, corrupt_row, parse_segments_csv_reference, repair_rows_reference
 
 HEADER = "id,start,end,speaker"
 
@@ -142,3 +142,54 @@ class TestWriters:
         assert report.parsed_ok == report.total_lines
         assert write_segments_csv(timelines2) == text
         assert [t.segments for t in timelines2] == [t.segments for t in timelines]
+
+
+def mixed_csv(seed: int) -> str:
+    """Clean, corrupted and doubly corrupted rows, blank lines, rows dropped
+    after a rule fired, rows no rule touches, and rows of one id apart."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for row in clean_rows(300, seed):
+        kind = int(rng.integers(7))
+        if kind == 1:
+            row = corrupt_row(row, rng)[1]
+        elif kind == 2:
+            row = corrupt_row(corrupt_row(row, rng)[1], rng)[1]
+        elif kind == 3:
+            row = rng.choice(["", "   ", "\t"])
+        elif kind == 4:
+            row = row.replace(",", " , ", 1).replace(".", "x", 1)  # trimmed, still dropped
+        elif kind == 5:
+            row = rng.choice(["rec1,abc,def,SPK_1", "rec2,1,2", "rec3,,,", "rec4,5,5,A"])
+        rows.append(row)
+    return as_csv(rows)
+
+
+class TestEqualsFormerParsers:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_repair_rows(self, seed, strict):
+        text = mixed_csv(seed)
+        outcomes, report = repair_rows(text, strict=strict)
+        want_outcomes, want_report = repair_rows_reference(text, strict=strict)
+        assert outcomes == want_outcomes
+        assert report.to_dict() == want_report.to_dict()
+        assert report.dropped and (strict or report.repaired and report.rules_fired)
+        assert strict or any(o.rules for o in outcomes if o.status == "dropped")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parse_segments_csv(self, seed):
+        text = mixed_csv(seed)
+        timelines, report = parse_segments_csv(text)
+        want_timelines, want_report = parse_segments_csv_reference(text)
+        assert timelines == want_timelines
+        assert report.to_dict() == want_report.to_dict()
+        with pytest.raises(FormatError) as got:
+            parse_segments_csv(text, strict=True)
+        with pytest.raises(FormatError) as want:
+            parse_segments_csv_reference(text, strict=True)
+        assert str(got.value) == str(want.value)
+
+    def test_parse_segments_csv_strict_clean(self):
+        text = as_csv(clean_rows(200, seed=11))
+        assert parse_segments_csv(text, strict=True) == parse_segments_csv_reference(text, strict=True)

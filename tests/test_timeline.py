@@ -14,7 +14,7 @@ from speechpipe import (
     suppress_gaps,
     write_rttm,
 )
-from synth import merge_adjacent_windows_reference
+from synth import merge_adjacent_windows_reference, parse_rttm_reference
 
 
 def seg(a, b, spk):
@@ -203,3 +203,21 @@ class TestMergeAdjacentWindows:
             assert merge_adjacent_windows(windows, labels, "r") == want
             dropped += lost
         assert dropped > 0
+
+
+class TestParseRttmEqualsFormer:
+    def test_seeded_documents(self):
+        """Interleaved files, blank lines, zero durations and same-speaker overlap and adjacency."""
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            lines = []
+            for _ in range(int(rng.integers(0, 40))):
+                if rng.random() < 0.1:
+                    lines.append(rng.choice(["", "  ", "\t"]))
+                    continue
+                onset = round(float(rng.choice([rng.uniform(0, 60), rng.integers(0, 60)])), 3)
+                duration = round(float(rng.choice([0.0, rng.uniform(0.001, 8), rng.integers(1, 4)])), 3)
+                lines.append(f"SPEAKER f{rng.integers(3)} 1 {onset:.3f} {duration:.3f} <NA> <NA> "
+                             f"S{rng.integers(4)} <NA> <NA>")
+            text = "\n".join(lines)
+            assert parse_rttm(text) == parse_rttm_reference(text)
