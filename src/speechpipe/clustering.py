@@ -24,6 +24,10 @@ VARIANCE_FLOOR = 1e-6
 # moves by LLOYD_TOL, EM when the log-likelihood gains less than EM_TOL.
 LLOYD_MAX_ITER, LLOYD_TOL = 300, 1e-6
 EM_MAX_ITER, EM_TOL = 200, 1e-6
+# Working-set sizes, in float64 elements: k-means sums at most this many
+# gathered coordinates at once, the silhouette at most this many distances.
+_PAIR_BLOCK = 1 << 18
+_SILHOUETTE_BLOCK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +254,64 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
+def _candidate_centers(x: np.ndarray, x_norm2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) mask of the centers that may be nearest to each row of `x`.
+
+    A BLAS screen `g = |x|^2 - 2 x.c + |c|^2` and the exact sum
+    `((x - c) ** 2).sum()` each differ from the true squared distance by at
+    most about (D + 3) roundings of `(|x| + |c|)^2`, plus one smallest
+    subnormal per product where they underflow; `bound` covers both twice
+    over. A center whose `g - bound` exceeds the row's least `g + bound` is
+    then farther than another center in exact arithmetic and in the exact
+    sums alike. Rows too large for a finite screen keep every center.
+    """
+    d = x.shape[1]
+    with np.errstate(all="ignore"):  # a screen that is not finite is not used
+        c_norm2 = np.einsum("ij,ij->i", centers, centers)
+        screen = x @ centers.T
+        screen *= -2.0
+        screen += x_norm2[:, None]
+        screen += c_norm2
+        bound = np.sqrt(x_norm2)[:, None] + np.sqrt(c_norm2)
+        np.square(bound, out=bound)
+        bound *= 4 * (d + 4) * np.finfo(np.float64).eps
+        bound += 4 * (d + 4) * np.finfo(np.float64).smallest_subnormal
+        lo, hi = screen - bound, np.add(screen, bound, out=screen)
+        # Twice the largest (|x| + |c|)^2 of a row: where it is finite, so
+        # are the row's screen, its bounds and its exact sums.
+        row_scale = 2 * (np.sqrt(x_norm2) + np.sqrt(c_norm2.max())) ** 2
+    candidate = lo <= hi.min(axis=1, keepdims=True)
+    candidate[~np.isfinite(row_scale)] = True
+    return candidate
+
+
+def _screened_sq_distances(x: np.ndarray, x_norm2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances `((x[r] - c[j]) ** 2).sum()` for the candidate pairs
+    of `_candidate_centers`, `inf` for the rest: argmin over a row picks the
+    same first minimum as over the full row, and its value bit for bit."""
+    rows, cols = np.nonzero(_candidate_centers(x, x_norm2, centers))
+    out = np.full((len(x), len(centers)), np.inf)
+    d = x.shape[1]
+    # Pairs in blocks, so the gathered rows stay a few MB at any n.
+    step = max(1, _PAIR_BLOCK // max(d, 1))
+    for start in range(0, len(rows), step):
+        r, c = rows[start : start + step], cols[start : start + step]
+        # Laid out like x, as the former (n, k, D) tensor was: an F-ordered
+        # x sums its coordinates in sequence, a C-ordered one pairwise.
+        diff = np.subtract(x[r], centers[c], out=np.empty_like(x, shape=(len(r), d)))
+        np.square(diff, out=diff)
+        out[r, c] = diff.sum(axis=1)
+    return out
+
+
 def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
-    """Lloyd's algorithm with k-means++ initialization; deterministic given `seed`."""
+    """Lloyd's algorithm with k-means++ initialization; deterministic given `seed`.
+
+    Each assignment screens all distances with one BLAS product and sums
+    exactly only the pairs that can be a row's nearest center
+    (`_screened_sq_distances`), so labels, centroids and inertia are those
+    of the full `(x - c) ** 2` sums, bit for bit, with no `(n, k, D)` tensor.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if not (1 <= k <= n):
@@ -261,8 +321,10 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
     # One more assignment than updates: the last, after convergence or the limit, is the result.
     inertia_trace: list[float] = []
     shift = np.inf
+    with np.errstate(over="ignore"):  # rows this large take the exact path
+        x_norm2 = np.einsum("ij,ij->i", x, x)
     for iteration in range(LLOYD_MAX_ITER + 1):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _screened_sq_distances(x, x_norm2, centers)
         labels = np.argmin(d2, axis=1)
         costs = d2[np.arange(n), labels]
         if shift < LLOYD_TOL or iteration == LLOYD_MAX_ITER:
@@ -297,42 +359,70 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
 # Silhouette
 
 def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cosine-distance silhouette; singleton points contribute 0."""
+    """Mean cosine-distance silhouette; singleton points contribute 0.
+
+    Bit for bit the per-point definition: a point's distance sum to each
+    cluster is one pairwise sum over that cluster's members in index order,
+    taken for a block of points at a time from the `n x n` distance matrix.
+    """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    unique = np.unique(labels)
-    if len(unique) < 2:
+    if len(np.unique(labels)) < 2:
         raise ParameterError("silhouette needs at least 2 clusters")
-    dist = cosine_distance_matrix(x, x)
-    n = len(x)
+    return _silhouette_from_distances(cosine_distance_matrix(x, x), labels)
+
+
+def _silhouette_from_distances(dist: np.ndarray, labels: np.ndarray) -> float:
+    """`silhouette_score` on the precomputed cosine distances of its rows."""
+    unique, own = np.unique(labels, return_inverse=True)
+    members = [np.flatnonzero(labels == lab) for lab in unique]
+    sizes = np.array([len(m) for m in members])
+    n = len(dist)
     scores = np.zeros(n)
-    masks = {lab: labels == lab for lab in unique}
-    for i in range(n):
-        own = masks[labels[i]]
-        own_size = own.sum()
-        if own_size <= 1:
-            continue  # singleton contributes 0
-        a = dist[i, own].sum() / (own_size - 1)
-        b = min(dist[i, masks[lab]].mean() for lab in unique if lab != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    step = max(1, _SILHOUETTE_BLOCK // max(n, 1))
+    for start in range(0, n, step):
+        rows = dist[start : start + step]
+        block_own = own[start : start + step]
+        # np.take keeps the gathered block C-ordered, so each row sums as
+        # dist[i, mask].sum() does.
+        sums = np.stack([np.take(rows, m, axis=1).sum(axis=1) for m in members], axis=1)
+        own_size = sizes[block_own]
+        means = sums / sizes
+        # b is the builtin min over the other clusters in label order: the
+        # first of them starts, and only a strictly smaller mean replaces it.
+        b = np.zeros(len(rows))
+        started = np.zeros(len(rows), dtype=bool)
+        for j in range(len(unique)):
+            other = block_own != j
+            take = other & (~started | (means[:, j] < b))
+            b[take] = means[take, j]
+            started |= other
+        # Singletons (own_size - 1 == 0) and denom == 0 score 0: those quotients are unused.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = sums[np.arange(len(rows)), block_own] / (own_size - 1)
+            denom = np.where(b > a, b, a)  # max(a, b) keeps a unless b is larger
+            score = np.where(denom == 0, 0.0, (b - a) / denom)
+        scores[start : start + step] = np.where(own_size <= 1, 0.0, score)
     return float(scores.mean())
 
 
 def estimate_k_silhouette(x: np.ndarray, k_min: int, k_max: int, seed: int) -> tuple[int, ClusterResult]:
     """Sweep k over [k_min, k_max] with k-means; argmax silhouette, ties to smaller k.
 
+    Every k is scored on one cosine distance matrix, built once per sweep.
     Returns the chosen k and its k-means result; when no k yields two
     clusters, k_min's.
     """
+    x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if not (2 <= k_min <= k_max <= n - 1):
         raise ParameterError(
             f"need 2 <= k_min <= k_max <= N-1 = {n - 1}, got [{k_min}, {k_max}]"
         )
+    dist = cosine_distance_matrix(x, x)
     # max keeps the first of equal scores: ties go to the smaller k.
     fits = ((k, kmeans(x, k, seed)) for k in range(k_min, k_max + 1))
-    return max(fits, key=lambda fit: silhouette_score(x, fit[1].labels) if fit[1].k >= 2 else -np.inf)
+    return max(fits, key=lambda fit: _silhouette_from_distances(dist, fit[1].labels) if fit[1].k >= 2 else -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +453,19 @@ class GmmModel:
         return np.argmax(_log_joint(np.asarray(x, np.float64), self.weights, self.means, self.variances), axis=1)
 
 
-def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """log(weight_j) + log N(x_i | mean_j, diag(variance_j)) for every row i and component j."""
+def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
+               buf: np.ndarray | None = None) -> np.ndarray:
+    """log(weight_j) + log N(x_i | mean_j, diag(variance_j)) for every row i and component j.
+
+    `buf`, shaped and laid out like `x`, holds each component's scaled
+    squared differences in turn; one is made when it is not given.
+    """
     d = x.shape[1]
     out = np.empty((len(x), len(weights)))
+    diff2 = np.empty_like(x) if buf is None else buf
     for j in range(len(weights)):
         var = variances[j]
-        diff2 = (x - means[j]) ** 2 / var
+        np.divide(np.square(np.subtract(x, means[j], out=diff2), out=diff2), var, out=diff2)
         out[:, j] = (
             math.log(weights[j])
             - 0.5 * (d * math.log(2 * math.pi) + np.log(var).sum() + diff2.sum(axis=1))
@@ -396,8 +492,9 @@ def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
     # One more E-step than M-steps: the last, after convergence or the limit, is the final score.
     trace: list[float] = []
     converged = False
+    diff2 = np.empty_like(x)  # the E- and M-steps' (n, D) scratch
     for iteration in range(EM_MAX_ITER + 1):
-        log_joint = _log_joint(x, weights, means, variances)
+        log_joint = _log_joint(x, weights, means, variances, diff2)
         log_norm = np.logaddexp.reduce(log_joint, axis=1)
         trace.append(float(log_norm.sum()))
         if converged or iteration == EM_MAX_ITER:
@@ -409,7 +506,7 @@ def gmm_fit(x: np.ndarray, k: int, seed: int) -> GmmModel:
         weights = nk / n
         means = (resp.T @ x) / nk[:, None]
         for j in range(k):
-            diff2 = (x - means[j]) ** 2
+            np.square(np.subtract(x, means[j], out=diff2), out=diff2)
             variances[j] = np.maximum((resp[:, j] @ diff2) / nk[j], VARIANCE_FLOOR)
     return GmmModel(weights, means, variances, trace[-1], k * 2 * d + (k - 1), converged, len(trace) - 1, trace)
 

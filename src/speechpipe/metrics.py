@@ -12,6 +12,7 @@ in interval order. scipy is imported on first use, not with the module.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import asdict, dataclass, field
 
@@ -157,6 +158,7 @@ def _total(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
+@np.errstate(over="ignore")  # spans near 1e308 overflow the sums: _der_report refuses them
 def der(
     ref: SpeakerTimeline,
     hyp: SpeakerTimeline,
@@ -231,8 +233,20 @@ def der(
 
     if total_ref <= 0:
         raise UndefinedMetricError("DER is undefined when scored reference speech is empty")
+    return _der_report(missed, false_alarm, confusion, total_ref, mapping)
+
+
+def _der_report(missed: float, false_alarm: float, confusion: float, total_ref: float,
+                mapping: dict[str, str] | None = None) -> DerReport:
+    """The report of these times, refused when the total or the rate is not
+    finite (every time is at most the error, which a finite rate bounds)."""
     error = missed + false_alarm + confusion
-    return DerReport(missed, false_alarm, confusion, total_ref, error / total_ref, mapping)
+    rate = error / total_ref
+    if not (math.isfinite(total_ref) and math.isfinite(rate)):
+        raise UndefinedMetricError(
+            f"DER is undefined: the scored times overflow float64 (total_ref={total_ref}, error={error})"
+        )
+    return DerReport(missed, false_alarm, confusion, total_ref, rate, mapping or {})
 
 
 def merge_der_reports(reports: list[DerReport]) -> DerReport:
@@ -243,7 +257,7 @@ def merge_der_reports(reports: list[DerReport]) -> DerReport:
     total = sum(r.total_ref for r in reports)
     if total <= 0:
         raise UndefinedMetricError("no reference speech across reports")
-    return DerReport(missed, fa, conf, total, (missed + fa + conf) / total)
+    return _der_report(missed, fa, conf, total)
 
 
 def merge_wer_reports(reports: list[WerReport]) -> WerReport:

@@ -445,15 +445,40 @@ def gmm_predict_reference(model, x: np.ndarray) -> np.ndarray:
     return np.argmax(_log_joint_reference(np.asarray(x, dtype=np.float64), model), axis=1)
 
 
-def estimate_k_silhouette_reference(x: np.ndarray, k_min: int, k_max: int, seed: int):
-    """The library's former `estimate_k_silhouette` after its range check: a
-    best-so-far loop that replaces the kept k only on a strictly higher score."""
+def silhouette_score_reference(x: np.ndarray, labels: np.ndarray) -> float:
+    """The library's former `silhouette_score`: a per-point loop over boolean
+    masks, a distance matrix per call."""
     from speechpipe import clustering as C
 
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    unique = np.unique(labels)
+    if len(unique) < 2:
+        raise C.ParameterError("silhouette needs at least 2 clusters")
+    dist = C.cosine_distance_matrix(x, x)
+    n = len(x)
+    scores = np.zeros(n)
+    masks = {lab: labels == lab for lab in unique}
+    for i in range(n):
+        own = masks[labels[i]]
+        own_size = own.sum()
+        if own_size <= 1:
+            continue  # singleton contributes 0
+        a = dist[i, own].sum() / (own_size - 1)
+        b = min(dist[i, masks[lab]].mean() for lab in unique if lab != labels[i])
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def estimate_k_silhouette_reference(x: np.ndarray, k_min: int, k_max: int, seed: int):
+    """The library's former `estimate_k_silhouette` after its range check: a
+    best-so-far loop that replaces the kept k only on a strictly higher score,
+    each k scored by the former per-point silhouette and k-means loops."""
     best, best_score = None, -np.inf
     for k in range(k_min, k_max + 1):
-        result = C.kmeans(x, k, seed)
-        score = C.silhouette_score(x, result.labels) if result.k >= 2 else -np.inf
+        result = kmeans_reference(x, k, seed)
+        score = silhouette_score_reference(x, result.labels) if result.k >= 2 else -np.inf
         if best is None or score > best_score:
             best, best_score = (k, result), score
     return best

@@ -432,6 +432,20 @@ class TestScoreCommand:
         doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
         assert doc["files"]["a"]["der"] == pytest.approx(0.8)
 
+    def test_overflowing_times_are_that_ids_error(self, tmp_path, capsys):
+        # Two speakers of 1e308 s each: every span is finite, their sum is not.
+        rows = "SPEAKER big 1 0 1e308 <NA> <NA> A <NA> <NA>\nSPEAKER big 1 0 1e308 <NA> <NA> B <NA> <NA>\n"
+        ref = tmp_path / "ref.rttm"
+        ref.write_text(rows + "SPEAKER ok 1 0.000 5.000 <NA> <NA> A <NA> <NA>\n")
+        out = tmp_path / "report.json"
+        code = main(["score", "der", "--ref", str(ref), "--hyp", str(ref), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert list(doc["files"]) == ["ok"] and doc["micro"]["der"] == 0.0
+        assert "overflow" in doc["errors"]["big"]
+
     def test_undefined_recording_is_that_ids_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.jsonl"
         hyp = tmp_path / "hyp.jsonl"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from synth import (
     pca_fit_reference,
     relabel_by_first_appearance_reference,
     select_k_gmm_reference,
+    silhouette_score_reference,
     smooth_labels_temporal_reference,
     two_speaker_scene,
 )
@@ -717,3 +719,125 @@ class TestSweepsAndSignRuleMatchReference:
             raw = vectors[:, np.argsort(values)[::-1]].T[:components]
             flipped += int(np.sum(raw[np.arange(components), np.argmax(np.abs(raw), axis=1)] < 0))
         assert flipped > 0
+
+
+class TestScreenedKmeans:
+    """The BLAS screen only narrows each row to its candidate centers: inputs
+    built to defeat it still give the former exact-sum k-means bit for bit."""
+
+    @staticmethod
+    def spy_candidates(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(|x|^2, candidate mask) of every screen."""
+        import speechpipe.clustering as clustering
+
+        masks = []
+        screen = clustering._candidate_centers
+
+        def spy(x, x_norm2, centers):
+            masks.append((x_norm2, screen(x, x_norm2, centers)))
+            return masks[-1][1]
+
+        monkeypatch.setattr(clustering, "_candidate_centers", spy)
+        return masks
+
+    @staticmethod
+    def inputs(kind: str, rng) -> np.ndarray:
+        n, d = int(rng.integers(8, 40)), int(rng.integers(1, 9))
+        if kind == "midway":
+            # Points in pairs and at their exact midpoints: ties by construction.
+            ends = rng.integers(-4, 5, size=(3, 2, d)).astype(float) * 2
+            halves = ends.mean(axis=1)
+            x = np.vstack([ends.reshape(-1, d), halves])
+            return x[rng.integers(len(x), size=n)]
+        if kind == "ternary":
+            return rng.integers(-1, 2, size=(n, d)).astype(float)
+        if kind == "offset":
+            # |x|^2 and 2 x.c agree to about 12 of their 16 digits.
+            return 1e6 + rng.normal(size=(n, d))
+        if kind == "tiny":
+            # Squares and products fall among the subnormals, which round to
+            # a fixed absolute step rather than a relative one.
+            return rng.choice([1e-158, 1e-161, 1e-162]) * rng.integers(-3, 4, size=(n, d))
+        if kind == "huge":
+            # |x|^2 overflows: the screen is not finite and rows keep every
+            # center. At 1e153 the exact sums stay finite, at 1e200 some do not.
+            pool = rng.normal(size=(4, d)) * (1e153 if rng.random() < 0.5 else 1e200)
+            return pool[rng.integers(4, size=n)]
+        assert kind == "fortran"
+        return np.asfortranarray(rng.normal(size=(n, 12)))
+
+    @pytest.mark.parametrize("kind", ["midway", "ternary", "offset", "tiny", "huge", "fortran"])
+    def test_matches_former_kmeans(self, kind, monkeypatch):
+        import speechpipe.clustering as clustering
+
+        masks = self.spy_candidates(monkeypatch)
+        if kind == "huge":
+            # k-means++ weights overflow at this scale; seed on distinct rows instead.
+            monkeypatch.setattr(clustering, "_kmeans_pp_init",
+                                lambda x, k, rng: np.unique(x, axis=0)[rng.permutation(k)])
+        rng = np.random.default_rng(["midway", "ternary", "offset", "tiny", "huge", "fortran"].index(kind))
+        with np.errstate(over="ignore", invalid="ignore"):  # the former sums overflow at 1e200
+            for _ in range(40):
+                x = self.inputs(kind, rng)
+                k = int(rng.integers(2, min(len(np.unique(x, axis=0)), 6) + 1))
+                TestDiarizationStepsMatchReference.check_kmeans(x, k, int(rng.integers(1000)))
+        counts = np.concatenate([m.sum(axis=1) for _, m in masks])
+        assert counts.min() >= 1
+        # Ties and lost digits leave rows with several candidates to sum
+        # exactly; on plain data the screen settles every row alone.
+        assert (counts > 1).any() == (kind != "fortran")
+        overflowed = np.concatenate([m[~np.isfinite(norm2)].all(axis=1) for norm2, m in masks])
+        assert overflowed.all() and (len(overflowed) > 0) == (kind == "huge")
+
+    def test_peak_memory_is_far_below_the_former_tensor(self):
+        x = np.random.default_rng(99).normal(size=(2000, 192))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            kmeans(x, 25, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The former (n, k, D) float64 tensor alone was 2000 x 25 x 192 x 8 bytes (77 MB).
+        assert peak < 16 * 2**20
+
+
+class TestSilhouetteMatchesReference:
+    """The blocked one-pass silhouette reproduces the former per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    def test_random_awkward_inputs(self, block, monkeypatch):
+        import speechpipe.clustering as clustering
+
+        if block is not None:
+            monkeypatch.setattr(clustering, "_SILHOUETTE_BLOCK", block)
+        rng = np.random.default_rng(100 + (block or 0))
+        for case in range(150):
+            n = int(rng.integers(2, 40))
+            x = _awkward_vectors(rng, n, int(rng.integers(1, 6)))
+            raw = rng.integers(0, int(rng.integers(2, min(n, 8) + 1)), size=n)
+            if case % 4 == 0:
+                raw[rng.integers(n)] = 99  # a singleton cluster
+            if len(np.unique(raw)) < 2:
+                raw[0] = raw[0] + 1
+            labels = (raw, raw * 5 - 7, np.array([f"S{v}" for v in raw]), raw.astype(float))[case % 4]
+            got, want = silhouette_score(x, labels), silhouette_score_reference(x, labels)
+            assert _same_floats(got, want), (case, got, want)
+            assert type(got) is float
+
+    def test_zero_rows_and_duplicates(self):
+        x = np.vstack([np.zeros((3, 4)), np.repeat(np.eye(4)[:2], 4, axis=0)])
+        for labels in ([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2], [0, 1, 2, 0, 0, 1, 1, 0, 2, 2, 1], list("abcabcabcab")):
+            labels = np.array(labels)
+            assert _same_floats(silhouette_score(x, labels), silhouette_score_reference(x, labels))
+
+    def test_sweep_builds_one_distance_matrix(self, monkeypatch):
+        import speechpipe.clustering as clustering
+
+        calls = []
+        matrix = clustering.cosine_distance_matrix
+        monkeypatch.setattr(clustering, "cosine_distance_matrix", lambda a, b: calls.append(1) or matrix(a, b))
+        x = _awkward_vectors(np.random.default_rng(101), 30, 4)
+        k, got = estimate_k_silhouette(x, 2, 6, 0)
+        assert len(calls) == 1
+        want_k, want = estimate_k_silhouette_reference(x, 2, 6, 0)
+        assert k == want_k and got.labels.tolist() == want.labels.tolist()

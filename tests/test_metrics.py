@@ -231,6 +231,21 @@ class TestDer:
         assert merged.total_ref == pytest.approx(20.0)
         assert merged.der == pytest.approx(0.1)
 
+    def test_overflowing_times_are_refused(self, recwarn):
+        # Finite spans whose scored sums are not: two reference speakers of
+        # 1e308 s, or a false alarm on top of 1e308 s of reference.
+        two = timeline("a", seg(0, 1e308, "A"), seg(0, 1e308, "B"))
+        with pytest.raises(UndefinedMetricError, match="overflow"):
+            der(two, two)
+        one = timeline("a", seg(0, 1e308, "A"))
+        with pytest.raises(UndefinedMetricError, match="overflow"):
+            der(one, timeline("a", seg(0, 1e308, "X"), seg(0, 1e308, "Y"), seg(0, 1e308, "Z")))
+        report = der(one, one)
+        assert report.total_ref == 1e308 and report.der == 0.0
+        with pytest.raises(UndefinedMetricError, match="overflow"):
+            merge_der_reports([report, report])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 def random_words(rng: np.random.Generator, alphabet_size: int, n: int) -> str:
     return " ".join("abcd"[k] for k in rng.integers(0, alphabet_size, n))
