@@ -7,6 +7,7 @@ maximum duration are force-split at exactly that limit.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass
 
 from .audio import Waveform
@@ -84,21 +85,21 @@ def _cut_stretch(
     """Cut one accumulation stretch into chunks of at most max_dur.
 
     Forced cuts land at exactly open + max_dur; after a cut in silence the
-    next chunk opens at the next non-silent instant. A final piece shorter
-    than min_dur becomes end-of-audio when the audio is exhausted, otherwise
-    the last cut is pulled back so the closing piece is exactly min_dur long
-    (still ending at the stretch's silence boundary).
+    next chunk opens at the next non-silent instant, found by bisecting the
+    ascending span ends. A final piece shorter than min_dur becomes
+    end-of-audio when the audio is exhausted, otherwise the last cut is pulled
+    back so the closing piece is exactly min_dur long (still ending at the
+    stretch's silence boundary). A cut that cannot advance raises ParameterError.
     """
     pieces: list[list] = []
     cursor = open_at
     while close_at - cursor > cfg.max_dur:
         cut = cursor + cfg.max_dur
+        if cut <= cursor:
+            raise ParameterError(f"max_dur={cfg.max_dur} is below the time resolution at {cursor}s: a cut cannot advance")
         pieces.append([cursor, cut, KIND_FORCED])
-        cursor = cut
-        for span in spans:
-            if span.end > cut:
-                cursor = max(cut, span.start)
-                break
+        after = bisect.bisect_right(spans, cut, key=lambda s: s.end)
+        cursor = max(cut, spans[after].start) if after < len(spans) else cut
 
     if pieces and close_at - cursor < cfg.min_dur:
         if is_final:

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -189,6 +188,14 @@ def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
     return 1 if errors else 0
 
 
+def _claim_output(owners: dict[str, str], what: str, name: str, path: str) -> None:
+    """The first path in sorted order owns an output name: a later path that
+    claims the same name is that path's error, and the owner's outputs stand."""
+    owner = owners.setdefault(name, path)
+    if owner != path:
+        raise PipelineError(f"{what} {name!r} is also that of {owner}: its outputs would overwrite that file's")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     if out:
@@ -235,22 +242,22 @@ def _cluster_file(path: str, config: PipelineConfig, seed: int):
 
 def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.write_chunks:
-        # Workers write concurrently, so two inputs with one stem would race for the same names.
-        stems = Counter(Path(p).stem for p in set(args.paths))
-        shared = sorted(stem for stem, count in stems.items() if count > 1)
-        if shared:
-            raise PipelineError(f"inputs share the file stems {shared}: their chunk WAVs would overwrite each other")
         os.makedirs(args.write_chunks, exist_ok=True)
+    # Workers write concurrently, so each stem's owner (the first path in
+    # sorted order, assigned last here) is fixed before any work starts.
+    owners = {Path(p).stem: p for p in sorted(args.paths, reverse=True)}
 
     def work(path: str):
         # The chunk WAVs are written here, so no decoded waveform outlives its file.
+        stem = Path(path).stem
+        if args.write_chunks:
+            _claim_output(owners, "file stem", stem, path)
         w, spans = _speech_spans(path, config)
         plan = plan_chunks(spans, w.duration_seconds, config.chunking)
         presence = music_presence(w, config.music) if config.preprocess.detect_music else None
         if args.write_chunks:
-            rid = Path(path).stem
             for i, piece in enumerate(chunk_to_samples(plan, w)):
-                write_wav(os.path.join(args.write_chunks, f"{rid}_chunk{i:03d}.wav"), piece)
+                write_wav(os.path.join(args.write_chunks, f"{stem}_chunk{i:03d}.wav"), piece)
         return plan, presence
 
     def describe(path: str, result) -> dict:
@@ -293,10 +300,7 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     def describe(path: str, result) -> dict:
         rid, timeline, k = result
-        # The first path in sorted order owns a recording id's outputs.
-        owner = owners.setdefault(rid, path)
-        if owner != path:
-            raise PipelineError(f"recording id {rid!r} is also that of {owner}: its outputs would overwrite that file's")
+        _claim_output(owners, "recording id", rid, path)
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
         Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")

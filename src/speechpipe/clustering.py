@@ -238,19 +238,23 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
 # k-means
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding; rows whose D^2 weights overflow float64 raise ParameterError."""
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))  # duplicates everywhere: any point works
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        d2 = np.sum((x - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise ParameterError(f"k-means++ needs squared distances that fit in float64, got a total of {total}")
+            if total <= 0:
+                idx = int(rng.integers(n))  # duplicates everywhere: any point works
+            else:
+                idx = int(rng.choice(n, p=d2 / total))
+            centers[j] = x[idx]
+            d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
     return centers
 
 
@@ -369,11 +373,15 @@ def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if len(np.unique(labels)) < 2:
         raise ParameterError("silhouette needs at least 2 clusters")
+    if not np.isfinite(x).all():
+        raise ParameterError("silhouette needs finite rows")
     return _silhouette_from_distances(cosine_distance_matrix(x, x), labels)
 
 
 def _silhouette_from_distances(dist: np.ndarray, labels: np.ndarray) -> float:
-    """`silhouette_score` on the precomputed cosine distances of its rows."""
+    """`silhouette_score` on the precomputed cosine distances of its rows. A row's
+    b, its least mean distance to another cluster, is the row minimum of the
+    means with its own cluster's set to inf: on finite distances, the builtin min."""
     unique, own = np.unique(labels, return_inverse=True)
     members = [np.flatnonzero(labels == lab) for lab in unique]
     sizes = np.array([len(m) for m in members])
@@ -387,19 +395,13 @@ def _silhouette_from_distances(dist: np.ndarray, labels: np.ndarray) -> float:
         # dist[i, mask].sum() does.
         sums = np.stack([np.take(rows, m, axis=1).sum(axis=1) for m in members], axis=1)
         own_size = sizes[block_own]
+        own_col = np.arange(len(rows)), block_own
         means = sums / sizes
-        # b is the builtin min over the other clusters in label order: the
-        # first of them starts, and only a strictly smaller mean replaces it.
-        b = np.zeros(len(rows))
-        started = np.zeros(len(rows), dtype=bool)
-        for j in range(len(unique)):
-            other = block_own != j
-            take = other & (~started | (means[:, j] < b))
-            b[take] = means[take, j]
-            started |= other
+        means[own_col] = np.inf
+        b = means.min(axis=1)
         # Singletons (own_size - 1 == 0) and denom == 0 score 0: those quotients are unused.
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = sums[np.arange(len(rows)), block_own] / (own_size - 1)
+            a = sums[own_col] / (own_size - 1)
             denom = np.where(b > a, b, a)  # max(a, b) keeps a unless b is larger
             score = np.where(denom == 0, 0.0, (b - a) / denom)
         scores[start : start + step] = np.where(own_size <= 1, 0.0, score)
@@ -419,9 +421,10 @@ def estimate_k_silhouette(x: np.ndarray, k_min: int, k_max: int, seed: int) -> t
         raise ParameterError(
             f"need 2 <= k_min <= k_max <= N-1 = {n - 1}, got [{k_min}, {k_max}]"
         )
+    # The fits come first, so rows that k-means refuses build no distance matrix.
+    fits = [(k, kmeans(x, k, seed)) for k in range(k_min, k_max + 1)]
     dist = cosine_distance_matrix(x, x)
     # max keeps the first of equal scores: ties go to the smaller k.
-    fits = ((k, kmeans(x, k, seed)) for k in range(k_min, k_max + 1))
     return max(fits, key=lambda fit: _silhouette_from_distances(dist, fit[1].labels) if fit[1].k >= 2 else -np.inf)
 
 

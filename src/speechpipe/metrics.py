@@ -178,21 +178,14 @@ def der(
     if collar < 0:
         raise ParameterError(f"collar must be >= 0, got {collar}")
 
-    edge_values: set[float] = set()
-    for timeline in (ref, hyp):
-        for seg in timeline.segments:
-            edge_values.add(seg.span.start)
-            edge_values.add(seg.span.end)
-    exclusions: list[tuple[float, float]] = []
-    if collar > 0:
-        for seg in ref.segments:
-            for b in (seg.span.start, seg.span.end):
-                lo, hi = max(0.0, b - collar), b + collar
-                exclusions.append((lo, hi))
-                edge_values.update((lo, hi))
-    if not edge_values:
+    ref_bounds, hyp_bounds = (np.array([b for seg in t.segments for b in (seg.span.start, seg.span.end)], dtype=float)
+                              for t in (ref, hyp))
+    # The collar regions (lo, hi) around every reference boundary; none without a collar.
+    collared = ref_bounds if collar > 0 else ref_bounds[:0]
+    lo, hi = np.maximum(0.0, collared - collar), collared + collar
+    edges = np.unique(np.concatenate([ref_bounds, hyp_bounds, lo, hi]))
+    if not edges.size:
         raise UndefinedMetricError("DER is undefined when the reference has no speech")
-    edges = np.array(sorted(edge_values))
 
     ref_speakers = ref.speakers()
     hyp_speakers = hyp.speakers()
@@ -204,10 +197,8 @@ def der(
     # An interval is excluded when its midpoint lies strictly inside some
     # (lo, hi): +1/-1 at the first and past the last such midpoint.
     excluded = np.zeros(len(lengths) + 1, dtype=np.int32)
-    if exclusions:
-        lo, hi = np.array(exclusions).T
-        np.add.at(excluded, np.searchsorted(midpoints, lo, "right"), 1)
-        np.add.at(excluded, np.searchsorted(midpoints, hi, "left"), -1)
+    np.add.at(excluded, np.searchsorted(midpoints, lo, "right"), 1)
+    np.add.at(excluded, np.searchsorted(midpoints, hi, "left"), -1)
     scored = np.cumsum(excluded[:-1]) == 0
     if skip_overlap:
         scored &= ref_active.sum(axis=1) < 2
@@ -223,9 +214,7 @@ def der(
     mapping = {hyp_speakers[h]: ref_speakers[r] for r, h in pairs}
 
     r_count, h_count = ref_active.sum(axis=1), hyp_active.sum(axis=1)
-    matched = np.zeros(len(sel), dtype=np.int64)
-    for r, h in pairs:
-        matched += ref_active[:, r] & hyp_active[:, h]
+    matched = (ref_active[:, [r for r, _ in pairs]] & hyp_active[:, [h for _, h in pairs]]).sum(axis=1)
     total_ref = float(_total(length * r_count))
     missed = float(_total(length * np.maximum(0, r_count - h_count)))
     false_alarm = float(_total(length * np.maximum(0, h_count - r_count)))

@@ -582,6 +582,50 @@ def merge_adjacent_windows_reference(window_spans: list[TimeSpan], labels: list,
 
 
 # ---------------------------------------------------------------------------
+# Former chunk planner: each forced cut rescans the spans from the first
+
+def plan_chunks_reference(nonsilent: list[TimeSpan], total_duration: float, cfg):
+    """The library's former `plan_chunks` after its structural checks: after a
+    forced cut, the next chunk opens at the first span ending past the cut,
+    found by a linear scan from the first span."""
+    from speechpipe.chunking import KIND_END_OF_AUDIO, KIND_FORCED, KIND_SILENCE, ChunkPlan
+
+    stretches = []
+    open_at = None
+    for span in nonsilent:
+        if open_at is None:
+            open_at = 0.0 if cfg.include_leading_silence and not stretches else span.start
+        if span.end - open_at >= cfg.min_dur:
+            stretches.append((open_at, span.end, KIND_SILENCE))
+            open_at = None
+    if open_at is not None:
+        stretches.append((open_at, nonsilent[-1].end, KIND_END_OF_AUDIO))
+
+    chunks, kinds = [], []
+    for i, (cursor, close_at, kind) in enumerate(stretches):
+        pieces = []
+        while close_at - cursor > cfg.max_dur:
+            cut = cursor + cfg.max_dur
+            pieces.append([cursor, cut, KIND_FORCED])
+            cursor = cut
+            for span in nonsilent:
+                if span.end > cut:
+                    cursor = max(cut, span.start)
+                    break
+        if pieces and close_at - cursor < cfg.min_dur:
+            if i == len(stretches) - 1:
+                kind = KIND_END_OF_AUDIO
+            else:
+                cursor = close_at - cfg.min_dur
+                pieces[-1][1] = min(pieces[-1][1], cursor)
+        pieces.append([cursor, close_at, kind])
+        for a, b, piece_kind in pieces:
+            chunks.append(TimeSpan(a, b))
+            kinds.append(piece_kind)
+    return ChunkPlan(chunks, total_duration, kinds.count(KIND_FORCED), kinds)
+
+
+# ---------------------------------------------------------------------------
 # Former silence split: runs found and capped in Python loops
 
 def split_on_silence_reference(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from speechpipe import (
     ChunkConfig,
     ChunkPlan,
+    ParameterError,
     StructuralError,
     TimeSpan,
     Waveform,
@@ -16,7 +18,7 @@ from speechpipe import (
     fixed_interval_plan,
     plan_chunks,
 )
-from synth import SR, tone
+from synth import SR, plan_chunks_reference, tone
 
 
 def spans(*pairs):
@@ -112,6 +114,65 @@ class TestPlanChunks:
         plan = plan_chunks(spans((0, 70)), 70, ChunkConfig(20, 30))
         doc = plan.to_dict("rec1", ChunkConfig(20, 30))
         assert ChunkPlan.from_dict(doc) == plan
+
+    def test_cut_below_time_resolution_raises(self):
+        # 1000 + 1e-14 == 1000: a forced cut there could never advance.
+        with pytest.raises(ParameterError, match=r"max_dur=1e-14 .* at 1000\.0s"):
+            plan_chunks(spans((1000.0, 1001.0)), 1002.0, ChunkConfig(min_dur=1e-14, max_dur=1e-14))
+
+
+def plan_or_error(planner, *args) -> str:
+    """The plan as JSON, so floats compare bit for bit, or the error raised."""
+    try:
+        return json.dumps(planner(*args).to_dict())
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+class TestPlanChunksMatchesReference:
+    """Reopening by bisecting the span ends reproduces the former linear
+    rescan from the first span, plan for plan and float for float."""
+
+    @staticmethod
+    def span_set(rng, step: float | None, scale: float) -> list[TimeSpan]:
+        """Sorted disjoint spans, some touching, some far longer than `scale`,
+        with gaps from none to several `scale`s; times rounded to `step` when given."""
+        bounds, clock = [], float(rng.choice([0.0, rng.uniform(0, 2 * scale)]))
+        for _ in range(int(rng.integers(0, 25))):
+            end = clock + float(rng.exponential(scale)) * float(rng.choice([0.2, 1.0, 4.0]))
+            bounds.append((clock, end))
+            clock = end + float(rng.choice([0.0, rng.exponential(scale / 2)]))
+        if step is not None:
+            bounds = [(round(a / step) * step, round(b / step) * step) for a, b in bounds]
+        return [TimeSpan(a, b) for a, b in bounds if a < b]
+
+    def test_random_span_sets(self):
+        # Times on a grid of 0.01 s, of 0.5 s (exact in binary, so cuts land
+        # exactly on span ends) or unrounded; each with leading silence on and off.
+        rng = np.random.default_rng(314)
+        reopened = 0
+        for case in range(1200):
+            step, lead, ratio = (None, 0.01, 0.5)[case % 3], case // 3 % 2 == 1, (1.0, 1.5, 3.0)[case // 6 % 3]
+            min_dur = float(rng.uniform(0.5, 20.0))
+            if step is not None:
+                min_dur = max(0.5, round(min_dur / 0.5) * 0.5)
+            cfg = ChunkConfig(min_dur=min_dur, max_dur=min_dur * ratio, include_leading_silence=lead)
+            nonsilent = self.span_set(rng, step, min_dur)
+            total = (nonsilent[-1].end if nonsilent else 0.0) + float(rng.uniform(0.0, 5.0))
+            got = plan_or_error(plan_chunks, nonsilent, total, cfg)
+            assert got == plan_or_error(plan_chunks_reference, nonsilent, total, cfg), case
+            chunks = json.loads(got)["chunks"] if got.startswith("{") else []
+            reopened += sum(c["kind"] == "forced" and nxt["start"] > c["end"] for c, nxt in zip(chunks, chunks[1:]))
+        # Forced cuts that land in silence reopen past the cut: the search is exercised.
+        assert reopened > 100
+
+    def test_cut_rounding_onto_a_span_end(self):
+        # 10.49 - 9.39 < 1.1, so the stretch runs on past the first span, yet
+        # 9.39 + 1.1 == 10.49: the first cut lands on that span's end, and the
+        # next chunk opens at the next span.
+        nonsilent, cfg = spans((9.39, 10.49), (11.0, 20.0)), ChunkConfig(1.1, 1.1)
+        assert plan_or_error(plan_chunks, nonsilent, 20.0, cfg) == plan_or_error(plan_chunks_reference, nonsilent, 20.0, cfg)
+        assert [c.start for c in plan_chunks(nonsilent, 20.0, cfg).chunks[:2]] == [9.39, 11.0]
 
 
 class TestChunkToSamples:

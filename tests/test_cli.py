@@ -127,19 +127,57 @@ class TestChunkCommand:
         assert len(written["2"]) >= 2
         assert written["1"] == written["2"]
 
-    def test_write_chunks_rejects_shared_stems(self, tmp_path, capsys):
-        for folder in ("a", "b"):
-            (tmp_path / folder).mkdir()
-            write_wav(tmp_path / folder / "take.wav", Waveform(tone(440, 2.0), SR))
-        paths = [str(tmp_path / "a" / "take.wav"), str(tmp_path / "b" / "take.wav")]
-        code = main(["chunk", *paths, "--write-chunks", str(tmp_path / "pieces")])
-        captured = capsys.readouterr()
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shared_stem_is_the_later_files_error(self, workers, tmp_path, capsys):
+        # Both inputs are named take.wav: the first path in sorted order owns
+        # the chunk WAV names, and the later path must not overwrite them.
+        first, second = str(tmp_path / "a" / "take.wav"), str(tmp_path / "b" / "take.wav")
+        for path, sig in ((first, [tone(440, 4.0), silence(1.0), tone(880, 4.0)]), (second, [tone(660, 7.0)])):
+            os.mkdir(os.path.dirname(path))
+            write_wav(path, Waveform(np.concatenate(sig), SR))
+        flags = ["--min-dur", "3", "--max-dur", "6"]
+        alone = tmp_path / "alone"
+        assert run(capsys, "chunk", first, *flags, "--write-chunks", str(alone))[0] == 0
+        out_dir = tmp_path / "pieces"
+        code, out = run(capsys, "chunk", second, first, *flags, "--write-chunks", str(out_dir), "--workers", workers)
         assert code == 1
-        assert captured.err.count("chunk: error: ") == 1
-        assert "'take'" in captured.err
-        assert not (tmp_path / "pieces").exists()
-        code, _ = run(capsys, "chunk", *paths)  # without writes the shared stem is harmless
+        doc = json.loads(out)
+        assert [f["path"] for f in doc["files"]] == [first]
+        assert list(doc["errors"]) == [second]
+        assert "'take'" in doc["errors"][second] and first in doc["errors"][second]
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(written) >= 2
+        assert written == {p.name: p.read_bytes() for p in alone.iterdir()}
+        code, _ = run(capsys, "chunk", first, second)  # without writes the shared stem is harmless
         assert code == 0
+
+    def test_max_dur_below_time_resolution_reported_per_file(self, tmp_path):
+        # After 1 s of leading silence, 1 + 1e-300 == 1: a forced cut could
+        # never advance. That file is an input error and the silent one is
+        # still described. A child with a timeout and a capped address space
+        # makes a regression fail instead of hanging or exhausting the host.
+        resource = pytest.importorskip("resource")
+        late, quiet = str(tmp_path / "late.wav"), str(tmp_path / "quiet.wav")
+        write_wav(late, Waveform(np.concatenate([silence(1.0), tone(440, 2.0)]), SR))
+        write_wav(quiet, Waveform(silence(2.0), SR))
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "speechpipe.cli", "chunk", late, quiet, "--min-dur", "1e-300", "--max-dur", "1e-300"],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, timeout=60,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        doc = json.loads(result.stdout)
+        assert [f["path"] for f in doc["files"]] == [quiet]
+        assert doc["files"][0]["chunks"] == []
+        assert list(doc["errors"]) == [late]
+        assert "max_dur=1e-300" in doc["errors"][late]
 
     def test_huge_target_rate_reported_per_file(self, tmp_path):
         # The resampling filter for 16 kHz -> 2**31 - 1 Hz would take 1 TiB;

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from speechpipe import (
     silhouette_score,
     smooth_labels_temporal,
 )
-from speechpipe.clustering import ClusteringConfig, _relabel_by_first_appearance, cluster_embeddings
+from speechpipe.clustering import (
+    ClusteringConfig,
+    _relabel_by_first_appearance,
+    cluster_embeddings,
+    cosine_distance_matrix,
+)
 from synth import (
     ahc_centroid_reference,
     ahc_oracle,
@@ -278,6 +285,19 @@ class TestAhcScale:
 
 
 class TestKmeans:
+    @pytest.mark.parametrize("fit", ["kmeans", "gmm_fit", "estimate_k_silhouette"])
+    def test_rows_whose_weights_overflow_are_refused(self, fit):
+        # Squared distances near 1e400 overflow the k-means++ weights: an
+        # input error before any numpy warning, in every fit that seeds there.
+        run = {"kmeans": lambda x: kmeans(x, 3, 0), "gmm_fit": lambda x: gmm_fit(x, 3, 0),
+               "estimate_k_silhouette": lambda x: estimate_k_silhouette(x, 2, 4, 0)}[fit]
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"k-means\+\+ needs squared distances"):
+                run(x * 1e200)
+            run(x * 1e150)  # weights near 1e300 still fit
+
     def test_k_equals_n_zero_inertia(self):
         rng = np.random.default_rng(20)
         x = rng.normal(size=(8, 3))
@@ -355,6 +375,13 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(ParameterError):
             silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        x = np.eye(4)
+        x[2, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            silhouette_score(x, np.array([0, 0, 1, 1]))
 
 
 class TestEstimateK:
@@ -829,6 +856,27 @@ class TestSilhouetteMatchesReference:
         for labels in ([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2], [0, 1, 2, 0, 0, 1, 1, 0, 2, 2, 1], list("abcabcabcab")):
             labels = np.array(labels)
             assert _same_floats(silhouette_score(x, labels), silhouette_score_reference(x, labels))
+
+    def test_nearest_other_cluster_is_not_the_first(self):
+        # Clusters at 180, 90 and 0 degrees: for the one at 0 the nearest other
+        # is the one at 90, which no label order puts first when 180 precedes it.
+        x = np.array([[-1.0, 0.0], [-1.0, 0.1], [0.0, 1.0], [0.1, 1.0], [1.0, 0.0], [1.0, 0.1]])
+        dist = cosine_distance_matrix(x, x)
+        assert (dist[4:, 2:4].mean(axis=1) < dist[4:, :2].mean(axis=1)).all()
+        for names in itertools.permutations("abc"):
+            labels = np.repeat(list(names), 2)
+            assert _same_floats(silhouette_score(x, labels), silhouette_score_reference(x, labels)), names
+
+    def test_tied_other_clusters(self):
+        # Clusters mirrored about the x axis are exactly as far from the
+        # cluster on it; the tie is at every place in label order.
+        x = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 1.0], [2.0, 3.0], [1.0, -1.0], [2.0, -3.0],
+                      [-1.0, 0.5], [-2.0, 0.25]])
+        dist = cosine_distance_matrix(x, x)
+        assert (dist[:2, 2:4] == dist[:2, 4:6]).all()
+        for names in itertools.permutations("abcd"):
+            labels = np.repeat(list(names), 2)
+            assert _same_floats(silhouette_score(x, labels), silhouette_score_reference(x, labels)), names
 
     def test_sweep_builds_one_distance_matrix(self, monkeypatch):
         import speechpipe.clustering as clustering

@@ -335,6 +335,28 @@ class TestArrayDer:
         assert der(ref, hyp).total_ref == 10.0
         assert der(ref, hyp, skip_overlap=True).total_ref == 10.0
 
+    EDGE_CASES = {
+        "no mapped pair": (SpeakerTimeline("r", [seg(0.0, 5.0, "A"), seg(5.0, 7.5, "B")]),
+                           SpeakerTimeline("r", [seg(8.0, 9.0, "X")])),
+        "negative zero start": (SpeakerTimeline("r", [seg(-0.0, 3.0, "A"), seg(4.0, 6.0, "B")]),
+                                SpeakerTimeline("r", [seg(0.0, 2.5, "X"), seg(4.5, 6.0, "Y")])),
+        "collar past zero": (SpeakerTimeline("r", [seg(0.2, 2.0, "A"), seg(2.1, 4.0, "B")]),
+                             SpeakerTimeline("r", [seg(0.1, 3.0, "X")])),
+        "empty hypothesis": (SpeakerTimeline("r", [seg(-0.0, 4.0, "A"), seg(3.0, 6.0, "B")]),
+                             SpeakerTimeline("r", [])),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    @pytest.mark.parametrize("collar", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("skip_overlap", [False, True])
+    def test_edge_cases_match_reference(self, case, collar, skip_overlap):
+        args = (*self.EDGE_CASES[case], collar, skip_overlap)
+        got = report_or_error(der, *args)
+        # repr tells -0.0 from 0.0.
+        assert repr(got) == repr(report_or_error(der_reference, *args))
+        if case in ("no mapped pair", "empty hypothesis"):
+            assert got["mapping"] == {}
+
     def test_collar_covering_everything_is_undefined(self):
         ref = timeline("r", seg(1.0, 1.2, "A"))
         with pytest.raises(UndefinedMetricError):
