@@ -204,7 +204,7 @@ def split_on_silence(
     single span covering the full duration. If the loudest frame is itself
     at or below the digital-silence floor, the input is treated as silent.
     """
-    if top_db <= 0:
+    if not top_db > 0:
         raise ParameterError(f"top_db must be positive, got {top_db}")
     levels = frame_rms_db(w, frame_length, hop_length).values
     if len(levels) == 0:
@@ -289,7 +289,10 @@ def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> Musi
     """Score the fraction of one-second windows whose flux statistics look musical.
 
     Flux is normalized by frame spectral energy, so the score is invariant
-    under pure rescaling of the waveform (peak normalization included).
+    under pure rescaling of the waveform (peak normalization included). The
+    frame and hop lengths count samples, so the thresholds hold for the
+    signal they were calibrated on: the conditioned one every CLI command
+    analyses (16 kHz by default, high-passed, peak-normalized).
     """
     cfg = config or MusicDetectConfig()
     flux, energy = _flux_and_energy(w, cfg.frame_length, cfg.hop_length)

@@ -89,7 +89,10 @@ def _cut_stretch(
     ascending span ends. A final piece shorter than min_dur becomes
     end-of-audio when the audio is exhausted, otherwise the last cut is pulled
     back so the closing piece is exactly min_dur long (still ending at the
-    stretch's silence boundary). A cut that cannot advance raises ParameterError.
+    stretch's silence boundary). A last cut that rounds onto the close, so
+    that either rule would leave an empty piece, is dropped: the closing piece
+    opens where that cut's piece opened. A cut that cannot advance raises
+    ParameterError.
     """
     pieces: list[list] = []
     cursor = open_at
@@ -102,11 +105,13 @@ def _cut_stretch(
         cursor = max(cut, spans[after].start) if after < len(spans) else cut
 
     if pieces and close_at - cursor < cfg.min_dur:
-        if is_final:
+        if is_final and cursor < close_at:
             kind = KIND_END_OF_AUDIO
-        else:
+        elif not is_final and pieces[-1][0] < close_at - cfg.min_dur:
             cursor = close_at - cfg.min_dur
             pieces[-1][1] = min(pieces[-1][1], cursor)
+        else:
+            cursor = pieces.pop()[0]
     pieces.append([cursor, close_at, kind])
     return [(a, b, k) for a, b, k in pieces]
 
@@ -206,7 +211,7 @@ def boundary_error_audit(ref_words: list[tuple[str, TimeSpan]], plan: ChunkPlan)
 
 def fixed_interval_plan(total_duration: float, chunk_seconds: float) -> ChunkPlan:
     """Baseline fixed-length plan for audit comparisons; every cut is a forced split."""
-    if chunk_seconds <= 0:
+    if not chunk_seconds > 0:
         raise ParameterError("chunk_seconds must be positive")
     chunks = []
     kinds = []

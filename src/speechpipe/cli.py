@@ -54,7 +54,7 @@ class SilenceConfig:
     hop_length: int = 512
 
     def __post_init__(self):
-        if self.top_db <= 0:
+        if not self.top_db > 0:
             raise ParameterError(f"top_db must be positive, got {self.top_db}")
         check_frame_params(self.frame_length, self.hop_length)
 
@@ -89,7 +89,7 @@ class MetricsConfig:
     skip_overlap: bool = False
 
     def __post_init__(self):
-        if self.collar < 0:
+        if not self.collar >= 0:
             raise ParameterError(f"collar must be >= 0, got {self.collar}")
 
 
@@ -208,7 +208,9 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _preprocess(w: Waveform, cfg: PreprocessConfig) -> Waveform:
+def _conditioned(path: str, cfg: PreprocessConfig) -> Waveform:
+    """A WAV as every audio command analyses it: mono, resampled, high-passed, peak-normalized."""
+    w = load_mono(path)
     if cfg.target_sample_rate and w.sample_rate != cfg.target_sample_rate:
         w = resample(w, cfg.target_sample_rate)
     if cfg.highpass_hz:
@@ -218,11 +220,8 @@ def _preprocess(w: Waveform, cfg: PreprocessConfig) -> Waveform:
     return w
 
 
-def _speech_spans(path: str, config: PipelineConfig):
-    """Read a WAV, condition it and split it at silences: (waveform, spans)."""
-    w = _preprocess(load_mono(path), config.preprocess)
-    s = config.silence
-    return w, split_on_silence(w, s.top_db, s.frame_length, s.hop_length)
+def _speech_spans(w: Waveform, s: SilenceConfig):
+    return split_on_silence(w, s.top_db, s.frame_length, s.hop_length)
 
 
 def _speaker_name(label: int) -> str:
@@ -252,8 +251,8 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
         stem = Path(path).stem
         if args.write_chunks:
             _claim_output(owners, "file stem", stem, path)
-        w, spans = _speech_spans(path, config)
-        plan = plan_chunks(spans, w.duration_seconds, config.chunking)
+        w = _conditioned(path, config.preprocess)
+        plan = plan_chunks(_speech_spans(w, config.silence), w.duration_seconds, config.chunking)
         presence = music_presence(w, config.music) if config.preprocess.detect_music else None
         if args.write_chunks:
             for i, piece in enumerate(chunk_to_samples(plan, w)):
@@ -273,14 +272,15 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_detect_music(args: argparse.Namespace, config: PipelineConfig) -> int:
     def work(path: str):
-        return music_presence(load_mono(path), config.music)
+        return music_presence(_conditioned(path, config.preprocess), config.music)
 
     def describe(path: str, presence) -> dict:
         _log(f"detect-music: {path}: score={presence.score:.3f} is_music={presence.is_music}")
         return {"path": path, "score": presence.score, "is_music": presence.is_music,
                 "low_confidence": presence.low_confidence}
 
-    return _run_batch(args, {"command": "detect-music", "config": asdict(config.music)}, work, describe)
+    head = {"command": "detect-music", "config": {"preprocess": asdict(config.preprocess), "music": asdict(config.music)}}
+    return _run_batch(args, head, work, describe)
 
 
 def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -404,18 +404,10 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
             raise PipelineError(f"the chunk report lists {len(files)} files; windows takes the plan of one")
         spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
     else:
-        _, spans = _speech_spans(args.path, config)
-    schedule = window_schedule(spans, args.window, args.hop)
-    report = {
-        "command": "windows",
-        "window": args.window,
-        "hop": args.hop,
-        "windows": [
-            {"start": sw.span.start, "end": sw.span.end, "short": sw.short}
-            for sw in schedule
-        ],
-    }
-    _emit(report, args.out)
+        spans = _speech_spans(_conditioned(args.path, config.preprocess), config.silence)
+    windows = [{"start": sw.span.start, "end": sw.span.end, "short": sw.short}
+               for sw in window_schedule(spans, args.window, args.hop)]
+    _emit({"command": "windows", "window": args.window, "hop": args.hop, "windows": windows}, args.out)
     return 0
 
 
@@ -513,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_pipeline_config(getattr(args, "config", None), args)
         if getattr(args, "workers", None) is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

@@ -155,7 +155,7 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
     if nothing survives, the largest cluster is kept. Labels are renumbered
     by first appearance in time order.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     x = np.asarray(vectors, dtype=np.float64)
     n = len(x)
@@ -245,16 +245,18 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers[0] = x[first]
     with np.errstate(over="ignore"):  # an overflowed total is refused below
         d2 = np.sum((x - centers[0]) ** 2, axis=1)
+        total = d2.sum()
+        # A draw only lowers the weights, so this first total bounds every later one.
+        if not np.isfinite(total):
+            raise ParameterError(f"k-means++ needs squared distances that fit in float64, got a total of {total}")
         for j in range(1, k):
-            total = d2.sum()
-            if not np.isfinite(total):
-                raise ParameterError(f"k-means++ needs squared distances that fit in float64, got a total of {total}")
             if total <= 0:
                 idx = int(rng.integers(n))  # duplicates everywhere: any point works
             else:
                 idx = int(rng.choice(n, p=d2 / total))
             centers[j] = x[idx]
             d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+            total = d2.sum()
     return centers
 
 
@@ -320,6 +322,8 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> ClusterResult:
     n = len(x)
     if not (1 <= k <= n):
         raise ParameterError(f"k must be in [1, N] = [1, {n}], got {k}")
+    if not seed >= 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, k, rng)
     # One more assignment than updates: the last, after convergence or the limit, is the result.

@@ -267,9 +267,9 @@ class DecodeConfig:
             raise ParameterError(f"beams must be >= 1, got {self.beams}")
         if self.no_repeat_ngram < 0:
             raise ParameterError("no_repeat_ngram must be >= 0")
-        if self.repetition_penalty <= 0:
+        if not self.repetition_penalty > 0:
             raise ParameterError("repetition_penalty must be positive")
-        if self.do_sample and self.temperature <= 0:
+        if self.do_sample and not self.temperature > 0:
             raise ParameterError("temperature must be positive when sampling")
 
     def to_json(self) -> str:

@@ -175,7 +175,7 @@ def der(
         raise StructuralError(
             f"recording ids differ: {ref.recording_id!r} vs {hyp.recording_id!r}"
         )
-    if collar < 0:
+    if not collar >= 0:
         raise ParameterError(f"collar must be >= 0, got {collar}")
 
     ref_bounds, hyp_bounds = (np.array([b for seg in t.segments for b in (seg.span.start, seg.span.end)], dtype=float)

@@ -127,7 +127,7 @@ def write_rttm(timelines: list[SpeakerTimeline]) -> str:
 
 def suppress_gaps(t: SpeakerTimeline, min_duration_off: float) -> SpeakerTimeline:
     """Absorb same-speaker gaps shorter than `min_duration_off` into one segment."""
-    if min_duration_off < 0:
+    if not min_duration_off >= 0:
         raise ParameterError(f"min_duration_off must be >= 0, got {min_duration_off}")
     merged = _merge_per_speaker(t.segments, lambda current, span: span.start - current.end < min_duration_off)
     return SpeakerTimeline(t.recording_id, merged)

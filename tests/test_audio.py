@@ -198,6 +198,10 @@ class TestFrameRms:
 
 
 class TestSplitOnSilence:
+    def test_nan_top_db_rejected(self):
+        with pytest.raises(ParameterError, match="top_db must be positive, got nan"):
+            split_on_silence(Waveform(tone(440, 1.0), SR), float("nan"))
+
     def test_all_zero_returns_empty(self):
         assert split_on_silence(Waveform(np.zeros(SR, dtype=np.float32), SR)) == []
 

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from speechpipe import (
+    MusicDetectConfig,
+    ParameterError,
     SpeakerSegment,
     SpeakerTimeline,
     TimeSpan,
@@ -27,7 +30,9 @@ from speechpipe import (
     write_segments_csv,
     write_wav,
 )
-from speechpipe.cli import OPTIONS, PipelineConfig, build_parser, main
+from speechpipe.cli import (
+    OPTIONS, MetricsConfig, PipelineConfig, PreprocessConfig, SilenceConfig, build_parser, main,
+)
 from synth import SR, clean_rows, corrupt_row, silence, tone, two_speaker_scene
 
 
@@ -309,6 +314,29 @@ class TestDetectMusicCommand:
         assert "Traceback" not in result.stderr
         entry = json.loads(result.stdout)["files"][0]
         assert (entry["score"], entry["is_music"], entry["low_confidence"]) == (0.0, False, True)
+
+    @pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+    def test_scores_the_signal_chunk_scores(self, rate, tmp_path, capsys):
+        # Both commands condition the file the same way (16 kHz, high-pass,
+        # peak-normalized) before the vote, whatever its native rate.
+        from synth import music_proxy, speech_proxy
+
+        write_wav(tmp_path / "music.wav", music_proxy(8, 0, sr=rate), encoding="float32")
+        write_wav(tmp_path / "speech.wav", speech_proxy(8, 0, sr=rate), encoding="float32")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"preprocess": {"detect_music": true}}')
+        paths = [str(tmp_path / "music.wav"), str(tmp_path / "speech.wav")]
+        _, detected = run(capsys, "detect-music", *paths)
+        _, chunked = run(capsys, "chunk", *paths, "--config", str(cfg))
+        got = [(f["score"], f["is_music"]) for f in json.loads(detected)["files"]]
+        assert got == [(f["music"]["score"], f["music"]["is_music"]) for f in json.loads(chunked)["files"]]
+        assert [is_music for _, is_music in got] == [True, False]
+
+    def test_report_echoes_the_sections_it_reads(self, speech_wav, capsys):
+        _, out = run(capsys, "detect-music", str(speech_wav), "--threshold", "0.25")
+        config = json.loads(out)["config"]
+        assert config == {"preprocess": asdict(PreprocessConfig()),
+                          "music": asdict(MusicDetectConfig(decision_threshold=0.25))}
 
 
 class TestDiarizeCommand:
@@ -756,6 +784,10 @@ class TestConfigValidation:
         ("detect-music", ["--threshold", "nan"], None),
         ("diarize", ["--workers", "0"], None),
         ("cluster", ["--workers", "-1"], None),
+        ("cluster", ["--method", "gmm", "--seed=-1"], None),
+        ("cluster", ["--method", "kmeans", "--seed=-1"], None),
+        ("diarize", ["--method", "gmm", "--seed=-1"], None),
+        ("diarize", ["--method", "kmeans", "--seed=-1"], None),
     ])
     def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
         self.assert_exit_two(command, flags, section, tmp_path, capsys)
@@ -795,6 +827,11 @@ class TestConfigValidation:
         assert captured.out == ""
         assert not (tmp_path / "report.json").exists()
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, name", [(SilenceConfig, "top_db"), (MetricsConfig, "collar")])
+    def test_nan_rejected_by_the_section_itself(self, section, name):
+        with pytest.raises(ParameterError, match=f"{name} must be"):
+            section(**{name: math.nan})
 
     def test_chunk_bounds_from_flags_exit_two(self, speech_wav, capsys):
         code = main(["chunk", str(speech_wav), "--min-dur", "5", "--max-dur", "3"])
@@ -969,6 +1006,45 @@ class TestOptionTable:
                 for a in parser._actions if not isinstance(a, argparse._HelpAction)
             }
         assert found == EXPECTED_FLAGS
+
+
+def _number_flag_cases():
+    """(command, argv tail) for every int and float flag of every subcommand
+    at -1 and 0, floats also at nan, inf and -inf; the clustering flags
+    under each method. `--flag=value` keeps argparse from reading -inf as a flag."""
+    for command, parser in _leaf_parsers(build_parser()):
+        methods = next((a.choices for a in parser._actions if a.dest == "method"), [None])
+        for action in parser._actions:
+            if action.type not in (int, float):
+                continue
+            values = ["-1", "0"] + (["nan", "inf", "-inf"] if action.type is float else [])
+            for method, value in itertools.product(methods, values):
+                tail = [f"{action.option_strings[0]}={value}"] + (["--method", method] if method else [])
+                yield pytest.param(command, tail, id=f"{command} {' '.join(tail)}")
+
+
+def _sweep_inputs(command: str, tmp_path) -> list[str]:
+    """Small valid inputs for `command`, with its outputs under `tmp_path`."""
+    if command in ("chunk", "detect-music", "windows"):
+        path = tmp_path / "speech.wav"
+        write_wav(path, Waveform(np.concatenate([tone(440, 2.0), silence(0.5), tone(880, 2.0)]), SR))
+        return [str(path)]
+    emb, truth = two_speaker_scene(seed=5, total_seconds=20.0, dim=8)
+    if command in ("diarize", "cluster"):
+        write_embeddings_file(tmp_path / "scene.emb", emb)
+        return [str(tmp_path / "scene.emb")] + (["--out-dir", str(tmp_path / "out")] if command == "diarize" else [])
+    if command == "score der":
+        (tmp_path / "ref.rttm").write_text(write_rttm([truth]))
+        return ["--ref", str(tmp_path / "ref.rttm"), "--hyp", str(tmp_path / "ref.rttm")]
+    (tmp_path / "s.txt").write_text("one two three")
+    return ["--ref", str(tmp_path / "s.txt"), "--hyp", str(tmp_path / "s.txt")]
+
+
+@pytest.mark.parametrize("command, tail", list(_number_flag_cases()))
+def test_no_number_flag_value_escapes_main(command, tail, tmp_path, capsys):
+    argv = [*command.split(), *_sweep_inputs(command, tmp_path), *tail, "--out", str(tmp_path / "report.json")]
+    assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_entry_point_smoke(tmp_path):

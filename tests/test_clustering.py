@@ -123,6 +123,10 @@ class TestPca:
 
 
 class TestAhcCentroid:
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ParameterError, match="tau must be positive, got nan"):
+            ahc_centroid(np.eye(3), math.nan)
+
     def test_two_separated_bundles(self):
         rng = np.random.default_rng(10)
         a = np.array([1.0, 0, 0, 0])
@@ -297,6 +301,21 @@ class TestKmeans:
             with pytest.raises(ParameterError, match=r"k-means\+\+ needs squared distances"):
                 run(x * 1e200)
             run(x * 1e150)  # weights near 1e300 still fit
+
+    def test_one_center_on_overflowing_rows_is_refused(self):
+        # k = 1 draws no weights, but the first center's D^2 total is checked.
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        with pytest.raises(ParameterError, match=r"k-means\+\+ needs squared distances"):
+            kmeans(x * 1e200, 1, 0)
+        assert kmeans(x * 1e150, 1, 0).k == 1
+
+    @pytest.mark.parametrize("fit", ["kmeans", "gmm_fit", "estimate_k_silhouette", "select_k_gmm"])
+    def test_negative_seed_is_refused(self, fit):
+        run = {"kmeans": lambda x: kmeans(x, 2, -1), "gmm_fit": lambda x: gmm_fit(x, 2, -1),
+               "estimate_k_silhouette": lambda x: estimate_k_silhouette(x, 2, 3, -1),
+               "select_k_gmm": lambda x: select_k_gmm(x, (1, 3), "AIC", -1)}[fit]
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            run(np.random.default_rng(0).standard_normal((20, 4)))
 
     def test_k_equals_n_zero_inertia(self):
         rng = np.random.default_rng(20)

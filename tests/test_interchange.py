@@ -206,6 +206,11 @@ class TestDecodeConfig:
         with pytest.raises(ParameterError):
             DecodeConfig(do_sample=True, temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["repetition_penalty", "temperature"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ParameterError, match="must be positive"):
+            DecodeConfig(do_sample=True, **{field: float("nan")})
+
     def test_beams_lower_bound(self):
         with pytest.raises(ParameterError):
             DecodeConfig(beams=0)

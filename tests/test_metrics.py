@@ -136,6 +136,11 @@ class TestOptimalAssignment:
 
 
 class TestDer:
+    def test_nan_collar_rejected(self):
+        ref = timeline("r", seg(0, 10, "A"))
+        with pytest.raises(ParameterError, match="collar must be >= 0, got nan"):
+            der(ref, ref, float("nan"))
+
     def test_permuted_labels_score_zero(self):
         ref = timeline("r", seg(0, 10, "A"), seg(12, 20, "B"))
         hyp = timeline("r", seg(0, 10, "X"), seg(12, 20, "Y"))

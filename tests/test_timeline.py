@@ -5,6 +5,7 @@ import pytest
 
 from speechpipe import (
     FormatError,
+    ParameterError,
     SpeakerSegment,
     SpeakerTimeline,
     StructuralError,
@@ -122,6 +123,11 @@ class TestSuppressGaps:
             "r", [seg(0, 5, "A"), seg(5.05, 10, "A"), seg(11, 12, "B")]
         )
         assert suppress_gaps(t, 0.0).segments == t.segments
+
+    def test_nan_threshold_rejected(self):
+        t = SpeakerTimeline.from_segments("r", [seg(0, 5, "A"), seg(5.05, 10, "A")])
+        with pytest.raises(ParameterError, match="min_duration_off must be >= 0, got nan"):
+            suppress_gaps(t, float("nan"))
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
