@@ -224,6 +224,13 @@ def _speech_spans(w: Waveform, s: SilenceConfig):
     return split_on_silence(w, s.top_db, s.frame_length, s.hop_length)
 
 
+def _warn_unconverged(command: str, path: str, result) -> None:
+    """One stderr line for a file whose chosen mixture hit the EM iteration limit."""
+    if result is not None and result.diagnostics.get("converged") is False:
+        _log(f"{command}: {path}: warning: EM iteration limit ({result.diagnostics['iterations']}) reached"
+             " without converging")
+
+
 def _speaker_name(label: int) -> str:
     return f"SPK_{label:02d}"
 
@@ -290,22 +297,24 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
     def work(path: str):
         rid, spans, result = _cluster_file(path, config, args.seed)
         if result is None:
-            return rid, SpeakerTimeline(rid, []), 0
+            return rid, SpeakerTimeline(rid, []), None
         names = [_speaker_name(int(lab)) for lab in result.labels]
         timeline = merge_adjacent_windows(spans, names, rid)
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
-        return rid, timeline, result.k
+        return rid, timeline, result
 
     owners: dict[str, str] = {}
 
     def describe(path: str, result) -> dict:
-        rid, timeline, k = result
+        rid, timeline, clustering = result
+        k = clustering.k if clustering else 0
         _claim_output(owners, "recording id", rid, path)
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
         Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")
         Path(rttm_path).write_text(write_rttm([timeline]), encoding="utf-8")
         _log(f"diarize: {path}: {k} speakers, {len(timeline.segments)} segments")
+        _warn_unconverged("diarize", path, clustering)
         return {"path": path, "recording_id": rid, "speakers": k,
                 "segments": len(timeline.segments), "csv": csv_path, "rttm": rttm_path}
 
@@ -417,6 +426,7 @@ def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
         entry = {"path": path, "recording_id": rid}
         entry.update(result.to_dict() if result else {"k": 0, "labels": []})
         _log(f"cluster: {path}: k={entry['k']}")
+        _warn_unconverged("cluster", path, result)
         return entry
 
     head = {"command": "cluster", "seed": args.seed, "config": asdict(config.clustering)}

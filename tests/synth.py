@@ -486,14 +486,13 @@ def estimate_k_silhouette_reference(x: np.ndarray, k_min: int, k_max: int, seed:
 
 def select_k_gmm_reference(x: np.ndarray, k_range: tuple[int, int], criterion: str = "AIC", seed: int = 0):
     """The library's former `select_k_gmm` after its argument checks: a
-    best-so-far loop that replaces the kept k only on a strictly lower value."""
-    from speechpipe import clustering as C
-
+    best-so-far loop that replaces the kept k only on a strictly lower value,
+    each k fit by the former EM (`gmm_fit_reference`)."""
     criterion = criterion.upper()
     x = np.asarray(x, dtype=np.float64)
     best_k, best_model, best_value = k_range[0], None, np.inf
     for k in range(k_range[0], k_range[1] + 1):
-        model = C.gmm_fit(x, k, seed)
+        model = gmm_fit_reference(x, k, seed)
         value = model.aic() if criterion == "AIC" else model.bic(len(x))
         if value < best_value:
             best_k, best_model, best_value = k, model, value

@@ -23,6 +23,7 @@ from speechpipe import (
     der,
     load_mono,
     parse_rttm,
+    read_embeddings_file,
     wav_bytes,
     write_embeddings,
     write_embeddings_file,
@@ -674,6 +675,58 @@ class TestClusterCommand:
         assert json.loads(out)["files"][0]["k" if command == "cluster" else "speakers"] == 3
 
 
+    def test_gmm_reports_em_iterations_and_warns_when_unconverged(self, tmp_path, capsys, monkeypatch):
+        import speechpipe.clustering as clustering
+        from speechpipe import select_k_gmm
+
+        paths = []
+        for seed in (9, 10):
+            emb, _ = two_speaker_scene(seed=seed)
+            paths.append(str(tmp_path / f"scene{seed}.emb"))
+            write_embeddings_file(paths[-1], emb)
+        for limit in (clustering.EM_MAX_ITER, 1):
+            monkeypatch.setattr(clustering, "EM_MAX_ITER", limit)
+            assert main(["cluster", *paths, "--method", "gmm", "--k-max", "4"]) == 0
+            captured = capsys.readouterr()
+            warnings = [line for line in captured.err.splitlines() if "warning" in line]
+            for entry in json.loads(captured.out)["files"]:
+                _, model = select_k_gmm(read_embeddings_file(entry["path"]).vectors, (2, 4), "AIC", 0)
+                assert entry["diagnostics"]["iterations"] == model.iterations
+                assert entry["diagnostics"]["converged"] is model.converged is (limit > 1)
+            want = [] if limit > 1 else [f"cluster: {path}: warning: EM iteration limit (1) reached without converging"
+                                         for path in sorted(paths)]
+            assert warnings == want
+
+    def test_diarize_reports_unchanged_by_em_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # The gmm diagnostics' iterations and converged keys only add the
+        # stderr warning: without them, diarize writes the same bytes.
+        import speechpipe.cli as cli
+        import speechpipe.clustering as clustering
+
+        monkeypatch.setattr(clustering, "EM_MAX_ITER", 1)
+        emb, _ = two_speaker_scene(seed=9)
+        container = tmp_path / "scene.emb"
+        write_embeddings_file(container, emb)
+        out_dir = tmp_path / "out"
+        argv = ["diarize", str(container), "--method", "gmm", "--fixed-k", "6", "--out-dir", str(out_dir)]
+
+        def without_em_keys(*args):
+            result = clustering.cluster_embeddings(*args)
+            del result.diagnostics["iterations"], result.diagnostics["converged"]
+            return result
+
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(cli, "cluster_embeddings", without_em_keys)
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            runs.append((captured, (out_dir / "scene.csv").read_bytes(), (out_dir / "scene.rttm").read_bytes()))
+        (warned, *outputs), (quiet, *former) = runs
+        assert outputs == former and warned.out == quiet.out
+        warning = f"diarize: {container}: warning: EM iteration limit (1) reached without converging\n"
+        assert warned.err == quiet.err + warning
+
     def test_pca_components_cluster_in_reduced_space(self, tmp_path, capsys):
         paths = []
         for seed in (9, 10):
@@ -693,6 +746,26 @@ class TestClusterCommand:
             assert {len(row) for row in entry["centroids"]} == {8}
         _, full = run(capsys, "cluster", paths[0], "--method", "kmeans")
         assert {len(row) for row in json.loads(full)["files"][0]["centroids"]} == {emb.vectors.shape[1]}
+
+    def test_reports_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # The matrix products of the GMM, k-means screen, silhouette and AHC
+        # run in BLAS, which splits large products across threads; the
+        # reports must not depend on how.
+        emb, _ = two_speaker_scene(seed=11, total_seconds=1020.0, dim=64)
+        assert len(emb) >= 1200
+        container = str(tmp_path / "long.emb")
+        write_embeddings_file(container, emb)
+        for flags in (["--method", "gmm", "--fixed-k", "25"], ["--method", "gmm", "--k-min", "1", "--k-max", "10"],
+                      ["--method", "kmeans"], []):
+            reports = set()
+            for threads in ("1", "2"):
+                result = subprocess.run(
+                    [sys.executable, "-m", "speechpipe.cli", "cluster", container, *flags],
+                    capture_output=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, timeout=300,
+                )
+                assert result.returncode == 0, result.stderr
+                reports.add(result.stdout)
+            assert len(reports) == 1, flags
 
     def test_kmeans_fixed_k(self, tmp_path, capsys):
         from speechpipe import kmeans

@@ -23,6 +23,7 @@ from speechpipe import (
     smooth_labels_temporal,
 )
 from speechpipe.clustering import (
+    VARIANCE_FLOOR,
     ClusteringConfig,
     _relabel_by_first_appearance,
     cluster_embeddings,
@@ -499,6 +500,31 @@ class TestGmm:
         assert np.isfinite(model.log_likelihood)
         assert sorted(np.bincount(model.predict(x)).tolist()) == [4, 4, 4]
 
+    def test_offsets_and_scales(self):
+        # EM is translation-equivariant; the E-step's expansion is so in
+        # floating point only because it is taken about the mean row: without
+        # that centring, the 1e6 and 1e8 shifts change the fit (at 1e8 the
+        # log-likelihood reads about +1.4e8 instead of -1214). A scale keeps
+        # the labels while the variances stay above VARIANCE_FLOOR; at 1e-150
+        # every variance is floored, so that fit is only held to the former EM's.
+        rng = np.random.default_rng(56)
+        centers = rng.normal(scale=3.0, size=(4, 3))
+        x = np.concatenate([c + rng.normal(scale=0.8, size=(m, 3)) for c, m in zip(centers, (40, 55, 70, 85))])
+        x = x[rng.permutation(len(x))]
+        base = gmm_fit(x, 4, 0)
+        labels = base.predict(x).tolist()
+        assert sorted(np.bincount(labels).tolist()) == [40, 55, 70, 85]
+        cases = [(x + shift, base.log_likelihood) for shift in (1e2, 1e4, 1e6, 1e8)]
+        cases += [(x * scale, base.log_likelihood - x.size * math.log(scale)) for scale in (1e-150, 1e100)]
+        for moved, log_likelihood in cases:
+            got, want = gmm_fit(moved, 4, 0), gmm_fit_reference(moved, 4, 0)
+            assert got.predict(moved).tolist() == gmm_predict_reference(want, moved).tolist()
+            assert_gmm_close(got, want)
+            if np.all(want.variances > VARIANCE_FLOOR):
+                assert got.predict(moved).tolist() == labels
+                assert _close(got.log_likelihood, log_likelihood)
+        assert np.all(gmm_fit(x * 1e-150, 4, 0).variances == VARIANCE_FLOOR)
+
     def test_restart_reduction_deterministic(self):
         rng = np.random.default_rng(55)
         x = rng.normal(size=(120, 2))
@@ -603,8 +629,55 @@ def _same_floats(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# The GMM's E- and M-steps are matrix products, a reordering of the former
+# per-component sums, so they are checked against `gmm_fit_reference` to this
+# relative tolerance, not bit for bit. Over 19,000 seeded `_awkward_vectors`
+# inputs (n < 40, D < 6) the largest relative differences seen were 1.3e-8 in
+# weights, means and variances and 2.1e-7 in a log-likelihood trace, mid-run
+# on an EM path near a saddle; no label and no iteration count differed.
+GMM_RTOL = 1e-6
+
+
+def _close(got, want, rtol: float = GMM_RTOL) -> bool:
+    """Equal shapes, and every |got - want| within `rtol` of the largest |want|."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * np.abs(want).max(initial=0.0)))
+
+
+def _first_stop_disagreement(got, want) -> int | None:
+    """The first EM iteration at which the two fits' convergence tests
+    (`ll_trace[i] - ll_trace[i - 1] < EM_TOL`) disagree, or None."""
+    from speechpipe.clustering import EM_TOL
+
+    steps = min(len(got.ll_trace), len(want.ll_trace))
+    return next((i for i in range(1, steps)
+                 if (got.ll_trace[i] - got.ll_trace[i - 1] < EM_TOL) != (want.ll_trace[i] - want.ll_trace[i - 1] < EM_TOL)),
+                None)
+
+
+def assert_gmm_close(got, want) -> None:
+    """`got` is `want` up to GMM_RTOL: weights, means, variances and the
+    log-likelihood trace within it, and the same (iterations, converged)
+    unless the reference's gain where the stopping tests disagree is within
+    the tolerance of EM_TOL (then the traces agree up to there)."""
+    from speechpipe.clustering import EM_TOL
+
+    assert got.param_count == want.param_count
+    assert type(got.converged) is bool and type(got.log_likelihood) is float
+    split = _first_stop_disagreement(got, want)
+    if split is None:
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        for name in ("weights", "means", "variances", "ll_trace", "log_likelihood"):
+            assert _close(getattr(got, name), getattr(want, name)), name
+        return
+    gain = want.ll_trace[split] - want.ll_trace[split - 1]
+    assert abs(gain - EM_TOL) <= 2 * GMM_RTOL * np.abs(want.ll_trace[: split + 1]).max()
+    assert _close(got.ll_trace[: split + 1], want.ll_trace[: split + 1])
+
+
 class TestDiarizationStepsMatchReference:
-    """k-means, EM, smoothing: the single-pass loops reproduce the former ones bit for bit."""
+    """k-means and smoothing: the single-pass loops reproduce the former ones
+    bit for bit. EM, in matrix products: the same labels, the rest within GMM_RTOL."""
 
     @staticmethod
     def check_kmeans(x, k, seed) -> dict:
@@ -619,11 +692,8 @@ class TestDiarizationStepsMatchReference:
     @staticmethod
     def check_gmm(x, k, seed):
         got, want = gmm_fit(x, k, seed), gmm_fit_reference(x, k, seed)
-        for name in ("weights", "means", "variances", "ll_trace", "log_likelihood"):
-            assert _same_floats(getattr(got, name), getattr(want, name)), name
-        assert (got.param_count, got.converged, got.iterations) == (want.param_count, want.converged, want.iterations)
-        assert type(got.converged) is bool and type(got.log_likelihood) is float
         assert got.predict(x).tolist() == gmm_predict_reference(want, x).tolist()
+        assert_gmm_close(got, want)
         return got
 
     def test_kmeans_random_awkward_inputs(self):
@@ -661,7 +731,8 @@ class TestDiarizationStepsMatchReference:
         assert at_lloyd_limit > 0 and at_em_limit > 0
 
     def test_k_sweeps(self):
-        # The sweeps call kmeans and gmm_fit; each kept result equals a direct fit.
+        # The sweeps call kmeans and gmm_fit; each kept result equals a direct
+        # fit (for the GMM, the former EM's up to GMM_RTOL).
         rng = np.random.default_rng(93)
         for _ in range(20):
             n = int(rng.integers(8, 30))
@@ -669,7 +740,10 @@ class TestDiarizationStepsMatchReference:
             k, got = estimate_k_silhouette(x, 2, min(5, n - 1), 0)
             assert got.labels.tolist() == kmeans_reference(x, k, 0).labels.tolist()
             k, model = select_k_gmm(x, (1, min(4, n)), "BIC", 0)
-            assert _same_floats(model.ll_trace, gmm_fit_reference(x, k, 0).ll_trace)
+            assert k == select_k_gmm_reference(x, (1, min(4, n)), "BIC", 0)[0]
+            want = gmm_fit_reference(x, k, 0)
+            assert model.predict(x).tolist() == gmm_predict_reference(want, x).tolist()
+            assert_gmm_close(model, want)
 
     def test_smoothing_random_sequences(self):
         rng = np.random.default_rng(94)
@@ -686,7 +760,7 @@ class TestDiarizationStepsMatchReference:
 class TestSweepsAndSignRuleMatchReference:
     """The k sweeps as one max/min, the fixed GMM k as a sweep of one, the
     bincount k-means update and the masked PCA sign rule reproduce the former
-    loops bit for bit."""
+    loops bit for bit; the GMM sweep keeps the former k, its fit within GMM_RTOL."""
 
     @staticmethod
     def check_sweeps(x, k_min, k_max, seed):
@@ -697,8 +771,8 @@ class TestSweepsAndSignRuleMatchReference:
         for criterion in ("AIC", "bic"):
             k, model = select_k_gmm(x, (k_min, k_max), criterion, seed)
             want_k, want = select_k_gmm_reference(x, (k_min, k_max), criterion, seed)
-            assert k == want_k and _same_floats(model.ll_trace, want.ll_trace)
-            assert _same_floats(model.means, want.means) and _same_floats(model.variances, want.variances)
+            assert k == want_k and model.predict(x).tolist() == gmm_predict_reference(want, x).tolist()
+            assert_gmm_close(model, want)
 
     def test_sweeps_random_awkward_inputs(self):
         rng = np.random.default_rng(95)
