@@ -24,6 +24,10 @@ DIGITAL_SILENCE_DB = -80.0
 # grows with the float32 signal alone.
 _BLOCK_SAMPLES = 2**21
 _TAPS_PER_PHASE = 64  # resampling filter taps per phase of the upsampling factor
+# Output samples per resampling block, rounded down to a whole number (at
+# least one) of the upsampling factor: 2 MB of float64 output per block, and
+# down/up times as much float64 input.
+_RESAMPLE_BLOCK = 2**18
 
 
 @dataclass
@@ -42,7 +46,9 @@ class Waveform:
             raise ParameterError("Waveform samples must be one-dimensional")
         if self.sample_rate <= 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not np.all(np.isfinite(self.samples)):
+        # NaN propagates to the minimum and an infinity is an extreme: no
+        # whole-signal mask is made.
+        if len(self.samples) and not (math.isfinite(self.samples.min()) and math.isfinite(self.samples.max())):
             raise ParameterError("Waveform samples must be finite")
 
     def __len__(self) -> int:
@@ -114,8 +120,30 @@ def _design_resample_filter(up: int, down: int) -> np.ndarray:
     return h / h.sum()
 
 
+def _polyphase_filter(h: np.ndarray, up: int, down: int, n_in: int) -> tuple[np.ndarray, int]:
+    """The filter `scipy.signal.resample_poly` runs through `upfirdn` for window
+    `h` and an `n_in`-sample input: `h * up`, zero-padded so the kept outputs
+    are centred, and the number of leading outputs it drops."""
+    half_len = (len(h) - 1) // 2
+    n_pre_pad = down - half_len % down
+    n_pre_remove = (half_len + n_pre_pad) // down
+    n_out = -(-n_in * up // down)
+    n_post_pad = 0
+    while ((n_in - 1) * up + len(h) + n_pre_pad + n_post_pad - 1) // down + 1 < n_out + n_pre_remove:
+        n_post_pad += 1
+    return np.concatenate((np.zeros(n_pre_pad), h * up, np.zeros(n_post_pad))), n_pre_remove
+
+
 def resample(w: Waveform, target_hz: int) -> Waveform:
-    """Band-limited resampling to `target_hz` via a windowed-sinc polyphase filter."""
+    """Band-limited resampling to `target_hz` via a windowed-sinc polyphase filter.
+
+    Equal byte for byte to `scipy.signal.resample_poly` on the whole signal
+    in float64, computed one output block at a time. Output j of `upfirdn`
+    sums input samples up to (j * down) // up, over the filter's taps per
+    phase, in input order; so a block fed the input slice that starts at a
+    multiple of `down`, at least that many samples back, sums the same terms
+    in the same order. Only each slice is cast to float64.
+    """
     if target_hz <= 0:
         raise ParameterError(f"target_hz must be positive, got {target_hz}")
     if target_hz == w.sample_rate:
@@ -130,16 +158,28 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         )
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
-    h = _design_resample_filter(up, down)
-    out = sps.resample_poly(w.samples.astype(np.float64), up, down, window=h)
-    return Waveform(out.astype(np.float32), target_hz)
+    x = w.samples
+    n_out = -(-len(x) * up // down)
+    h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down, len(x))
+    history = -(-len(h) // up)  # input samples summed into each output
+    out = np.empty(n_out, dtype=np.float32)
+    step = max(1, _RESAMPLE_BLOCK // up) * up
+    for first in range(0, n_out, step):
+        last = min(first + step, n_out)
+        # Upsampled output j sits after input sample (j * down) // up.
+        start = max(0, (first + skip) * down // up - history + 1) // down * down
+        stop = min(len(x), (last - 1 + skip) * down // up + 1)
+        lead = skip - start // down * up  # outputs of the slice before `first`
+        out[first:last] = sps.upfirdn(h, x[start:stop].astype(np.float64), up, down)[first + lead : last + lead]
+    return Waveform(out, target_hz)
 
 
 def peak_normalize(w: Waveform, target_peak: float) -> Waveform:
     """Scale so max |sample| equals `target_peak`; all-zero input is returned unchanged."""
     if not (0.0 < target_peak <= 1.0):
         raise ParameterError(f"target_peak must be in (0, 1], got {target_peak}")
-    peak = float(np.max(np.abs(w.samples))) if len(w.samples) else 0.0
+    # The largest magnitude without an |x| copy of the signal.
+    peak = max(float(w.samples.max()), -float(w.samples.min())) if len(w.samples) else 0.0
     if peak == 0.0:
         return Waveform(w.samples.copy(), w.sample_rate)
     return Waveform(w.samples * np.float32(target_peak / peak), w.sample_rate)
@@ -175,16 +215,31 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     out = np.empty(len(w.samples), dtype=np.float32)
     zi = np.zeros(max(len(a), len(b)) - 1)
     for start in range(0, len(out), _BLOCK_SAMPLES):
-        block = w.samples[start : start + _BLOCK_SAMPLES].astype(np.float64)
-        out[start : start + len(block)], zi = sps.lfilter(b, a, block, zi=zi)
+        block = w.samples[start : start + _BLOCK_SAMPLES]
+        out[start : start + len(block)], zi = sps.lfilter(b, a, block.astype(np.float64), zi=zi)
     return Waveform(out, w.sample_rate)
 
 
 def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries:
-    """Per-frame RMS level in dB, floored at -100 dB for silent frames."""
-    # Views of one float64 copy of the squares: memory does not grow with overlap.
-    squares = np.square(w.samples, dtype=np.float64)
-    rms = np.sqrt(np.mean(_frame_view(squares, frame_length, hop_length), axis=1))
+    """Per-frame RMS level in dB, floored at -100 dB for silent frames.
+
+    Squared in float64 a block of frames at a time; each block's frames are
+    views of its squares, so memory grows with neither the signal nor the
+    overlap, and each frame's mean is the same reduction as over the squares
+    of the whole signal.
+    """
+    check_frame_params(frame_length, hop_length)
+    x = w.samples
+    n_frames = (len(x) - frame_length) // hop_length + 1 if len(x) >= frame_length else 0
+    mean_squares = np.empty(n_frames)
+    step = max(1, _BLOCK_SAMPLES // hop_length)
+    buffer = np.empty(min(len(x), (step - 1) * hop_length + frame_length))
+    for first in range(0, n_frames, step):
+        last = min(first + step, n_frames)
+        block = x[first * hop_length : (last - 1) * hop_length + frame_length]
+        squares = np.square(block, out=buffer[: len(block)], dtype=np.float64)
+        mean_squares[first:last] = np.mean(_frame_view(squares, frame_length, hop_length), axis=1)
+    rms = np.sqrt(mean_squares)
     values = np.full(len(rms), SILENCE_FLOOR_DB)
     nonzero = rms > 0
     values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)

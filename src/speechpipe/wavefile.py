@@ -2,47 +2,78 @@
 
 Supports 16-bit PCM and IEEE float32, mono or multichannel, little-endian.
 Compressed or otherwise exotic codecs are rejected with a clear error.
+
+Reading seeks through the chunk headers of an open file (bytes are read
+through `io.BytesIO`), then decodes the data chunk a fixed block of samples
+at a time: `read_wav` into one float32 (frames, channels) matrix, and
+`load_mono` straight into one float32 mono buffer, so a file's raw bytes
+and its decoded channels are never held whole at once.
 """
 
 from __future__ import annotations
 
+import io
 import struct
+from collections.abc import Iterator
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, downmix_mono
+from .audio import Waveform
 from .errors import FormatError, ParameterError
 from .interchange import write_atomic
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
+# Samples (frames times channels) decoded per block: 2 MB of PCM16 and
+# 4 MB of float32.
+_BLOCK_SAMPLES = 2**20
 
 
-def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
-    """Read a WAV file; returns (channels, sample_rate) with float32 channels in [-1, 1]."""
+@dataclass(frozen=True)
+class _Layout:
+    """Where a WAV file's samples are and how they are stored."""
+
+    dtype: str        # numpy dtype of one stored sample
+    pcm: bool         # integer samples, scaled by 1/32768 on decode
+    n_channels: int
+    sample_rate: int
+    data_start: int   # file offset of the first sample
+    n_frames: int     # whole frames; a trailing partial frame is ignored
+
+
+def _opened(data_or_path):
     if isinstance(data_or_path, (bytes, bytearray)):
-        data = bytes(data_or_path)
-    else:
-        with open(data_or_path, "rb") as fh:
-            data = fh.read()
+        return nullcontext(io.BytesIO(data_or_path))
+    return open(data_or_path, "rb")
 
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
+
+def _read_layout(fh) -> _Layout:
+    """Walk the chunk headers of the open, seekable file `fh`; a later fmt or
+    data chunk replaces an earlier one."""
+    if not fh.seekable():
+        raise FormatError("not a seekable file")
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    head = fh.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")
 
-    view = memoryview(data)  # chunk bodies are slices of it, not copies
     fmt = None
     payload = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", _read_exact(fh, 8, pos))
+        present = min(chunk_size, size - pos - 8)  # body bytes the file holds
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError("fmt chunk too short", offset=pos)
-            if len(body) < chunk_size:
+            if present < chunk_size:
                 raise FormatError("fmt chunk truncated", offset=pos)
+            body = _read_exact(fh, min(chunk_size, 26), pos)  # up to the extensible subformat
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == _FORMAT_EXTENSIBLE:
                 if chunk_size < 40:
@@ -50,9 +81,9 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
                 (sub_format,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_format,) + fmt[1:]
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
-                raise FormatError("data chunk truncated", offset=pos + 8 + len(body))
-            payload, payload_offset = body, pos
+            if present < chunk_size:
+                raise FormatError("data chunk truncated", offset=pos + 8 + present)
+            payload = (pos, chunk_size)
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -75,24 +106,78 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
         raise FormatError(
             f"unsupported codec 0x{format_code:04x}: only PCM 16-bit and IEEE float32"
         )
-    if len(payload) % (bits // 8):
+    payload_offset, payload_len = payload
+    if payload_len % (bits // 8):
         raise FormatError(
-            f"data chunk of {len(payload)} bytes is not a whole number of {bits}-bit samples",
+            f"data chunk of {payload_len} bytes is not a whole number of {bits}-bit samples",
             offset=payload_offset,
         )
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
-    if format_code == _FORMAT_PCM:
-        samples /= 32768.0
+    n_frames = payload_len // (bits // 8) // n_channels
+    return _Layout(dtype, format_code == _FORMAT_PCM, n_channels, sample_rate, payload_offset + 8, n_frames)
 
-    usable = (len(samples) // n_channels) * n_channels
+
+def _read_exact(fh, n: int, chunk_offset: int) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:  # the file shrank since its size was taken
+        raise FormatError("file truncated while reading", offset=chunk_offset)
+    return data
+
+
+def _raw_blocks(fh, layout: _Layout) -> Iterator[tuple[int, np.ndarray]]:
+    """(first frame, (frames, channels) block of stored samples) over the whole
+    frames, in order; every block is the same buffer, refilled."""
+    frames_per_block = max(1, _BLOCK_SAMPLES // layout.n_channels)
+    buffer = np.empty((min(frames_per_block, layout.n_frames), layout.n_channels), dtype=layout.dtype)
+    fh.seek(layout.data_start)
+    for first in range(0, layout.n_frames, frames_per_block):
+        block = buffer[: min(frames_per_block, layout.n_frames - first)]
+        got = fh.readinto(block.reshape(-1).view(np.uint8))
+        if got < block.nbytes:  # the file shrank since its size was taken
+            at = layout.data_start + first * layout.n_channels * buffer.itemsize + got
+            raise FormatError("data chunk truncated", offset=at)
+        yield first, block
+
+
+def _decode(raw: np.ndarray, out: np.ndarray, pcm: bool) -> np.ndarray:
+    """Stored samples to float32 in `out`: a cast, then for PCM a float32
+    division by 32768; per sample what decoding the whole payload does."""
+    out[...] = raw
+    if pcm:
+        out /= 32768.0
+    return out
+
+
+def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
+    """Read a WAV file; returns (channels, sample_rate) with float32 channels in [-1, 1]."""
+    with _opened(data_or_path) as fh:
+        layout = _read_layout(fh)
+        frames = np.empty((layout.n_frames, layout.n_channels), dtype=np.float32)
+        for first, raw in _raw_blocks(fh, layout):
+            _decode(raw, frames[first : first + len(raw)], layout.pcm)
     # Each channel is a view of the one decoded (frames, channels) matrix.
-    return list(samples[:usable].reshape(-1, n_channels).T), sample_rate
+    return list(frames.T), layout.sample_rate
 
 
 def load_mono(path) -> Waveform:
-    """Read a WAV file and downmix to a mono waveform."""
-    channels, sample_rate = read_wav(path)
-    return downmix_mono(channels, sample_rate)
+    """Read a WAV file and downmix it to a mono waveform.
+
+    Equal byte for byte to `downmix_mono(*read_wav(path))`: each block is
+    decoded, its channels are added in channel order in float32 and the sum
+    is divided by the channel count, into one mono buffer.
+    """
+    with _opened(path) as fh:
+        layout = _read_layout(fh)
+        mono = np.empty(layout.n_frames, dtype=np.float32)
+        # Non-finite float32 samples make no warning here: the Waveform rejects them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for first, raw in _raw_blocks(fh, layout):
+                block = _decode(raw, np.empty(raw.shape, dtype=np.float32), layout.pcm)
+                total = mono[first : first + len(raw)]
+                total[...] = block[:, 0]
+                for c in range(1, layout.n_channels):
+                    total += block[:, c]
+                total /= layout.n_channels
+    return Waveform(mono, layout.sample_rate)
 
 
 def wav_bytes(channels: list[np.ndarray], sample_rate: int, encoding: str = "pcm16") -> bytes:

@@ -631,13 +631,12 @@ def split_on_silence_reference(
     w: Waveform, top_db: float = 25.0, frame_length: int = 2048, hop_length: int = 512
 ) -> list[TimeSpan]:
     """The library's former `split_on_silence` after its argument check."""
-    from speechpipe.audio import DIGITAL_SILENCE_DB, frame_rms_db
+    from speechpipe.audio import DIGITAL_SILENCE_DB
 
-    series = frame_rms_db(w, frame_length, hop_length)
-    n_frames = len(series)
+    levels = frame_rms_db_reference(w, frame_length, hop_length).values
+    n_frames = len(levels)
     if n_frames == 0:
         return []
-    levels = series.values
     peak = levels.max()
     if peak <= DIGITAL_SILENCE_DB:
         return []
@@ -671,7 +670,8 @@ def split_on_silence_reference(
 
 
 # ---------------------------------------------------------------------------
-# Former whole-signal audio paths: one float64 temporary the size of the input
+# Former whole-signal audio paths: one float64 temporary the size of the input,
+# or every channel decoded at once
 
 def flux_and_energy_reference(w: Waveform, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
     """The library's former `_flux_and_energy`: one spectrogram of every frame."""
@@ -739,6 +739,45 @@ def downmix_mono_reference(channels: list[np.ndarray], sample_rate: int) -> Wave
     """The library's former `downmix_mono` after its checks: a mean over stacked channels."""
     stacked = np.stack([np.asarray(c, dtype=np.float32) for c in channels])
     return Waveform(stacked.mean(axis=0), sample_rate)
+
+
+def load_mono_reference(data_or_path) -> Waveform:
+    """The library's former `load_mono`: every channel decoded, then their mean."""
+    from speechpipe import read_wav
+
+    return downmix_mono_reference(*read_wav(data_or_path))
+
+
+def resample_reference(w: Waveform, target_hz: int) -> Waveform:
+    """The library's former `resample`: one `resample_poly` call on the whole
+    signal in float64."""
+    from scipy import signal as sps
+
+    from speechpipe.audio import _design_resample_filter
+
+    if target_hz == w.sample_rate:
+        return Waveform(w.samples.copy(), w.sample_rate)
+    g = math.gcd(target_hz, w.sample_rate)
+    up, down = target_hz // g, w.sample_rate // g
+    out = sps.resample_poly(w.samples.astype(np.float64), up, down, window=_design_resample_filter(up, down))
+    return Waveform(out.astype(np.float32), target_hz)
+
+
+def frame_rms_db_reference(w: Waveform, frame_length: int, hop_length: int):
+    """The library's former `frame_rms_db`: frames as views of one float64
+    copy of the squares of the whole signal."""
+    from speechpipe.audio import SILENCE_FLOOR_DB, FrameSeries
+
+    squares = np.square(w.samples, dtype=np.float64)
+    if len(squares) < frame_length:
+        frames = np.empty((0, frame_length))
+    else:
+        frames = np.lib.stride_tricks.sliding_window_view(squares, frame_length)[::hop_length]
+    rms = np.sqrt(np.mean(frames, axis=1))
+    values = np.full(len(rms), SILENCE_FLOOR_DB)
+    nonzero = rms > 0
+    values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)
+    return FrameSeries(values, frame_length, hop_length, w.sample_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,19 +15,23 @@ from speechpipe import (
     downmix_mono,
     frame_rms_db,
     highpass,
+    load_mono,
     music_presence,
     peak_normalize,
     resample,
     spectral_flux,
     split_on_silence,
+    write_wav,
 )
 from synth import (
     SR,
     downmix_mono_reference,
     flux_and_energy_reference,
+    frame_rms_db_reference,
     highpass_reference,
     music_presence_reference,
     music_proxy,
+    resample_reference,
     silence,
     speech_proxy,
     split_on_silence_reference,
@@ -132,6 +137,15 @@ class TestPeakNormalize:
         with pytest.raises(ParameterError):
             peak_normalize(Waveform(tone(440, 0.1), SR), 1.5)
 
+    def test_equals_former_abs_max(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 1001):
+            for x in (rng.uniform(-1, 1, n), -np.abs(rng.uniform(0, 1, n)), rng.uniform(0, 1, n)):
+                w = Waveform(x.astype(np.float32), SR)
+                peak = float(np.max(np.abs(w.samples)))
+                want = w.samples * np.float32(0.95 / peak)
+                assert peak_normalize(w, 0.95).samples.tobytes() == want.tobytes(), n
+
 
 class TestHighpass:
     def test_dc_rejection(self):
@@ -236,10 +250,13 @@ class TestSplitOnSilence:
             half = Waveform(0.5 * sig, SR)
             assert split_on_silence(w, 25.0) == split_on_silence(half, 25.0)
 
-    def test_equals_former_run_loop(self):
+    def test_equals_former_run_loop(self, monkeypatch):
         rng = np.random.default_rng(13)
         touching = 0
-        for _ in range(300):
+        module_block = audio._BLOCK_SAMPLES
+        for case in range(300):
+            # Every other signal has its frame RMS taken in many small blocks.
+            monkeypatch.setattr(audio, "_BLOCK_SAMPLES", 64 if case % 2 else module_block)
             pieces = []
             for _ in range(int(rng.integers(1, 8))):
                 seconds = float(rng.uniform(0.001, 0.3))
@@ -373,7 +390,8 @@ def noise(n: int, rng: np.random.Generator) -> Waveform:
 
 
 class TestBlockedEqualsReference:
-    """The block-wise STFT, high-pass and downmix give the former whole-signal bytes.
+    """The block-wise STFT, high-pass, resampling, framed RMS and downmix give
+    the former whole-signal bytes.
 
     Small block sizes put many block edges inside short signals.
     """
@@ -415,6 +433,45 @@ class TestBlockedEqualsReference:
             cutoff = float(rng.uniform(20, 2000))
             assert same_bytes(highpass(w, cutoff).samples, highpass_reference(w, cutoff).samples), n
 
+    @pytest.mark.parametrize("block", [7, 4096, audio._RESAMPLE_BLOCK])
+    def test_resample(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_RESAMPLE_BLOCK", block)
+        rng = np.random.default_rng(block + 2)
+        pairs = [(rate, 16000) for rate in (8000, 11025, 16000, 22050, 32000, 44100, 48000)]
+        pairs += [(16000, 8000), (16000, 44100), (44100, 48000)]
+        for rate, target in pairs:
+            up = target // math.gcd(rate, target)
+            step = max(1, block // up) * up  # output samples per block
+            per_block = -(-step * rate // target)  # input samples per block
+            lengths = {0, 1, 2, 5, per_block - 1, per_block, per_block + 1, 3 * per_block + 7,
+                       int(rng.integers(1, 4 * per_block))}
+            for n in sorted(lengths):
+                w = Waveform(noise(n, rng).samples, rate)
+                got, want = resample(w, target), resample_reference(w, target)
+                assert got.sample_rate == want.sample_rate == target
+                assert same_bytes(got.samples, want.samples), (rate, target, n)
+
+    @pytest.mark.parametrize("block", [7, 1000, 4096])
+    def test_frame_rms_db(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(block + 3)
+        for frame_length, hop_length in [(2048, 512), (512, 1024), (3, 7), (1, 1), (16, 16), (200, 1), (5, 3)]:
+            step = max(1, block // hop_length)  # frames per block
+            lengths = {0, 1, frame_length - 1, frame_length, frame_length + 1}
+            for n_frames in (step - 1, step, step + 1, 3 * step + 1):
+                if n_frames >= 1:
+                    lengths |= {(n_frames - 1) * hop_length + frame_length + extra for extra in (0, hop_length - 1)}
+            for n in sorted(lengths):
+                w = noise(n, rng)
+                w.samples[: n // 3] = 0  # silent frames take the floor
+                got, want = frame_rms_db(w, frame_length, hop_length), frame_rms_db_reference(w, frame_length, hop_length)
+                assert same_bytes(got.values, want.values), (frame_length, hop_length, n)
+
+    def test_frame_rms_db_at_module_block_size(self):
+        w = speech_proxy(400, 5)
+        assert (len(w) - 2048) // 512 + 1 > 2 * (audio._BLOCK_SAMPLES // 512)  # at least three blocks
+        assert same_bytes(frame_rms_db(w, 2048, 512).values, frame_rms_db_reference(w, 2048, 512).values)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
     def test_downmix(self, dtype):
         rng = np.random.default_rng(np.dtype(dtype).num)
@@ -430,8 +487,23 @@ class TestBlockedEqualsReference:
             assert same_bytes(downmix_mono(views, SR).samples, downmix_mono_reference(views, SR).samples)
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak traced bytes of one call; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBoundedMemory:
-    """Traced peaks grow with the signal, not with whole-signal float64 temporaries."""
+    """Traced peaks grow with the signal and the output, not with whole-signal
+    float64 temporaries or whole decoded copies."""
+
+    # Block buffers sized by a signal shorter than one block differ between
+    # the two lengths; everything else must grow with the output alone.
+    MARGIN = 4 * 2**20
 
     @pytest.mark.parametrize(
         "fn", [music_presence, lambda w: highpass(w, 60.0)], ids=["music_presence", "highpass"]
@@ -441,11 +513,38 @@ class TestBoundedMemory:
         peaks, signal_bytes = [], []
         for minutes in (2, 8):
             w = Waveform((rng.standard_normal(minutes * 60 * SR) * 0.1).astype(np.float32), SR)
-            tracemalloc.start()  # numpy reports its buffers to tracemalloc
-            try:
-                fn(w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(fn, w))
             signal_bytes.append(w.samples.nbytes)
         assert peaks[1] - peaks[0] < 2 * (signal_bytes[1] - signal_bytes[0])
+
+    def test_resample_grows_with_its_output(self):
+        rng = np.random.default_rng(9)
+        resample(Waveform(np.ones(44100, np.float32), 44100), 16000)  # loads scipy untraced
+        peaks, output_bytes = [], []
+        for minutes in (2, 8):
+            w = Waveform((rng.standard_normal(minutes * 60 * 44100) * 0.1).astype(np.float32), 44100)
+            peaks.append(traced_peak(resample, w, 16000))
+            output_bytes.append(minutes * 60 * 16000 * 4)
+        assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
+
+    def test_split_on_silence_grows_with_its_frames(self):
+        # The output and the per-frame levels take 8 bytes per 512-sample hop:
+        # about 0.1 MB over these six minutes.
+        rng = np.random.default_rng(10)
+        peaks = []
+        for minutes in (2, 8):
+            w = Waveform((rng.standard_normal(minutes * 60 * SR) * 0.1).astype(np.float32), SR)
+            peaks.append(traced_peak(split_on_silence, w))
+        assert peaks[1] - peaks[0] < self.MARGIN
+
+    def test_load_mono_grows_with_its_output(self, tmp_path):
+        rng = np.random.default_rng(11)
+        peaks, output_bytes = [], []
+        for minutes in (2, 8):
+            path = tmp_path / f"{minutes}.wav"
+            left = (rng.standard_normal(minutes * 60 * SR) * 0.1).astype(np.float32)
+            write_wav(path, [left, left[::-1]], SR, "pcm16")
+            del left
+            peaks.append(traced_peak(load_mono, path))
+            output_bytes.append(minutes * 60 * SR * 4)
+        assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN

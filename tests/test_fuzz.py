@@ -4,7 +4,8 @@ times only, or an error that names its line.
 
 Each parser gets valid documents with random byte or token damage and
 documents built from values at its format's edges (NaN, infinities, huge
-integers, wrong JSON types). One more test checks the bit-parallel `wer`
+integers, wrong JSON types). The streamed `load_mono` is checked against
+`read_wav` on the same damaged WAVs. One more test checks the bit-parallel `wer`
 against the former full-matrix DP on tie-dense token lists. The runs are
 derandomized, so they are the same on every machine, and small enough to
 keep the module at a few seconds.
@@ -19,6 +20,7 @@ import struct
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from speechpipe import (
@@ -26,6 +28,8 @@ from speechpipe import (
     EmbeddingSet,
     PipelineError,
     TimeSpan,
+    downmix_mono,
+    load_mono,
     parse_rttm,
     parse_segments_csv,
     read_embeddings,
@@ -94,6 +98,30 @@ _CSV_TOKENS = st.sampled_from(["rec", "spk", '"1.5"', " 2 ", "3,5", "", *_TIME_T
 @given(damaged(_WAV_SEEDS))
 def test_read_wav(data):
     rejects_only_with_pipeline_error(read_wav, data)
+
+
+@pytest.fixture(scope="module")
+def wav_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "damaged.wav"
+
+
+@FUZZ
+@given(data=damaged(_WAV_SEEDS))
+def test_load_mono_streams_what_read_wav_decodes(wav_path, data):
+    """The streamed reader rejects exactly what the whole-file path rejects, with
+    its message, and otherwise gives the downmix of its channels byte for byte."""
+    wav_path.write_bytes(data)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite float32 samples
+            want = downmix_mono(*read_wav(data))
+    except PipelineError as exc:
+        with pytest.raises(PipelineError) as got:
+            load_mono(wav_path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_mono(wav_path)
+    assert got.sample_rate == want.sample_rate
+    assert got.samples.tobytes() == want.samples.tobytes()
 
 
 @FUZZ
