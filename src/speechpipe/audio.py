@@ -128,9 +128,8 @@ def _polyphase_filter(h: np.ndarray, up: int, down: int, n_in: int) -> tuple[np.
     n_pre_pad = down - half_len % down
     n_pre_remove = (half_len + n_pre_pad) // down
     n_out = -(-n_in * up // down)
-    n_post_pad = 0
-    while ((n_in - 1) * up + len(h) + n_pre_pad + n_post_pad - 1) // down + 1 < n_out + n_pre_remove:
-        n_post_pad += 1
+    # The fewest trailing zeros for which `upfirdn` gives n_pre_remove + n_out outputs.
+    n_post_pad = max(0, (n_out + n_pre_remove - 1) * down - ((n_in - 1) * up + len(h) + n_pre_pad - 1))
     return np.concatenate((np.zeros(n_pre_pad), h * up, np.zeros(n_post_pad))), n_pre_remove
 
 
@@ -228,9 +227,8 @@ def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries
     overlap, and each frame's mean is the same reduction as over the squares
     of the whole signal.
     """
-    check_frame_params(frame_length, hop_length)
     x = w.samples
-    n_frames = (len(x) - frame_length) // hop_length + 1 if len(x) >= frame_length else 0
+    n_frames = len(_frame_view(x, frame_length, hop_length))
     mean_squares = np.empty(n_frames)
     step = max(1, _BLOCK_SAMPLES // hop_length)
     buffer = np.empty(min(len(x), (step - 1) * hop_length + frame_length))

@@ -8,6 +8,7 @@ maximum duration are force-split at exactly that limit.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import asdict, dataclass
 
 from .audio import Waveform
@@ -17,6 +18,7 @@ from .spans import TimeSpan, check_sorted_by_start, check_sorted_disjoint
 KIND_SILENCE = "silence"
 KIND_FORCED = "forced"
 KIND_END_OF_AUDIO = "end-of-audio"
+_KINDS = (KIND_SILENCE, KIND_FORCED, KIND_END_OF_AUDIO)
 
 
 @dataclass
@@ -56,7 +58,9 @@ class ChunkPlan:
     @classmethod
     def from_dict(cls, doc: dict) -> "ChunkPlan":
         """Inverse of `to_dict`; a document of the wrong shape raises FormatError
-        naming where it is wrong."""
+        naming where it is wrong: a kind outside the three, a source_duration
+        that is not a finite number, or a forced_split_count other than the
+        number of forced chunks."""
         if not isinstance(doc, dict):
             raise FormatError(f"chunk plan must be a JSON object, got {type(doc).__name__}")
         where = "chunk plan"
@@ -65,9 +69,17 @@ class ChunkPlan:
             for i, c in enumerate(doc["chunks"]):
                 where = f"chunk plan chunks[{i}]"
                 chunks.append(TimeSpan(c["start"], c["end"]))
+                if c["kind"] not in _KINDS:
+                    raise ParameterError(f"kind must be one of {', '.join(_KINDS)}, got {c['kind']!r}")
                 kinds.append(c["kind"])
             where = "chunk plan"
-            return cls(chunks, doc["source_duration"], doc["forced_split_count"], kinds)
+            duration, forced = doc["source_duration"], doc["forced_split_count"]
+            if type(duration) not in (int, float) or not abs(duration) <= sys.float_info.max:
+                raise ParameterError(f"source_duration must be a finite number, got {duration!r}")
+            if type(forced) is not int or forced != kinds.count(KIND_FORCED):
+                raise ParameterError(f"forced_split_count must be {kinds.count(KIND_FORCED)}, the number of"
+                                     f" forced chunks, got {forced!r}")
+            return cls(chunks, duration, forced, kinds)
         except KeyError as exc:
             raise FormatError(f"{where}: missing key {exc}") from None
         except (TypeError, ParameterError) as exc:

@@ -34,7 +34,7 @@ from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, mu
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
 from .clustering import ClusteringConfig, cluster_embeddings
 from .errors import ConfigError, ParameterError, PipelineError
-from .interchange import build_config, parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
+from .interchange import build_config, check_window_params, parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
 from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments_csv
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
@@ -71,6 +71,11 @@ class PreprocessConfig:
             raise ParameterError(
                 "need target_sample_rate >= 0, highpass_hz >= 0 and 0 <= peak_target <= 1, got "
                 f"{self.target_sample_rate}, {self.highpass_hz} and {self.peak_target}"
+            )
+        if self.target_sample_rate and self.highpass_hz >= self.target_sample_rate / 2:
+            raise ParameterError(
+                "highpass_hz must lie below the Nyquist frequency of target_sample_rate, "
+                f"{self.target_sample_rate / 2}, got {self.highpass_hz}"
             )
 
 
@@ -445,16 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = PipelineConfig()
 
-    def finish(p: argparse.ArgumentParser, command: str, fn, workers: bool = True) -> None:
-        """Add the table flags of `command` and the common flags (`--workers`
-        if it maps over files); route to `fn`."""
+    def finish(p: argparse.ArgumentParser, command: str, fn, workers: bool = True, config: bool = True) -> None:
+        """Add the table flags of `command` and the common flags (`--config`
+        if it reads the config, `--workers` if it maps over files); route to `fn`."""
         for dest, section, name, kwargs, commands in OPTIONS:
             if command in commands:
                 kind = type(getattr(getattr(defaults, section), name))
                 if kind in (int, float):
                     kwargs = {"type": kind, **kwargs}
                 p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
-        p.add_argument("--config", help="pipeline config JSON")
+        if config:
+            p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         if workers:
             p.add_argument("--workers", type=int, help="worker threads, >= 1 (default: CPUs, at most 4)")
@@ -485,14 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--strip-punctuation", dest="strip_punctuation", action="store_true")
         else:
             sp.add_argument("--repair", action="store_true", help="repair CSV inputs instead of strict parsing")
-        finish(sp, f"score {metric}", cmd_score)
+        finish(sp, f"score {metric}", cmd_score, config=metric == "der")
 
     p = sub.add_parser("repair", help="repair a segments CSV")
     p.add_argument("path")
     p.add_argument("--strict", action="store_true", help="validate only; list malformed rows")
     p.add_argument("--out", help="write the repaired CSV here instead of stdout")
     p.add_argument("--report", help="write the repair report JSON here")
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_repair)
 
     p = sub.add_parser("windows", help="sliding-window schedule from a plan JSON or WAV")
@@ -517,7 +522,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    except ConfigError as exc:
+        if args.command == "windows":
+            check_window_params(args.window, args.hop)
+    except (ConfigError, ParameterError) as exc:
         _log(f"config error: {exc}")
         return 2
     try:

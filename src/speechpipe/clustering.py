@@ -141,6 +141,13 @@ def _centroids_for(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.stack([x[labels == j].mean(axis=0) for j in range(k)])
 
 
+def _finish(x: np.ndarray, labels: np.ndarray, method: str, diagnostics: dict) -> ClusterResult:
+    """`labels` renumbered by first appearance, with their centroids in the space `x` clustered."""
+    labels = _relabel_by_first_appearance(labels)
+    k = len(np.unique(labels))
+    return ClusterResult(labels, k, _centroids_for(x, labels, k), method, diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # Agglomerative clustering, centroid linkage
 
@@ -228,16 +235,7 @@ def ahc_centroid(vectors: np.ndarray, tau: float, min_cluster_size: int = 1) -> 
     if len(strays):
         centroids = np.stack([x[c].mean(axis=0) for c in survivors])
         labels[strays] = np.argmin(cosine_distance_matrix(x[strays], centroids), axis=1)
-    labels = _relabel_by_first_appearance(labels)
-    k = len(survivors)
-    result_centroids = _centroids_for(x, labels, k)
-    return ClusterResult(
-        labels,
-        k,
-        result_centroids,
-        "ahc-centroid",
-        {"merges": merge_count, "dissolved_points": len(strays), "tau": tau},
-    )
+    return _finish(x, labels, "ahc-centroid", {"merges": merge_count, "dissolved_points": len(strays), "tau": tau})
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +658,5 @@ def cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) ->
         labels = result.labels
         diagnostics = {**result.diagnostics, "estimated_k": k}
 
-    # One tail for gmm and kmeans: smooth, renumber by first appearance, and
-    # take centroids in the space that was clustered.
     labels = np.asarray(smooth_labels_temporal(list(labels), cfg.smoothing_window))
-    labels = _relabel_by_first_appearance(labels)
-    k = len(np.unique(labels))
-    return ClusterResult(labels, k, _centroids_for(x, labels, k), method, diagnostics)
+    return _finish(x, labels, method, diagnostics)

@@ -11,7 +11,6 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -54,6 +53,12 @@ class ScheduledWindow:
     short: bool = False
 
 
+def check_window_params(window: float, hop: float) -> None:
+    """Raise unless 0 < hop <= window, both finite."""
+    if not (0 < hop <= window <= sys.float_info.max):
+        raise ParameterError(f"need 0 < hop <= window, both finite, got hop={hop} window={window}")
+
+
 def window_schedule(
     speech_spans: list[TimeSpan], window: float, hop: float
 ) -> list[ScheduledWindow]:
@@ -62,8 +67,7 @@ def window_schedule(
     Windows never cross a span boundary. A span shorter than `window` yields
     a single window covering the whole span, flagged short.
     """
-    if not (0 < hop <= window <= sys.float_info.max):
-        raise ParameterError(f"need 0 < hop <= window, both finite, got hop={hop} window={window}")
+    check_window_params(window, hop)
     out: list[ScheduledWindow] = []
     for span in speech_spans:
         if span.duration < window - 1e-9:
@@ -142,9 +146,17 @@ def read_embeddings(data: bytes) -> EmbeddingSet:
 
 
 def write_atomic(path, data: bytes, suffix: str) -> None:
-    """Write `data` to `path` through a temp file (named with `suffix`) and a rename."""
+    """Write `data` to `path` through a temp file (named with `suffix`) and a
+    rename. The file gets the mode `open(path, "wb")` would give it: 0o666
+    less the umask (`mkstemp` would give 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=suffix)
+    while True:  # a random name, created exclusively, is this call's alone
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}{suffix}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import Waveform, downmix_mono
 from .errors import FormatError, ParameterError
 from .interchange import write_atomic
 
@@ -123,28 +123,25 @@ def _read_exact(fh, n: int, chunk_offset: int) -> bytes:
     return data
 
 
-def _raw_blocks(fh, layout: _Layout) -> Iterator[tuple[int, np.ndarray]]:
-    """(first frame, (frames, channels) block of stored samples) over the whole
-    frames, in order; every block is the same buffer, refilled."""
+def _blocks(fh, layout: _Layout) -> Iterator[tuple[int, np.ndarray]]:
+    """(first frame, float32 (frames, channels) block) over the whole frames,
+    in order; every block is the same buffer, refilled. Float32 samples are
+    read into it as stored, PCM ones cast and divided by 32768 in float32."""
     frames_per_block = max(1, _BLOCK_SAMPLES // layout.n_channels)
-    buffer = np.empty((min(frames_per_block, layout.n_frames), layout.n_channels), dtype=layout.dtype)
+    raw = np.empty((min(frames_per_block, layout.n_frames), layout.n_channels), dtype=layout.dtype)
+    decoded = np.empty(raw.shape, dtype=np.float32) if layout.pcm else raw
     fh.seek(layout.data_start)
     for first in range(0, layout.n_frames, frames_per_block):
-        block = buffer[: min(frames_per_block, layout.n_frames - first)]
-        got = fh.readinto(block.reshape(-1).view(np.uint8))
-        if got < block.nbytes:  # the file shrank since its size was taken
-            at = layout.data_start + first * layout.n_channels * buffer.itemsize + got
+        stored = raw[: min(frames_per_block, layout.n_frames - first)]
+        got = fh.readinto(stored.reshape(-1).view(np.uint8))
+        if got < stored.nbytes:  # the file shrank since its size was taken
+            at = layout.data_start + first * layout.n_channels * raw.itemsize + got
             raise FormatError("data chunk truncated", offset=at)
+        block = decoded[: len(stored)]
+        if layout.pcm:
+            block[...] = stored
+            block /= 32768.0
         yield first, block
-
-
-def _decode(raw: np.ndarray, out: np.ndarray, pcm: bool) -> np.ndarray:
-    """Stored samples to float32 in `out`: a cast, then for PCM a float32
-    division by 32768; per sample what decoding the whole payload does."""
-    out[...] = raw
-    if pcm:
-        out /= 32768.0
-    return out
 
 
 def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
@@ -152,8 +149,8 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
     with _opened(data_or_path) as fh:
         layout = _read_layout(fh)
         frames = np.empty((layout.n_frames, layout.n_channels), dtype=np.float32)
-        for first, raw in _raw_blocks(fh, layout):
-            _decode(raw, frames[first : first + len(raw)], layout.pcm)
+        for first, block in _blocks(fh, layout):
+            frames[first : first + len(block)] = block
     # Each channel is a view of the one decoded (frames, channels) matrix.
     return list(frames.T), layout.sample_rate
 
@@ -161,22 +158,16 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
 def load_mono(path) -> Waveform:
     """Read a WAV file and downmix it to a mono waveform.
 
-    Equal byte for byte to `downmix_mono(*read_wav(path))`: each block is
-    decoded, its channels are added in channel order in float32 and the sum
-    is divided by the channel count, into one mono buffer.
+    Equal byte for byte to `downmix_mono(*read_wav(path))`: `downmix_mono`
+    runs on each decoded block, into one mono buffer.
     """
     with _opened(path) as fh:
         layout = _read_layout(fh)
         mono = np.empty(layout.n_frames, dtype=np.float32)
         # Non-finite float32 samples make no warning here: the Waveform rejects them.
         with np.errstate(invalid="ignore", over="ignore"):
-            for first, raw in _raw_blocks(fh, layout):
-                block = _decode(raw, np.empty(raw.shape, dtype=np.float32), layout.pcm)
-                total = mono[first : first + len(raw)]
-                total[...] = block[:, 0]
-                for c in range(1, layout.n_channels):
-                    total += block[:, c]
-                total /= layout.n_channels
+            for first, block in _blocks(fh, layout):
+                mono[first : first + len(block)] = downmix_mono(list(block.T), layout.sample_rate).samples
     return Waveform(mono, layout.sample_rate)
 
 

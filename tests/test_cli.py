@@ -619,16 +619,15 @@ class TestWindowsCommand:
         assert captured.out == ""
         assert "windows: error: the chunk report lists 2 files" in captured.err
 
-    @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"]])
-    def test_non_finite_window_or_hop_exits_one(self, flags, tmp_path, capsys):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"recording_id": "x", "source_duration": 10.0, "forced_split_count": 0,
-                                    "chunks": [{"start": 0.0, "end": 4.5, "kind": "silence"}]}))
-        code = main(["windows", str(path), *flags])
+    @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"],
+                                       ["--hop", "0"], ["--hop", "2", "--window", "1"]])
+    def test_bad_window_or_hop_exits_two_before_reading_input(self, flags, tmp_path, capsys):
+        code = main(["windows", str(tmp_path / "missing.wav"), *flags])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
-        assert "windows: error: need 0 < hop <= window, both finite" in captured.err
+        assert "config error: need 0 < hop <= window, both finite" in captured.err
+        assert "missing.wav" not in captured.err
 
 
 class TestClusterCommand:
@@ -848,6 +847,8 @@ class TestConfigValidation:
         ("chunk", [], {"silence": {"top_db": 0}}),
         ("chunk", [], {"preprocess": {"peak_target": 2}}),
         ("chunk", [], {"preprocess": {"highpass_hz": -60}}),
+        ("chunk", [], {"preprocess": {"highpass_hz": 8000}}),
+        ("detect-music", [], {"preprocess": {"target_sample_rate": 8000, "highpass_hz": 9000}}),
         ("chunk", [], {"preprocess": {"detect_music": True}, "music": {"hop_length": 0}}),
         ("score der", ["--collar", "-1"], None),
         ("score der", ["--collar", "nan"], None),
@@ -952,6 +953,15 @@ class TestLocatedInputErrors:
          ' "chunks": [{"start": 0, "end": 2, "kind": "silence"}, {"start": 3, "end": "x", "kind": "silence"}]}',
          "chunk plan chunks[1]:"),
         ('{"chunks": [\n  {"start": 0,', "line 2: chunk plan is not valid JSON"),
+        ('{"source_duration": 5, "forced_split_count": 0,'
+         ' "chunks": [{"start": 0, "end": 2, "kind": "silence"}, {"start": 3, "end": 4, "kind": "bogus"}]}',
+         "chunk plan chunks[1]: kind must be one of silence, forced, end-of-audio, got 'bogus'"),
+        ('{"source_duration": "abc", "forced_split_count": 0, "chunks": [{"start": 0, "end": 2, "kind": "silence"}]}',
+         "chunk plan: source_duration must be a finite number, got 'abc'"),
+        ('{"source_duration": 5, "forced_split_count": "x", "chunks": [{"start": 0, "end": 2, "kind": "forced"}]}',
+         "chunk plan: forced_split_count must be 1, the number of forced chunks, got 'x'"),
+        ('{"source_duration": 5, "forced_split_count": 0, "chunks": [{"start": 0, "end": 2, "kind": "forced"}]}',
+         "chunk plan: forced_split_count must be 1"),
     ])
     def test_bad_plan_document(self, text, where, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -1027,7 +1037,8 @@ EXPECTED_FLAGS = {
     },
     "cluster": {**_COMMON, **_CLUSTERING},
     "score wer": {
-        **_COMMON,
+        "--out": _COMMON["--out"],
+        "--workers": _COMMON["--workers"],
         **_SCORE,
         "--strip-punctuation": ("strip_punctuation", None, None, False, 0, False),
     },
@@ -1043,7 +1054,6 @@ EXPECTED_FLAGS = {
         "--strict": ("strict", None, None, False, 0, False),
         "--out": ("out", None, None, None, None, False),
         "--report": ("report", None, None, None, None, False),
-        "--config": ("config", None, None, None, None, False),
     },
     "windows": {
         "--config": _COMMON["--config"],

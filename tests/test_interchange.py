@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from speechpipe import (
     ParameterError,
     TimeSpan,
     TranscriptRecord,
+    Waveform,
     read_embeddings,
     read_embeddings_file,
     read_transcripts_jsonl,
@@ -17,6 +21,7 @@ from speechpipe import (
     write_embeddings,
     write_embeddings_file,
     write_transcripts_jsonl,
+    write_wav,
 )
 
 
@@ -142,6 +147,25 @@ class TestEmbeddingContainer:
         back = read_embeddings_file(path)
         assert np.array_equal(back.vectors, emb.vectors)
         assert list(tmp_path.iterdir()) == [path]  # no temp litter
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=lambda m: f"umask{m:03o}")
+def test_atomic_writes_get_the_mode_open_gives(umask, tmp_path):
+    """Chunk WAVs and containers are as readable as any file the process
+    opens for writing: 0o666 less the umask, not the 0o600 of `mkstemp`."""
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        write_embeddings_file(tmp_path / "x.emb", random_embeddings(np.random.default_rng(0), n=3))
+        write_wav(tmp_path / "x.wav", Waveform(np.zeros(16, np.float32), 16000))
+    finally:
+        os.umask(previous)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("x.emb", "x.wav"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want, name
+    assert sorted(os.listdir(tmp_path)) == ["plain", "x.emb", "x.wav"]
 
 
 class TestTranscripts:
