@@ -10,7 +10,6 @@ formats, never executed here.
 __version__ = "0.1.0"
 
 from .audio import (
-    FrameSeries,
     MusicDetectConfig,
     MusicPresence,
     Waveform,
@@ -20,16 +19,12 @@ from .audio import (
     music_presence,
     peak_normalize,
     resample,
-    spectral_flux,
     split_on_silence,
 )
 from .chunking import (
-    BoundaryAudit,
     ChunkConfig,
     ChunkPlan,
-    boundary_error_audit,
     chunk_to_samples,
-    fixed_interval_plan,
     plan_chunks,
 )
 from .clustering import (
@@ -43,7 +38,6 @@ from .clustering import (
     gmm_fit,
     kmeans,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
     select_k_gmm,
     silhouette_score,

@@ -1,7 +1,7 @@
 """Waveform representation and per-sample DSP.
 
 Covers downmix, polyphase resampling, peak normalization, high-pass
-filtering, framed energy, silence splitting, spectral flux, and the
+filtering, framed energy, silence splitting and the spectral-flux
 music-presence heuristic. Everything here is a pure function: no global
 state, safe to call concurrently.
 """
@@ -59,23 +59,6 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass
-class FrameSeries:
-    """Per-frame values where frame i covers samples [i*hop, i*hop + frame_length)."""
-
-    values: np.ndarray
-    frame_length: int
-    hop_length: int
-    sample_rate: int
-
-    def frame_time(self, index: int) -> float:
-        """Start time of frame `index` in seconds."""
-        return index * self.hop_length / self.sample_rate
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def check_frame_params(frame_length: int, hop_length: int) -> None:
     """Raise unless both framing lengths are at least one sample."""
     if frame_length < 1 or hop_length < 1:
@@ -120,17 +103,19 @@ def _design_resample_filter(up: int, down: int) -> np.ndarray:
     return h / h.sum()
 
 
-def _polyphase_filter(h: np.ndarray, up: int, down: int, n_in: int) -> tuple[np.ndarray, int]:
+def _polyphase_filter(h: np.ndarray, up: int, down: int) -> tuple[np.ndarray, int]:
     """The filter `scipy.signal.resample_poly` runs through `upfirdn` for window
-    `h` and an `n_in`-sample input: `h * up`, zero-padded so the kept outputs
-    are centred, and the number of leading outputs it drops."""
+    `h`: `h * up`, zero-padded in front so the kept outputs are centred, and the
+    number of leading outputs it drops.
+
+    Specific to `_design_resample_filter`'s `_TAPS_PER_PHASE * up + 1`-tap
+    windows: these reach at least `31 * up + 1` upsampled samples past the last
+    kept output, so `resample_poly`'s trailing zero padding is always empty and
+    is not made.
+    """
     half_len = (len(h) - 1) // 2
     n_pre_pad = down - half_len % down
-    n_pre_remove = (half_len + n_pre_pad) // down
-    n_out = -(-n_in * up // down)
-    # The fewest trailing zeros for which `upfirdn` gives n_pre_remove + n_out outputs.
-    n_post_pad = max(0, (n_out + n_pre_remove - 1) * down - ((n_in - 1) * up + len(h) + n_pre_pad - 1))
-    return np.concatenate((np.zeros(n_pre_pad), h * up, np.zeros(n_post_pad))), n_pre_remove
+    return np.concatenate((np.zeros(n_pre_pad), h * up)), (half_len + n_pre_pad) // down
 
 
 def resample(w: Waveform, target_hz: int) -> Waveform:
@@ -159,7 +144,7 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
 
     x = w.samples
     n_out = -(-len(x) * up // down)
-    h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down, len(x))
+    h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down)
     history = -(-len(h) // up)  # input samples summed into each output
     out = np.empty(n_out, dtype=np.float32)
     step = max(1, _RESAMPLE_BLOCK // up) * up
@@ -219,8 +204,9 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     return Waveform(out, w.sample_rate)
 
 
-def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries:
-    """Per-frame RMS level in dB, floored at -100 dB for silent frames.
+def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> np.ndarray:
+    """Per-frame RMS level in dB, floored at -100 dB for silent frames; frame
+    i covers samples [i * hop_length, i * hop_length + frame_length).
 
     Squared in float64 a block of frames at a time; each block's frames are
     views of its squares, so memory grows with neither the signal nor the
@@ -241,7 +227,7 @@ def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> FrameSeries
     values = np.full(len(rms), SILENCE_FLOOR_DB)
     nonzero = rms > 0
     values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)
-    return FrameSeries(values, frame_length, hop_length, w.sample_rate)
+    return values
 
 
 def split_on_silence(
@@ -259,7 +245,7 @@ def split_on_silence(
     """
     if not top_db > 0:
         raise ParameterError(f"top_db must be positive, got {top_db}")
-    levels = frame_rms_db(w, frame_length, hop_length).values
+    levels = frame_rms_db(w, frame_length, hop_length)
     if len(levels) == 0:
         return []
     peak = levels.max()
@@ -307,12 +293,6 @@ def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[n
         flux[start : start + len(mags)] = diffs.sum(axis=1)
         previous = mags[-1:]
     return flux, energy
-
-
-def spectral_flux(w: Waveform, frame_length: int = 2048, hop_length: int = 512) -> FrameSeries:
-    """Frame-to-frame positive magnitude-spectrum change; flux[0] = 0."""
-    flux, _ = _flux_and_energy(w, frame_length, hop_length)
-    return FrameSeries(flux, frame_length, hop_length, w.sample_rate)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .audio import Waveform
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan, check_sorted_by_start, check_sorted_disjoint
+from .spans import TimeSpan, check_sorted_disjoint
 
 KIND_SILENCE = "silence"
 KIND_FORCED = "forced"
@@ -184,54 +184,3 @@ def chunk_to_samples(plan: ChunkPlan, w: Waveform) -> list[Waveform]:
         b = min(int(round(chunk.end * w.sample_rate)), n)
         out.append(Waveform(w.samples[a:b], w.sample_rate))
     return out
-
-
-@dataclass
-class BoundaryAudit:
-    """Word-straddle counts at chunk cut points."""
-
-    boundaries: list[float]
-    straddles_per_boundary: list[int]
-    total_straddles: int
-    mean_per_boundary: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def boundary_error_audit(ref_words: list[tuple[str, TimeSpan]], plan: ChunkPlan) -> BoundaryAudit:
-    """Count reference words whose span strictly contains a chunk cut point.
-
-    Cut points are every chunk end except the last, plus any chunk start that
-    does not coincide with the previous chunk's end (silence gaps are cut on
-    both sides).
-    """
-    check_sorted_by_start([span for _, span in ref_words], "reference word spans")
-
-    boundaries: list[float] = []
-    for i, chunk in enumerate(plan.chunks):
-        if i + 1 < len(plan.chunks):
-            boundaries.append(chunk.end)
-            if plan.chunks[i + 1].start > chunk.end:
-                boundaries.append(plan.chunks[i + 1].start)
-
-    counts = [sum(1 for _, span in ref_words if span.contains(b)) for b in boundaries]
-    total = sum(counts)
-    mean = total / len(boundaries) if boundaries else 0.0
-    return BoundaryAudit(boundaries, counts, total, mean)
-
-
-def fixed_interval_plan(total_duration: float, chunk_seconds: float) -> ChunkPlan:
-    """Baseline fixed-length plan for audit comparisons; every cut is a forced split."""
-    if not chunk_seconds > 0:
-        raise ParameterError("chunk_seconds must be positive")
-    chunks = []
-    kinds = []
-    t = 0.0
-    while t < total_duration - 1e-9:
-        end = min(t + chunk_seconds, total_duration)
-        chunks.append(TimeSpan(t, end))
-        kinds.append(KIND_FORCED if end < total_duration else KIND_END_OF_AUDIO)
-        t = end
-    forced = sum(1 for k in kinds if k == KIND_FORCED)
-    return ChunkPlan(chunks, total_duration, forced, kinds)

@@ -106,10 +106,6 @@ def pca_transform(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
     return (x - basis.mean) @ basis.components.T
 
 
-def pca_inverse_transform(basis: PcaBasis, z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=np.float64) @ basis.components + basis.mean
-
-
 # ---------------------------------------------------------------------------
 # Cluster result container
 
@@ -627,12 +623,15 @@ class ClusteringConfig:
 
 def cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) -> ClusterResult:
     """Cluster time-ordered embedding windows by `cfg.method`. AHC reads only
-    `tau` and `min_cluster_size`; gmm and kmeans read the other fields."""
+    `tau` and `min_cluster_size`; gmm and kmeans read the other fields. Zero
+    windows give k 0 under every method."""
     x = np.asarray(vectors, dtype=np.float64)
     n = len(x)
     method = cfg.method.lower()
     if method == "ahc":
         return ahc_centroid(x, cfg.tau, cfg.min_cluster_size)
+    if n == 0:
+        return ClusterResult(np.empty(0, dtype=int), 0, np.empty((0, 0)), method)
 
     if cfg.pca_components and n >= 2:
         components = min(cfg.pca_components, n, x.shape[1])

@@ -24,10 +24,6 @@ class TimeSpan:
     def duration(self) -> float:
         return self.end - self.start
 
-    def contains(self, instant: float) -> bool:
-        """True when `instant` lies strictly inside the interval."""
-        return self.start < instant < self.end
-
 
 def check_sorted_disjoint(spans: list[TimeSpan], what: str = "spans") -> None:
     """Raise if consecutive spans are unsorted or overlapping."""

@@ -41,12 +41,6 @@ class SpeakerTimeline:
     def speakers(self) -> list[str]:
         return sorted({seg.speaker for seg in self.segments})
 
-    def duration_by_speaker(self) -> dict[str, float]:
-        totals: dict[str, float] = defaultdict(float)
-        for seg in self.segments:
-            totals[seg.speaker] += seg.span.duration
-        return dict(totals)
-
 
 def _merge_per_speaker(segments, joins) -> list[SpeakerSegment]:
     """Merge each speaker's time-sorted spans into the running one while

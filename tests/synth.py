@@ -625,6 +625,23 @@ def plan_chunks_reference(nonsilent: list[TimeSpan], total_duration: float, cfg)
 
 
 # ---------------------------------------------------------------------------
+# Word-boundary straddles, for the silence-aware chunking claim
+
+def fixed_interval_chunks(total_duration: float, chunk_seconds: float) -> list[TimeSpan]:
+    """Back-to-back `chunk_seconds` chunks from 0, the last cut short at the end."""
+    starts = np.arange(0.0, total_duration, chunk_seconds).tolist()
+    return [TimeSpan(t, min(t + chunk_seconds, total_duration)) for t in starts]
+
+
+def straddle_count(word_spans: list[TimeSpan], chunks: list[TimeSpan]) -> int:
+    """Words that strictly contain a cut, counted once per cut. The cuts are
+    every chunk end but the last and every chunk start but the first (a gap
+    between chunks is cut on both sides)."""
+    cuts = {t for prev, cur in zip(chunks, chunks[1:]) for t in (prev.end, cur.start)}
+    return sum(1 for w in word_spans for t in cuts if w.start < t < w.end)
+
+
+# ---------------------------------------------------------------------------
 # Former silence split: runs found and capped in Python loops
 
 def split_on_silence_reference(
@@ -633,7 +650,7 @@ def split_on_silence_reference(
     """The library's former `split_on_silence` after its argument check."""
     from speechpipe.audio import DIGITAL_SILENCE_DB
 
-    levels = frame_rms_db_reference(w, frame_length, hop_length).values
+    levels = frame_rms_db_reference(w, frame_length, hop_length)
     n_frames = len(levels)
     if n_frames == 0:
         return []
@@ -763,10 +780,10 @@ def resample_reference(w: Waveform, target_hz: int) -> Waveform:
     return Waveform(out.astype(np.float32), target_hz)
 
 
-def frame_rms_db_reference(w: Waveform, frame_length: int, hop_length: int):
+def frame_rms_db_reference(w: Waveform, frame_length: int, hop_length: int) -> np.ndarray:
     """The library's former `frame_rms_db`: frames as views of one float64
     copy of the squares of the whole signal."""
-    from speechpipe.audio import SILENCE_FLOOR_DB, FrameSeries
+    from speechpipe.audio import SILENCE_FLOOR_DB
 
     squares = np.square(w.samples, dtype=np.float64)
     if len(squares) < frame_length:
@@ -777,7 +794,7 @@ def frame_rms_db_reference(w: Waveform, frame_length: int, hop_length: int):
     values = np.full(len(rms), SILENCE_FLOOR_DB)
     nonzero = rms > 0
     values[nonzero] = np.maximum(20.0 * np.log10(rms[nonzero]), SILENCE_FLOOR_DB)
-    return FrameSeries(values, frame_length, hop_length, w.sample_rate)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from speechpipe import (
     read_transcripts_jsonl,
     resample,
     select_k_gmm,
-    spectral_flux,
     split_on_silence,
     wer,
     write_embeddings,
@@ -39,7 +38,7 @@ from speechpipe import (
     write_segments_csv,
     write_transcripts_jsonl,
 )
-from speechpipe import SpeakerSegment, SpeakerTimeline, TimeSpan, TranscriptRecord
+from speechpipe import SpeakerSegment, SpeakerTimeline, TimeSpan, TranscriptRecord, audio
 from speechpipe.cli import main
 from synth import (
     SR,
@@ -412,9 +411,9 @@ def test_criterion_11_dsp_checks():
     n = min(len(back), len(orig))
     corr = float(np.corrcoef(orig.samples[:n].astype(float), back.samples[:n].astype(float))[0, 1])
 
-    flux = spectral_flux(Waveform(tone(700, 1.5), SR))
-    onset_flux = spectral_flux(Waveform(np.concatenate([silence(0.5), tone(700, 0.5)]), SR))
-    stationary_ok = float(flux.values[2:].max()) < 0.01 * float(onset_flux.values.max())
+    flux = audio._flux_and_energy(Waveform(tone(700, 1.5), SR), 2048, 512)[0]
+    onset_flux = audio._flux_and_energy(Waveform(np.concatenate([silence(0.5), tone(700, 0.5)]), SR), 2048, 512)[0]
+    stationary_ok = float(flux[2:].max()) < 0.01 * float(onset_flux.max())
 
     report(
         11,

@@ -13,12 +13,10 @@ from speechpipe import (
     StructuralError,
     TimeSpan,
     Waveform,
-    boundary_error_audit,
     chunk_to_samples,
-    fixed_interval_plan,
     plan_chunks,
 )
-from synth import SR, plan_chunks_reference, tone
+from synth import SR, fixed_interval_chunks, plan_chunks_reference, straddle_count, tone
 
 
 def spans(*pairs):
@@ -251,7 +249,8 @@ class TestChunkToSamples:
         # Ten minutes at 16 kHz: a copy of every chunk would trace the whole
         # 38 MB signal; views leave only the per-chunk finiteness checks.
         w = Waveform(np.zeros(600 * SR, dtype=np.float32), SR)
-        plan = fixed_interval_plan(600.0, 30.0)
+        plan = ChunkPlan([TimeSpan(30.0 * i, 30.0 * (i + 1)) for i in range(20)], 600.0, 19,
+                         ["forced"] * 19 + ["end-of-audio"])
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             pieces = chunk_to_samples(plan, w)
@@ -262,23 +261,6 @@ class TestChunkToSamples:
 
 
 class TestBoundaryAudit:
-    def test_fixed_interval_nan_length_rejected(self):
-        with pytest.raises(ParameterError, match="chunk_seconds must be positive"):
-            fixed_interval_plan(60.0, float("nan"))
-
-    def test_boundaries_in_silence_have_no_straddles(self):
-        words = [("w", TimeSpan(1.0, 2.0)), ("w", TimeSpan(12.0, 13.0))]
-        plan = ChunkPlan([TimeSpan(0, 10), TimeSpan(10, 20)], 20, 0, ["silence"] * 2)
-        audit = boundary_error_audit(words, plan)
-        assert audit.total_straddles == 0
-
-    def test_word_straddling_boundary_counted(self):
-        words = [("w", TimeSpan(9.8, 10.2))]
-        plan = ChunkPlan([TimeSpan(0, 10), TimeSpan(10, 20)], 20, 0, ["silence"] * 2)
-        audit = boundary_error_audit(words, plan)
-        assert audit.total_straddles == 1
-        assert audit.mean_per_boundary == 1.0
-
     def test_fixed_plan_straddles_at_least_silence_aware(self):
         # Speech-like layout: utterances all shorter than max_dur, so the
         # silence-aware plan cuts only at silence while fixed 30 s cuts land
@@ -294,10 +276,9 @@ class TestBoundaryAudit:
         for span in nonsilent:
             clock = span.start
             while clock + 0.4 < span.end:
-                words.append(("w", TimeSpan(round(clock, 3), round(clock + 0.35, 3))))
+                words.append(TimeSpan(round(clock, 3), round(clock + 0.35, 3)))
                 clock += 0.45
         aware = plan_chunks(nonsilent, 240.0, ChunkConfig(20, 30))
-        fixed = fixed_interval_plan(240.0, 30.0)
-        n_aware = boundary_error_audit(words, aware).total_straddles
-        n_fixed = boundary_error_audit(words, fixed).total_straddles
+        n_aware = straddle_count(words, aware.chunks)
+        n_fixed = straddle_count(words, fixed_interval_chunks(240.0, 30.0))
         assert n_fixed >= n_aware

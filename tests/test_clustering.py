@@ -16,7 +16,6 @@ from speechpipe import (
     gmm_fit,
     kmeans,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
     select_k_gmm,
     silhouette_score,
@@ -57,14 +56,14 @@ class TestPca:
         coords = rng.normal(size=(40, 3))
         x = coords @ basis_vecs + rng.normal(size=10)
         basis = pca_fit(x, 3)
-        recon = pca_inverse_transform(basis, pca_transform(basis, x))
+        recon = pca_transform(basis, x) @ basis.components + basis.mean
         assert np.max(np.abs(recon - x)) < 1e-9
 
     def test_full_basis_zero_error(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 6))
         basis = pca_fit(x, 6)
-        recon = pca_inverse_transform(basis, pca_transform(basis, x))
+        recon = pca_transform(basis, x) @ basis.components + basis.mean
         assert np.max(np.abs(recon - x)) < 1e-9
 
     def test_explained_variance_matches_brute_force(self):
@@ -105,7 +104,7 @@ class TestPca:
         x = rng.normal(size=(80, 20))
         basis_full = pca_fit(x, 20)
         basis = pca_fit(x, 5)
-        recon = pca_inverse_transform(basis, pca_transform(basis, x))
+        recon = pca_transform(basis, x) @ basis.components + basis.mean
         err = np.sum((x - recon) ** 2) / (len(x) - 1)
         discarded = basis_full.eigenvalues[5:].sum()
         assert err == pytest.approx(discarded, rel=1e-6)
@@ -591,6 +590,16 @@ class TestOverclusterPreset:
         smoothed = smooth_labels_temporal(list(gmm_fit(x, 10, 0).predict(x)), 5)
         first = {lab: i for i, lab in enumerate(dict.fromkeys(smoothed))}
         assert labels.tolist() == [first[lab] for lab in smoothed]
+
+
+@pytest.mark.parametrize("method", ["ahc", "kmeans", "gmm"])
+@pytest.mark.parametrize("fixed_k", [0, 3])
+def test_zero_windows_give_k_zero(method, fixed_k):
+    cfg = ClusteringConfig(method=method, fixed_k=fixed_k, pca_components=2)
+    result = cluster_embeddings(np.empty((0, 4)), cfg, seed=0)
+    assert result.k == 0
+    assert result.labels.shape == (0,)
+    assert result.centroids.shape == (0, 0)
 
 
 class TestSmoothing:
