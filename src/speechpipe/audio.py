@@ -9,6 +9,7 @@ state, safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,12 @@ SILENCE_FLOOR_DB = -100.0
 # Below this global frame level the input is treated as digital silence.
 DIGITAL_SILENCE_DB = -80.0
 # Samples per block where a whole-signal float64 temporary would otherwise be
-# made (music-detection STFT, high-pass): 16 MB of float64 each, so memory
-# grows with the float32 signal alone.
+# made (high-pass, framed RMS): 16 MB of float64 each, so memory grows with
+# the float32 signal alone. Also the bound on a resampling filter's taps.
 _BLOCK_SAMPLES = 2**21
+# Samples of frames per music-detection STFT block: 128 frames of 2,048, about
+# 6 MB of float64 frames, complex spectra and magnitudes.
+_STFT_BLOCK = 2**18
 _TAPS_PER_PHASE = 64  # resampling filter taps per phase of the upsampling factor
 # Output samples per resampling block, rounded down to a whole number (at
 # least one) of the upsampling factor: 2 MB of float64 output per block, and
@@ -122,51 +126,78 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     """Band-limited resampling to `target_hz` via a windowed-sinc polyphase filter.
 
     Equal byte for byte to `scipy.signal.resample_poly` on the whole signal
-    in float64, computed one output block at a time. Output j of `upfirdn`
-    sums input samples up to (j * down) // up, over the filter's taps per
-    phase, in input order; so a block fed the input slice that starts at a
-    multiple of `down`, at least that many samples back, sums the same terms
-    in the same order. Only each slice is cast to float64.
+    in float64; see `resample_blocks`, which is fed the signal as one block.
+    """
+    if target_hz == w.sample_rate:
+        return Waveform(w.samples.copy(), w.sample_rate)
+    return Waveform(resample_blocks([w.samples], len(w.samples), w.sample_rate, target_hz), target_hz)
+
+
+def resample_blocks(blocks: Iterable[np.ndarray], n_in: int, rate: int, target_hz: int) -> np.ndarray:
+    """Resample `n_in` float32 samples at `rate`, arriving as `blocks` in order,
+    to one float32 signal at `target_hz`, computed one output block at a time.
+
+    Output j of `upfirdn` sums input samples up to (j * down) // up, over the
+    filter's taps per phase, in input order; so an output block fed the input
+    slice that starts at a multiple of `down`, at least that many samples back,
+    sums the same terms in the same order as on the whole signal. Only the
+    blocks that the next output block sums over are kept, so their sizes do
+    not change a byte; each block must be an array of its own (not a buffer
+    that is refilled), and only each slice is cast to float64.
     """
     if target_hz <= 0:
         raise ParameterError(f"target_hz must be positive, got {target_hz}")
-    if target_hz == w.sample_rate:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    g = math.gcd(target_hz, w.sample_rate)
-    up, down = target_hz // g, w.sample_rate // g
+    g = math.gcd(target_hz, rate)
+    up, down = target_hz // g, rate // g
     ntaps = _TAPS_PER_PHASE * up + 1
     if ntaps > _BLOCK_SAMPLES:  # the filter's taps, each a float64 temporary
         raise ParameterError(
-            f"cannot resample {w.sample_rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
+            f"cannot resample {rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
             f"needs a {ntaps}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
         )
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
-    x = w.samples
-    n_out = -(-len(x) * up // down)
+    n_out = -(-n_in * up // down)
     h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down)
     history = -(-len(h) // up)  # input samples summed into each output
     out = np.empty(n_out, dtype=np.float32)
     step = max(1, _RESAMPLE_BLOCK // up) * up
-    for first in range(0, n_out, step):
-        last = min(first + step, n_out)
-        # Upsampled output j sits after input sample (j * down) // up.
-        start = max(0, (first + skip) * down // up - history + 1) // down * down
-        stop = min(len(x), (last - 1 + skip) * down // up + 1)
-        lead = skip - start // down * up  # outputs of the slice before `first`
-        out[first:last] = sps.upfirdn(h, x[start:stop].astype(np.float64), up, down)[first + lead : last + lead]
-    return Waveform(out, target_hz)
+    held, base, received, first = [], 0, 0, 0  # blocks kept, from input sample `base` on
+    for block in blocks:
+        held.append(block)
+        received += len(block)
+        while first < n_out:
+            last = min(first + step, n_out)
+            # Upsampled output j sits after input sample (j * down) // up.
+            start = max(0, (first + skip) * down // up - history + 1) // down * down
+            stop = min(n_in, (last - 1 + skip) * down // up + 1)
+            if stop > received:
+                break
+            while base + len(held[0]) <= start:  # no later output sums over it
+                base += len(held.pop(0))
+            parts, at = [], base
+            for b in held:
+                if at < stop:
+                    parts.append(b[max(0, start - at) : stop - at])
+                at += len(b)
+            lead = skip - start // down * up  # outputs of the slice before `first`
+            x = np.concatenate(parts, dtype=np.float64)
+            out[first:last] = sps.upfirdn(h, x, up, down)[first + lead : last + lead]
+            first = last
+    return out
 
 
-def peak_normalize(w: Waveform, target_peak: float) -> Waveform:
-    """Scale so max |sample| equals `target_peak`; all-zero input is returned unchanged."""
+def peak_normalize(w: Waveform, target_peak: float, out: np.ndarray | None = None) -> Waveform:
+    """Scale so max |sample| equals `target_peak`; all-zero input is returned
+    unchanged. The samples are written into `out` (it may be `w.samples`)
+    when given, else into a new array."""
     if not (0.0 < target_peak <= 1.0):
         raise ParameterError(f"target_peak must be in (0, 1], got {target_peak}")
     # The largest magnitude without an |x| copy of the signal.
     peak = max(float(w.samples.max()), -float(w.samples.min())) if len(w.samples) else 0.0
-    if peak == 0.0:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    return Waveform(w.samples * np.float32(target_peak / peak), w.sample_rate)
+    # A gain of 1 leaves every sample's bits as they are.
+    gain = np.float32(target_peak / peak if peak else 1.0)
+    return Waveform(np.multiply(w.samples, gain, out=out), w.sample_rate)
 
 
 def highpass_coefficients(cutoff_hz: float, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,16 +218,18 @@ def highpass_coefficients(cutoff_hz: float, sample_rate: int) -> tuple[np.ndarra
     return b / a[0], a / a[0]
 
 
-def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
+def highpass(w: Waveform, cutoff_hz: float, out: np.ndarray | None = None) -> Waveform:
     """Apply the Butterworth high-pass once, forward (causal) direction.
 
     Filtered in float64 one block at a time, the filter state carried across
-    block edges, into one float32 output.
+    block edges, into one float32 output: `out` (it may be `w.samples`) when
+    given, else a new array.
     """
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
     b, a = highpass_coefficients(cutoff_hz, w.sample_rate)
-    out = np.empty(len(w.samples), dtype=np.float32)
+    if out is None:
+        out = np.empty(len(w.samples), dtype=np.float32)
     zi = np.zeros(max(len(a), len(b)) - 1)
     for start in range(0, len(out), _BLOCK_SAMPLES):
         block = w.samples[start : start + _BLOCK_SAMPLES]
@@ -281,7 +314,7 @@ def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[n
     if n == 0:
         return flux, energy
     window = np.hanning(frame_length)
-    step = max(1, _BLOCK_SAMPLES // frame_length)
+    step = max(1, _STFT_BLOCK // frame_length)
     previous = None
     for start in range(0, n, step):
         block = frames[start : start + step].astype(np.float64)

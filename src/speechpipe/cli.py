@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, music_presence, peak_normalize, resample, split_on_silence
+from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, music_presence, peak_normalize, split_on_silence
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
 from .clustering import ClusteringConfig, cluster_embeddings
 from .errors import ConfigError, ParameterError, PipelineError
@@ -215,13 +215,12 @@ def _log(message: str) -> None:
 
 def _conditioned(path: str, cfg: PreprocessConfig) -> Waveform:
     """A WAV as every audio command analyses it: mono, resampled, high-passed, peak-normalized."""
-    w = load_mono(path)
-    if cfg.target_sample_rate and w.sample_rate != cfg.target_sample_rate:
-        w = resample(w, cfg.target_sample_rate)
+    w = load_mono(path, cfg.target_sample_rate)
+    # The array is this call's own, so the later steps write into it.
     if cfg.highpass_hz:
-        w = highpass(w, cfg.highpass_hz)
+        w = highpass(w, cfg.highpass_hz, out=w.samples)
     if cfg.peak_target:
-        w = peak_normalize(w, cfg.peak_target)
+        w = peak_normalize(w, cfg.peak_target, out=w.samples)
     return w
 
 

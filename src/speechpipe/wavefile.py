@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, downmix_mono
+from .audio import Waveform, downmix_mono, resample_blocks
 from .errors import FormatError, ParameterError
 from .interchange import write_atomic
 
@@ -155,20 +155,30 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
     return list(frames.T), layout.sample_rate
 
 
-def load_mono(path) -> Waveform:
-    """Read a WAV file and downmix it to a mono waveform.
+def load_mono(path, target_hz: int = 0) -> Waveform:
+    """Read a WAV file and downmix it to a mono waveform, resampled to
+    `target_hz` when that is nonzero and not the file's rate.
 
-    Equal byte for byte to `downmix_mono(*read_wav(path))`: `downmix_mono`
-    runs on each decoded block, into one mono buffer.
+    Equal byte for byte to `downmix_mono(*read_wav(path))`, resampled with
+    `resample`: `downmix_mono` runs on each decoded block, and each downmixed
+    block goes into one mono buffer or, when resampling, straight into
+    `resample_blocks`, so the file's own rate is never held whole.
     """
     with _opened(path) as fh:
         layout = _read_layout(fh)
-        mono = np.empty(layout.n_frames, dtype=np.float32)
+        rate = layout.sample_rate
         # Non-finite float32 samples make no warning here: the Waveform rejects them.
         with np.errstate(invalid="ignore", over="ignore"):
-            for first, block in _blocks(fh, layout):
-                mono[first : first + len(block)] = downmix_mono(list(block.T), layout.sample_rate).samples
-    return Waveform(mono, layout.sample_rate)
+            # `downmix_mono` gives each block an array of its own.
+            mono = (downmix_mono(list(block.T), rate).samples for _, block in _blocks(fh, layout))
+            if target_hz and target_hz != rate:
+                return Waveform(resample_blocks(mono, layout.n_frames, rate, target_hz), target_hz)
+            samples = np.empty(layout.n_frames, dtype=np.float32)
+            at = 0
+            for block in mono:
+                samples[at : at + len(block)] = block
+                at += len(block)
+    return Waveform(samples, rate)
 
 
 def wav_bytes(channels: list[np.ndarray], sample_rate: int, encoding: str = "pcm16") -> bytes:
@@ -178,27 +188,28 @@ def wav_bytes(channels: list[np.ndarray], sample_rate: int, encoding: str = "pcm
     lengths = {len(c) for c in channels}
     if len(lengths) != 1:
         raise ParameterError("channel lengths differ")
-    frames = np.stack([np.asarray(c, dtype=np.float32) for c in channels], axis=1)
+    # One interleaved float32 buffer of this call's own; PCM16 is clipped,
+    # scaled and rounded in it, and the file is joined from its samples once.
+    payload = np.stack([np.asarray(c, dtype=np.float32) for c in channels], axis=1)
+    n_channels = payload.shape[1]
 
     if encoding == "pcm16":
         format_code, bits = _FORMAT_PCM, 16
-        clipped = np.clip(frames, -1.0, 1.0)
-        payload = (clipped * 32767.0).round().astype("<i2").tobytes()
+        np.clip(payload, -1.0, 1.0, out=payload)
+        payload *= 32767.0
+        payload = np.round(payload, out=payload).astype("<i2")
     elif encoding == "float32":
         format_code, bits = _FORMAT_IEEE_FLOAT, 32
-        payload = frames.astype("<f4").tobytes()
+        payload = payload.astype("<f4", copy=False)
     else:
         raise ParameterError(f"unknown encoding {encoding!r}: use 'pcm16' or 'float32'")
 
-    n_channels = frames.shape[1]
     block_align = n_channels * bits // 8
     byte_rate = sample_rate * block_align
     fmt = struct.pack("<HHIIHH", format_code, n_channels, sample_rate, byte_rate, block_align, bits)
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        chunks += b"\x00"
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    # Samples take 2 or 4 bytes, so the data chunk needs no pad byte.
+    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", payload.nbytes)
+    return b"".join((b"RIFF", struct.pack("<I", len(head) + payload.nbytes), head, payload))
 
 
 def write_wav(path, channels_or_waveform, sample_rate: int | None = None, encoding: str = "pcm16") -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,10 @@ from speechpipe import (
     peak_normalize,
     resample,
     split_on_silence,
+    wav_bytes,
     write_wav,
 )
+from speechpipe.cli import PreprocessConfig, _conditioned
 from synth import (
     SR,
     downmix_mono_reference,
@@ -157,8 +160,30 @@ class TestPeakNormalize:
                 want = w.samples * np.float32(0.95 / peak)
                 assert peak_normalize(w, 0.95).samples.tobytes() == want.tobytes(), n
 
+    def test_out_gets_the_copy_bytes(self):
+        rng = np.random.default_rng(22)
+        for x in (rng.uniform(-1, 1, 1001), np.zeros(5), np.array([0.0, -0.0, 0.0])):
+            w = Waveform(x.astype(np.float32), SR)
+            want = peak_normalize(w, 0.9).samples.tobytes()
+            other = np.empty(len(x), np.float32)
+            assert peak_normalize(w, 0.9, out=other).samples is other and other.tobytes() == want
+            got = peak_normalize(w, 0.9, out=w.samples)
+            assert got.samples is w.samples and w.samples.tobytes() == want
+
 
 class TestHighpass:
+    @pytest.mark.parametrize("block", [64, audio._BLOCK_SAMPLES])
+    def test_out_gets_the_copy_bytes(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(block)
+        for n in (0, 1, block - 1, block, 3 * block + 5):
+            w = noise(n, rng)
+            want = highpass(w, 60.0).samples.tobytes()
+            other = np.empty(n, np.float32)
+            assert highpass(w, 60.0, out=other).samples is other and other.tobytes() == want
+            got = highpass(w, 60.0, out=w.samples)
+            assert got.samples is w.samples and w.samples.tobytes() == want, n
+
     def test_dc_rejection(self):
         w = Waveform(np.full(2 * SR, 0.5, dtype=np.float32), SR)
         out = highpass(w, 60.0)
@@ -431,6 +456,20 @@ class TestBlockedEqualsReference:
             got = audio._flux_and_energy(w, frame_length, hop_length)
             assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1]), (n, frame_length, hop_length)
 
+    @pytest.mark.parametrize("block", [64, 1000, 4096])
+    def test_flux_and_energy_stft_blocks(self, block, monkeypatch):
+        # The STFT takes frames in blocks of `_STFT_BLOCK` samples.
+        monkeypatch.setattr(audio, "_STFT_BLOCK", block)
+        rng = np.random.default_rng(block + 5)
+        for frame_length, hop_length in [(16, 8), (50, 7), (block + 3, 5), (2048, 512)]:
+            step = max(1, block // frame_length)  # frames per block
+            for n_frames in (1, step - 1, step, step + 1, 3 * step + 1):
+                if n_frames >= 1:
+                    w = noise((n_frames - 1) * hop_length + frame_length, rng)
+                    want = flux_and_energy_reference(w, frame_length, hop_length)
+                    got = audio._flux_and_energy(w, frame_length, hop_length)
+                    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1]), (frame_length, n_frames)
+
     def test_flux_and_energy_at_module_block_size(self):
         w = music_proxy(90, 4)
         n_frames = (len(w) - 2048) // 512 + 1
@@ -503,6 +542,21 @@ class TestBlockedEqualsReference:
             assert same_bytes(downmix_mono(views, SR).samples, downmix_mono_reference(views, SR).samples)
 
 
+def write_tiled_pcm16(path, minutes: int, sr: int, n_channels: int, seed: int) -> None:
+    """A PCM16 file of `minutes` of one 10-second noise tile repeated, written
+    a tile at a time."""
+    rng = np.random.default_rng(seed)
+    tile = wav_bytes([(rng.standard_normal(10 * sr) * 0.1).astype(np.float32) for _ in range(n_channels)], sr)
+    payload = tile[tile.index(b"data") + 8 :]
+    tiles = minutes * 6
+    header = tile[: tile.index(b"data")]  # RIFF, its size, WAVE and the fmt chunk
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + len(payload) * tiles) + header[8:])
+        fh.write(b"data" + struct.pack("<I", len(payload) * tiles))
+        for _ in range(tiles):
+            fh.write(payload)
+
+
 def traced_peak(fn, *args) -> int:
     """Peak traced bytes of one call; numpy reports its buffers to tracemalloc."""
     tracemalloc.start()
@@ -564,3 +618,33 @@ class TestBoundedMemory:
             peaks.append(traced_peak(load_mono, path))
             output_bytes.append(minutes * 60 * SR * 4)
         assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
+
+    @pytest.mark.parametrize("sr, n_channels", [(44100, 2), (SR, 1)], ids=["44k_stereo", "16k_mono"])
+    def test_conditioning_grows_with_its_16k_output(self, sr, n_channels, tmp_path):
+        # A 44.1 kHz file goes into the resampler a decoded block at a time,
+        # so it is never whole at its own rate; high-pass and gain write into
+        # the 16 kHz output, so no second signal is made at either rate.
+        cfg = PreprocessConfig()
+        write_tiled_pcm16(tmp_path / "warm.wav", 1, sr, n_channels, 12)
+        _conditioned(str(tmp_path / "warm.wav"), cfg)  # loads scipy untraced
+        peaks, output_bytes = [], []
+        for minutes in (2, 8):
+            path = tmp_path / f"{minutes}.wav"
+            write_tiled_pcm16(path, minutes, sr, n_channels, 12)
+            peaks.append(traced_peak(_conditioned, str(path), cfg))
+            output_bytes.append(minutes * 60 * 16000 * 4)
+        assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
+
+    def test_music_presence_peak_is_fixed(self):
+        # Flux and energy take 16 bytes a frame (0.24 MB at eight minutes);
+        # the STFT's blocks about 6 MB.
+        rng = np.random.default_rng(14)
+        for minutes in (2, 8):
+            w = Waveform((rng.standard_normal(minutes * 60 * SR) * 0.1).astype(np.float32), SR)
+            assert traced_peak(music_presence, w) < 16 * 2**20, minutes
+
+    def test_wav_bytes_peak_of_a_30s_chunk(self):
+        # One float32 buffer, its int16 samples and the file's bytes.
+        chunk = (np.random.default_rng(15).standard_normal(30 * SR) * 0.5).astype(np.float32)
+        for encoding in ("pcm16", "float32"):
+            assert traced_peak(wav_bytes, [chunk], SR, encoding) <= 2.5 * chunk.nbytes, encoding

@@ -13,6 +13,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from speechpipe import audio, wavefile
 from speechpipe import (
     MusicDetectConfig,
     ParameterError,
@@ -21,9 +22,12 @@ from speechpipe import (
     TimeSpan,
     Waveform,
     der,
+    highpass,
     load_mono,
     parse_rttm,
+    peak_normalize,
     read_embeddings_file,
+    resample,
     wav_bytes,
     write_embeddings,
     write_embeddings_file,
@@ -32,7 +36,7 @@ from speechpipe import (
     write_wav,
 )
 from speechpipe.cli import (
-    OPTIONS, MetricsConfig, PipelineConfig, PreprocessConfig, SilenceConfig, build_parser, main,
+    OPTIONS, MetricsConfig, PipelineConfig, PreprocessConfig, SilenceConfig, _conditioned, build_parser, main,
 )
 from synth import SR, clean_rows, corrupt_row, silence, tone, two_speaker_scene
 
@@ -1192,3 +1196,104 @@ def test_chunk_peak_memory_bounded_by_file_size(tmp_path):
     status, base_kb, peak_kb = map(int, result.stdout.split())
     assert status == 0
     assert (peak_kb - base_kb) * 1024 < 2.5 * path.stat().st_size
+
+
+def conditioned_by_library_calls(path, cfg: PreprocessConfig) -> Waveform:
+    """The signal every audio command analyses, from the copying library calls:
+    `peak_normalize(highpass(resample(load_mono(path), 16000), 60), 0.98)` by
+    default, each step skipped when its field is 0."""
+    w = load_mono(path)
+    if cfg.target_sample_rate and w.sample_rate != cfg.target_sample_rate:
+        w = resample(w, cfg.target_sample_rate)
+    if cfg.highpass_hz:
+        w = highpass(w, cfg.highpass_hz)
+    if cfg.peak_target:
+        w = peak_normalize(w, cfg.peak_target)
+    return w
+
+
+class TestConditionedEqualsLibraryCalls:
+    """`_conditioned` decodes, downmixes and resamples a block at a time and
+    high-passes and normalizes in place; it gives the copying calls' bytes."""
+
+    CONFIGS = [
+        PreprocessConfig(),
+        PreprocessConfig(target_sample_rate=0),
+        PreprocessConfig(highpass_hz=0),
+        PreprocessConfig(peak_target=0),
+        PreprocessConfig(target_sample_rate=0, highpass_hz=0, peak_target=0),
+    ]
+
+    @staticmethod
+    def assert_same(path, cfg: PreprocessConfig, case):
+        got, want = _conditioned(str(path), cfg), conditioned_by_library_calls(str(path), cfg)
+        assert got.sample_rate == want.sample_rate, case
+        assert got.samples.dtype == want.samples.dtype == np.float32, case
+        assert got.samples.tobytes() == want.samples.tobytes(), case
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    def test_many_block_edges(self, rate, monkeypatch, tmp_path):
+        # Decode blocks of 999 samples and resampling blocks of a few hundred
+        # outputs put many edges of both, and slices over several decode
+        # blocks, inside short files.
+        monkeypatch.setattr(wavefile, "_BLOCK_SAMPLES", 999)
+        monkeypatch.setattr(audio, "_RESAMPLE_BLOCK", 500)
+        rng = np.random.default_rng(rate)
+        path = tmp_path / "x.wav"
+        for n_channels, encoding in itertools.product((1, 2, 3), ("pcm16", "float32")):
+            for n in (0, 1, 2, 998, 7001):
+                channels = [rng.uniform(-1.1, 1.1, n).astype(np.float32) for _ in range(n_channels)]
+                write_wav(path, channels, rate, encoding)
+                for cfg in self.CONFIGS:
+                    self.assert_same(path, cfg, (n_channels, encoding, n, cfg))
+            write_wav(path, [np.zeros(7001, np.float32)] * n_channels, rate, encoding)
+            for cfg in self.CONFIGS:
+                self.assert_same(path, cfg, (n_channels, encoding, "all zero", cfg))
+
+    @pytest.mark.parametrize("rate, n_channels, encoding, spans", [
+        (22050, 3, "float32", 2),
+        (44100, 2, "pcm16", 2),
+        (44100, 3, "pcm16", 3),
+        (48000, 3, "float32", 3),
+    ])
+    def test_slices_over_module_size_decode_blocks(self, rate, n_channels, encoding, spans, tmp_path):
+        g = math.gcd(rate, 16000)
+        up, down = 16000 // g, rate // g
+        per_output_block = audio._RESAMPLE_BLOCK // up * up * down // up  # input samples, about
+        frames_per_block = wavefile._BLOCK_SAMPLES // n_channels
+        assert per_output_block > (spans - 1) * frames_per_block  # a slice spans this many decode blocks
+        rng = np.random.default_rng(rate + n_channels)
+        n = 2 * per_output_block + 4321
+        path = tmp_path / "x.wav"
+        write_wav(path, [rng.uniform(-1, 1, n).astype(np.float32) for _ in range(n_channels)], rate, encoding)
+        self.assert_same(path, PreprocessConfig(), (rate, n_channels, encoding))
+
+    @pytest.mark.parametrize("rate", [16000, 44100])
+    def test_nan_sample_is_that_files_error(self, rate, tmp_path):
+        x = (np.random.default_rng(rate).standard_normal(3 * rate) * 0.1).astype(np.float32)
+        x[rate + 7] = np.nan
+        path, report = tmp_path / "nan.wav", tmp_path / "report.json"
+        write_wav(path, [x, x[::-1]], rate, "float32")
+        assert main(["chunk", str(path), "--out", str(report)]) == 1
+        assert json.loads(report.read_text())["errors"] == {str(path): "Waveform samples must be finite"}
+
+    @pytest.mark.parametrize("rate", [16000, 44100])
+    def test_data_chunk_cut_mid_read_is_located(self, rate, tmp_path, monkeypatch):
+        # Stereo of one and a half decode blocks, cut inside the second: the
+        # first block is decoded and downmixed before the cut is read.
+        n = wavefile._BLOCK_SAMPLES * 3 // 4
+        x = (np.random.default_rng(rate).standard_normal(n) * 0.1).astype(np.float32)
+        path, report = tmp_path / "cut.wav", tmp_path / "report.json"
+        data = wav_bytes([x, x[::-1]], rate, "pcm16")
+        path.write_bytes(data)
+        cut = data.index(b"data") + 8 + 2 * wavefile._BLOCK_SAMPLES + 1001
+        read_layout = wavefile._read_layout
+
+        def cut_after_layout(fh):
+            layout = read_layout(fh)
+            os.truncate(path, cut)
+            return layout
+
+        monkeypatch.setattr(wavefile, "_read_layout", cut_after_layout)
+        assert main(["chunk", str(path), "--out", str(report)]) == 1
+        assert json.loads(report.read_text())["errors"] == {str(path): f"data chunk truncated (byte offset {cut})"}
