@@ -9,7 +9,7 @@ state, safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +20,14 @@ from .spans import TimeSpan
 SILENCE_FLOOR_DB = -100.0
 # Below this global frame level the input is treated as digital silence.
 DIGITAL_SILENCE_DB = -80.0
-# Samples per block where a whole-signal float64 temporary would otherwise be
-# made (high-pass, framed RMS): 16 MB of float64 each, so memory grows with
-# the float32 signal alone. Also the bound on a resampling filter's taps.
-_BLOCK_SAMPLES = 2**21
-# Samples of frames per music-detection STFT block: 128 frames of 2,048, about
-# 6 MB of float64 frames, complex spectra and magnitudes.
-_STFT_BLOCK = 2**18
+# Samples per block wherever a whole-signal float64 temporary would otherwise
+# be made (resampled output, whose input slices are down/up times as long;
+# high-pass; framed RMS; the music-detection STFT): 2 MB of float64 each, so
+# memory grows with the float32 signal alone.
+_BLOCK_SAMPLES = 2**18
+# The most taps a resampling filter may have, each a float64 temporary.
+_MAX_TAPS = 2**21
 _TAPS_PER_PHASE = 64  # resampling filter taps per phase of the upsampling factor
-# Output samples per resampling block, rounded down to a whole number (at
-# least one) of the upsampling factor: 2 MB of float64 output per block, and
-# down/up times as much float64 input.
-_RESAMPLE_BLOCK = 2**18
 
 
 @dataclass
@@ -126,34 +122,35 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     """Band-limited resampling to `target_hz` via a windowed-sinc polyphase filter.
 
     Equal byte for byte to `scipy.signal.resample_poly` on the whole signal
-    in float64; see `resample_blocks`, which is fed the signal as one block.
+    in float64; see `resample_slices`, which reads slices of the signal.
     """
     if target_hz == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
-    return Waveform(resample_blocks([w.samples], len(w.samples), w.sample_rate, target_hz), target_hz)
+    out = resample_slices(lambda start, stop: w.samples[start:stop], len(w.samples), w.sample_rate, target_hz)
+    return Waveform(out, target_hz)
 
 
-def resample_blocks(blocks: Iterable[np.ndarray], n_in: int, rate: int, target_hz: int) -> np.ndarray:
-    """Resample `n_in` float32 samples at `rate`, arriving as `blocks` in order,
-    to one float32 signal at `target_hz`, computed one output block at a time.
+def resample_slices(read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target_hz: int) -> np.ndarray:
+    """Resample `n_in` float32 samples at `rate` to one float32 signal at
+    `target_hz`, computed one output block at a time from `read(start, stop)`,
+    the input samples [start, stop) that the block sums over.
 
     Output j of `upfirdn` sums input samples up to (j * down) // up, over the
-    filter's taps per phase, in input order; so an output block fed the input
-    slice that starts at a multiple of `down`, at least that many samples back,
-    sums the same terms in the same order as on the whole signal. Only the
-    blocks that the next output block sums over are kept, so their sizes do
-    not change a byte; each block must be an array of its own (not a buffer
-    that is refilled), and only each slice is cast to float64.
+    filter's taps per phase, in input order; so an output block computed from
+    the input slice that starts at a multiple of `down`, at least that many
+    samples back, sums the same terms in the same order as on the whole
+    signal, and the block size does not change a byte. Calls ascend in both
+    ends; consecutive slices overlap by at most `history + down` samples.
     """
     if target_hz <= 0:
         raise ParameterError(f"target_hz must be positive, got {target_hz}")
     g = math.gcd(target_hz, rate)
     up, down = target_hz // g, rate // g
     ntaps = _TAPS_PER_PHASE * up + 1
-    if ntaps > _BLOCK_SAMPLES:  # the filter's taps, each a float64 temporary
+    if ntaps > _MAX_TAPS:
         raise ParameterError(
             f"cannot resample {rate} Hz to {target_hz} Hz: the reduced ratio {up}/{down} "
-            f"needs a {ntaps}-tap filter, over the {_BLOCK_SAMPLES}-sample bound"
+            f"needs a {ntaps}-tap filter, over the {_MAX_TAPS}-sample bound"
         )
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
@@ -161,29 +158,15 @@ def resample_blocks(blocks: Iterable[np.ndarray], n_in: int, rate: int, target_h
     h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down)
     history = -(-len(h) // up)  # input samples summed into each output
     out = np.empty(n_out, dtype=np.float32)
-    step = max(1, _RESAMPLE_BLOCK // up) * up
-    held, base, received, first = [], 0, 0, 0  # blocks kept, from input sample `base` on
-    for block in blocks:
-        held.append(block)
-        received += len(block)
-        while first < n_out:
-            last = min(first + step, n_out)
-            # Upsampled output j sits after input sample (j * down) // up.
-            start = max(0, (first + skip) * down // up - history + 1) // down * down
-            stop = min(n_in, (last - 1 + skip) * down // up + 1)
-            if stop > received:
-                break
-            while base + len(held[0]) <= start:  # no later output sums over it
-                base += len(held.pop(0))
-            parts, at = [], base
-            for b in held:
-                if at < stop:
-                    parts.append(b[max(0, start - at) : stop - at])
-                at += len(b)
-            lead = skip - start // down * up  # outputs of the slice before `first`
-            x = np.concatenate(parts, dtype=np.float64)
-            out[first:last] = sps.upfirdn(h, x, up, down)[first + lead : last + lead]
-            first = last
+    step = max(1, _BLOCK_SAMPLES // up) * up  # a whole number of the upsampling factor
+    for first in range(0, n_out, step):
+        last = min(first + step, n_out)
+        # Upsampled output j sits after input sample (j * down) // up.
+        start = max(0, (first + skip) * down // up - history + 1) // down * down
+        stop = min(n_in, (last - 1 + skip) * down // up + 1)
+        lead = skip - start // down * up  # outputs of the slice before `first`
+        x = np.asarray(read(start, stop), dtype=np.float64)
+        out[first:last] = sps.upfirdn(h, x, up, down)[first + lead : last + lead]
     return out
 
 
@@ -314,7 +297,7 @@ def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[n
     if n == 0:
         return flux, energy
     window = np.hanning(frame_length)
-    step = max(1, _STFT_BLOCK // frame_length)
+    step = max(1, _BLOCK_SAMPLES // frame_length)
     previous = None
     for start in range(0, n, step):
         block = frames[start : start + step].astype(np.float64)

@@ -230,7 +230,7 @@ def _speech_spans(w: Waveform, s: SilenceConfig):
 
 def _warn_unconverged(command: str, path: str, result) -> None:
     """One stderr line for a file whose chosen mixture hit the EM iteration limit."""
-    if result is not None and result.diagnostics.get("converged") is False:
+    if result.diagnostics.get("converged") is False:
         _log(f"{command}: {path}: warning: EM iteration limit ({result.diagnostics['iterations']}) reached"
              " without converging")
 
@@ -241,10 +241,9 @@ def _speaker_name(label: int) -> str:
 
 def _cluster_file(path: str, config: PipelineConfig, seed: int):
     """Read an embedding container: (recording id, which is the file stem when
-    the container's is empty, window spans, clustering or None without windows)."""
+    the container's is empty, window spans, clustering)."""
     emb = read_embeddings_file(path)
-    result = cluster_embeddings(emb.vectors, config.clustering, seed) if len(emb) else None
-    return emb.recording_id or Path(path).stem, emb.spans, result
+    return emb.recording_id or Path(path).stem, emb.spans, cluster_embeddings(emb.vectors, config.clustering, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,6 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     def work(path: str):
         rid, spans, result = _cluster_file(path, config, args.seed)
-        if result is None:
-            return rid, SpeakerTimeline(rid, []), None
         names = [_speaker_name(int(lab)) for lab in result.labels]
         timeline = merge_adjacent_windows(spans, names, rid)
         timeline = suppress_gaps(timeline, config.diarization.min_duration_off)
@@ -311,15 +308,14 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     def describe(path: str, result) -> dict:
         rid, timeline, clustering = result
-        k = clustering.k if clustering else 0
         _claim_output(owners, "recording id", rid, path)
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
         Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")
         Path(rttm_path).write_text(write_rttm([timeline]), encoding="utf-8")
-        _log(f"diarize: {path}: {k} speakers, {len(timeline.segments)} segments")
+        _log(f"diarize: {path}: {clustering.k} speakers, {len(timeline.segments)} segments")
         _warn_unconverged("diarize", path, clustering)
-        return {"path": path, "recording_id": rid, "speakers": k,
+        return {"path": path, "recording_id": rid, "speakers": clustering.k,
                 "segments": len(timeline.segments), "csv": csv_path, "rttm": rttm_path}
 
     head = {"command": "diarize", "seed": args.seed, "config": config.to_dict()}
@@ -427,8 +423,7 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
     def describe(path: str, found) -> dict:
         rid, _, result = found
-        entry = {"path": path, "recording_id": rid}
-        entry.update(result.to_dict() if result else {"k": 0, "labels": []})
+        entry = {"path": path, "recording_id": rid, **result.to_dict()}
         _log(f"cluster: {path}: k={entry['k']}")
         _warn_unconverged("cluster", path, result)
         return entry

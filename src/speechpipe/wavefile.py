@@ -4,10 +4,10 @@ Supports 16-bit PCM and IEEE float32, mono or multichannel, little-endian.
 Compressed or otherwise exotic codecs are rejected with a clear error.
 
 Reading seeks through the chunk headers of an open file (bytes are read
-through `io.BytesIO`), then decodes the data chunk a fixed block of samples
-at a time: `read_wav` into one float32 (frames, channels) matrix, and
-`load_mono` straight into one float32 mono buffer, so a file's raw bytes
-and its decoded channels are never held whole at once.
+through `io.BytesIO`), then decodes the frames it needs, a slice at a time:
+`read_wav` into one float32 (frames, channels) matrix, and `load_mono`
+straight into one float32 mono buffer or into the resampler, so a file's raw
+bytes and its decoded channels are never held whole at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, downmix_mono, resample_blocks
+from .audio import Waveform, downmix_mono, resample_slices
 from .errors import FormatError, ParameterError
 from .interchange import write_atomic
 
@@ -123,25 +123,28 @@ def _read_exact(fh, n: int, chunk_offset: int) -> bytes:
     return data
 
 
-def _blocks(fh, layout: _Layout) -> Iterator[tuple[int, np.ndarray]]:
-    """(first frame, float32 (frames, channels) block) over the whole frames,
-    in order; every block is the same buffer, refilled. Float32 samples are
-    read into it as stored, PCM ones cast and divided by 32768 in float32."""
-    frames_per_block = max(1, _BLOCK_SAMPLES // layout.n_channels)
-    raw = np.empty((min(frames_per_block, layout.n_frames), layout.n_channels), dtype=layout.dtype)
-    decoded = np.empty(raw.shape, dtype=np.float32) if layout.pcm else raw
-    fh.seek(layout.data_start)
-    for first in range(0, layout.n_frames, frames_per_block):
-        stored = raw[: min(frames_per_block, layout.n_frames - first)]
-        got = fh.readinto(stored.reshape(-1).view(np.uint8))
-        if got < stored.nbytes:  # the file shrank since its size was taken
-            at = layout.data_start + first * layout.n_channels * raw.itemsize + got
-            raise FormatError("data chunk truncated", offset=at)
-        block = decoded[: len(stored)]
-        if layout.pcm:
-            block[...] = stored
-            block /= 32768.0
-        yield first, block
+def _frames(fh, layout: _Layout, first: int, stop: int) -> np.ndarray:
+    """Frames [first, stop) as a float32 (frames, channels) array of its own.
+    Float32 samples are read into it as stored, PCM ones cast and divided by
+    32768 in float32."""
+    frame_bytes = layout.n_channels * np.dtype(layout.dtype).itemsize
+    stored = np.empty((stop - first, layout.n_channels), dtype=layout.dtype)
+    fh.seek(layout.data_start + first * frame_bytes)
+    got = fh.readinto(stored.reshape(-1).view(np.uint8))
+    if got < stored.nbytes:  # the file shrank since its size was taken
+        raise FormatError("data chunk truncated", offset=layout.data_start + first * frame_bytes + got)
+    if not layout.pcm:
+        return stored
+    decoded = stored.astype(np.float32)
+    decoded /= 32768.0
+    return decoded
+
+
+def _decode_blocks(layout: _Layout, first: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Frames [first, stop) as [a, b) decode blocks of `_BLOCK_SAMPLES` samples, in order."""
+    step = max(1, _BLOCK_SAMPLES // layout.n_channels)
+    for a in range(first, stop, step):
+        yield a, min(a + step, stop)
 
 
 def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
@@ -149,8 +152,8 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
     with _opened(data_or_path) as fh:
         layout = _read_layout(fh)
         frames = np.empty((layout.n_frames, layout.n_channels), dtype=np.float32)
-        for first, block in _blocks(fh, layout):
-            frames[first : first + len(block)] = block
+        for first, stop in _decode_blocks(layout, 0, layout.n_frames):
+            frames[first:stop] = _frames(fh, layout, first, stop)
     # Each channel is a view of the one decoded (frames, channels) matrix.
     return list(frames.T), layout.sample_rate
 
@@ -160,25 +163,26 @@ def load_mono(path, target_hz: int = 0) -> Waveform:
     `target_hz` when that is nonzero and not the file's rate.
 
     Equal byte for byte to `downmix_mono(*read_wav(path))`, resampled with
-    `resample`: `downmix_mono` runs on each decoded block, and each downmixed
-    block goes into one mono buffer or, when resampling, straight into
-    `resample_blocks`, so the file's own rate is never held whole.
+    `resample`: `downmix_mono` runs on each decoded block of frames, and when
+    resampling, `resample_slices` reads from the file only the frames each
+    output block sums over, so the file's own rate is never held whole.
     """
     with _opened(path) as fh:
         layout = _read_layout(fh)
         rate = layout.sample_rate
+
+        def mono(first: int, stop: int) -> np.ndarray:
+            # Decoded a block at a time: memory does not grow with the channel count.
+            samples = np.empty(stop - first, dtype=np.float32)
+            for a, b in _decode_blocks(layout, first, stop):
+                samples[a - first : b - first] = downmix_mono(list(_frames(fh, layout, a, b).T), rate).samples
+            return samples
+
         # Non-finite float32 samples make no warning here: the Waveform rejects them.
         with np.errstate(invalid="ignore", over="ignore"):
-            # `downmix_mono` gives each block an array of its own.
-            mono = (downmix_mono(list(block.T), rate).samples for _, block in _blocks(fh, layout))
             if target_hz and target_hz != rate:
-                return Waveform(resample_blocks(mono, layout.n_frames, rate, target_hz), target_hz)
-            samples = np.empty(layout.n_frames, dtype=np.float32)
-            at = 0
-            for block in mono:
-                samples[at : at + len(block)] = block
-                at += len(block)
-    return Waveform(samples, rate)
+                return Waveform(resample_slices(mono, layout.n_frames, rate, target_hz), target_hz)
+            return Waveform(mono(0, layout.n_frames), rate)
 
 
 def wav_bytes(channels: list[np.ndarray], sample_rate: int, encoding: str = "pcm16") -> bytes:

@@ -113,6 +113,13 @@ class TestResample:
         with pytest.raises(ParameterError, match="1 Hz to 32768 Hz"):
             resample(w, 32768)
 
+    def test_tap_bound_does_not_follow_the_block_size(self, monkeypatch):
+        # 44.1 -> 16 kHz needs a 10,241-tap filter, more than 64 samples.
+        w = Waveform(noise(3 * 44100, np.random.default_rng(16)).samples, 44100)
+        want = resample(w, 16000).samples
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", 64)
+        assert same_bytes(resample(w, 16000).samples, want)
+
     def test_library_filters_need_no_trailing_pad(self):
         # `_polyphase_filter` pads no zeros after the taps: for the filters
         # `resample` designs, `upfirdn` already yields every output it keeps.
@@ -458,8 +465,8 @@ class TestBlockedEqualsReference:
 
     @pytest.mark.parametrize("block", [64, 1000, 4096])
     def test_flux_and_energy_stft_blocks(self, block, monkeypatch):
-        # The STFT takes frames in blocks of `_STFT_BLOCK` samples.
-        monkeypatch.setattr(audio, "_STFT_BLOCK", block)
+        # The STFT takes frames in blocks of `_BLOCK_SAMPLES` samples.
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
         rng = np.random.default_rng(block + 5)
         for frame_length, hop_length in [(16, 8), (50, 7), (block + 3, 5), (2048, 512)]:
             step = max(1, block // frame_length)  # frames per block
@@ -488,9 +495,9 @@ class TestBlockedEqualsReference:
             cutoff = float(rng.uniform(20, 2000))
             assert same_bytes(highpass(w, cutoff).samples, highpass_reference(w, cutoff).samples), n
 
-    @pytest.mark.parametrize("block", [7, 4096, audio._RESAMPLE_BLOCK])
+    @pytest.mark.parametrize("block", [7, 4096, audio._BLOCK_SAMPLES])
     def test_resample(self, block, monkeypatch):
-        monkeypatch.setattr(audio, "_RESAMPLE_BLOCK", block)
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
         rng = np.random.default_rng(block + 2)
         pairs = [(rate, 16000) for rate in (8000, 11025, 16000, 22050, 32000, 44100, 48000)]
         pairs += [(16000, 8000), (16000, 44100), (44100, 48000)]
@@ -505,6 +512,35 @@ class TestBlockedEqualsReference:
                 got, want = resample(w, target), resample_reference(w, target)
                 assert got.sample_rate == want.sample_rate == target
                 assert same_bytes(got.samples, want.samples), (rate, target, n)
+
+    @pytest.mark.parametrize("block", [1000, audio._BLOCK_SAMPLES])
+    @pytest.mark.parametrize("rate, target", [(44100, 16000), (48000, 16000), (8000, 16000), (16000, 44100)])
+    def test_resample_slices_reads_ascending_slices_that_cover_the_input(self, block, rate, target, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        g = math.gcd(rate, target)
+        up, down = target // g, rate // g
+        h, _ = audio._polyphase_filter(audio._design_resample_filter(up, down), up, down)
+        history = -(-len(h) // up)
+        per_block = max(1, block // up) * down  # input samples per output block
+        rng = np.random.default_rng(block + rate + target)
+        for n in (0, 1, per_block - 1, per_block, per_block + 1, 3 * per_block + 7):
+            w = Waveform(noise(n, rng).samples, rate)
+            calls = []
+
+            def read(start: int, stop: int) -> np.ndarray:
+                calls.append((start, stop))
+                return w.samples[start:stop]
+
+            got = audio.resample_slices(read, n, rate, target)
+            case = (rate, target, n)
+            assert all(0 <= start < stop <= n for start, stop in calls), case
+            starts, stops = [c[0] for c in calls], [c[1] for c in calls]
+            assert starts == sorted(starts) and stops == sorted(stops), case
+            if n:  # no gap between slices, and the first and last reach the ends
+                assert starts[0] == 0 and stops[-1] == n, case
+                assert all(start <= stop for start, stop in zip(starts[1:], stops)), case
+            assert sum(stop - start for start, stop in calls) <= n + len(calls) * (history + down), case
+            assert same_bytes(got, resample_reference(w, target).samples), case
 
     @pytest.mark.parametrize("block", [7, 1000, 4096])
     def test_frame_rms_db(self, block, monkeypatch):
@@ -619,6 +655,17 @@ class TestBoundedMemory:
             output_bytes.append(minutes * 60 * SR * 4)
         assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
 
+    def test_load_mono_resampling_peak_does_not_grow_with_channels(self, tmp_path):
+        # Each resampled block's input slice is decoded a 2**20-sample block
+        # at a time, so eight channels hold no more than one.
+        peaks = []
+        for n_channels in (1, 8):
+            path = tmp_path / f"{n_channels}.wav"
+            write_tiled_pcm16(path, 1, 48000, n_channels, 18)
+            load_mono(path, 16000)  # loads scipy untraced
+            peaks.append(traced_peak(load_mono, path, 16000))
+        assert peaks[1] - peaks[0] < self.MARGIN
+
     @pytest.mark.parametrize("sr, n_channels", [(44100, 2), (SR, 1)], ids=["44k_stereo", "16k_mono"])
     def test_conditioning_grows_with_its_16k_output(self, sr, n_channels, tmp_path):
         # A 44.1 kHz file goes into the resampler a decoded block at a time,
@@ -634,6 +681,12 @@ class TestBoundedMemory:
             peaks.append(traced_peak(_conditioned, str(path), cfg))
             output_bytes.append(minutes * 60 * 16000 * 4)
         assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
+
+    def test_highpass_in_place_peak_is_fixed(self):
+        # Two float64 blocks, the cast input and the filtered output: 4 MB.
+        highpass(Waveform(np.ones(100, np.float32), SR), 60.0)  # loads scipy untraced
+        w = Waveform((np.random.default_rng(17).standard_normal(2 * 60 * SR) * 0.1).astype(np.float32), SR)
+        assert traced_peak(highpass, w, 60.0, w.samples) < 8 * 2**20
 
     def test_music_presence_peak_is_fixed(self):
         # Flux and energy take 16 bytes a frame (0.24 MB at eight minutes);

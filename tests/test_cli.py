@@ -646,6 +646,17 @@ class TestClusterCommand:
         assert entry["k"] == 2
         assert len(entry["labels"]) == len(emb)
 
+    @pytest.mark.parametrize("method, reported", [("ahc", "ahc-centroid"), ("gmm", "gmm"), ("kmeans", "kmeans")])
+    def test_empty_container_reports_every_key(self, method, reported, tmp_path, capsys):
+        from speechpipe import EmbeddingSet
+
+        container = tmp_path / "empty.emb"
+        write_embeddings_file(container, EmbeddingSet(np.empty((0, 4), dtype=np.float32), [], "empty"))
+        code, out = run(capsys, "cluster", str(container), "--method", method)
+        assert code == 0
+        assert json.loads(out)["files"] == [{"path": str(container), "recording_id": "empty", "method": reported,
+                                             "k": 0, "labels": [], "centroids": [], "diagnostics": {}}]
+
     def test_cluster_and_diarize_give_one_recording_id(self, tmp_path, capsys):
         emb, _ = two_speaker_scene(seed=9)
         emb.recording_id = ""
@@ -1237,7 +1248,7 @@ class TestConditionedEqualsLibraryCalls:
         # outputs put many edges of both, and slices over several decode
         # blocks, inside short files.
         monkeypatch.setattr(wavefile, "_BLOCK_SAMPLES", 999)
-        monkeypatch.setattr(audio, "_RESAMPLE_BLOCK", 500)
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", 500)
         rng = np.random.default_rng(rate)
         path = tmp_path / "x.wav"
         for n_channels, encoding in itertools.product((1, 2, 3), ("pcm16", "float32")):
@@ -1259,7 +1270,7 @@ class TestConditionedEqualsLibraryCalls:
     def test_slices_over_module_size_decode_blocks(self, rate, n_channels, encoding, spans, tmp_path):
         g = math.gcd(rate, 16000)
         up, down = 16000 // g, rate // g
-        per_output_block = audio._RESAMPLE_BLOCK // up * up * down // up  # input samples, about
+        per_output_block = audio._BLOCK_SAMPLES // up * up * down // up  # input samples, about
         frames_per_block = wavefile._BLOCK_SAMPLES // n_channels
         assert per_output_block > (spans - 1) * frames_per_block  # a slice spans this many decode blocks
         rng = np.random.default_rng(rate + n_channels)

@@ -223,4 +223,4 @@ class TestStreamedDecode:
             layout = wavefile._read_layout(fh)
             os.truncate(path, cut)
             with pytest.raises(FormatError, match=rf"data chunk truncated \(byte offset {cut}\)"):
-                list(wavefile._blocks(fh, layout))
+                wavefile._frames(fh, layout, 0, layout.n_frames)
