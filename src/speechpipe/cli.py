@@ -444,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = PipelineConfig()
 
-    def finish(p: argparse.ArgumentParser, command: str, fn, workers: bool = True, config: bool = True) -> None:
+    def finish(p: argparse.ArgumentParser, command: str, fn, config: bool = True,
+               workers: str | None = "worker threads, >= 1 (default: CPUs, at most 4)") -> None:
         """Add the table flags of `command` and the common flags (`--config`
-        if it reads the config, `--workers` if it maps over files); route to `fn`."""
+        if it reads the config, `--workers` with help `workers` unless None); route to `fn`."""
         for dest, section, name, kwargs, commands in OPTIONS:
             if command in commands:
                 kind = type(getattr(getattr(defaults, section), name))
@@ -456,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        if workers:
-            p.add_argument("--workers", type=int, help="worker threads, >= 1 (default: CPUs, at most 4)")
+        if workers is not None:
+            p.add_argument("--workers", type=int, help=workers)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("chunk", help="plan silence-aware chunks for WAV files")
@@ -485,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--strip-punctuation", dest="strip_punctuation", action="store_true")
         else:
             sp.add_argument("--repair", action="store_true", help="repair CSV inputs instead of strict parsing")
-        finish(sp, f"score {metric}", cmd_score, config=metric == "der")
+        finish(sp, f"score {metric}", cmd_score, config=metric == "der",
+               workers="accepted and unused: score scores one recording after another")
 
     p = sub.add_parser("repair", help="repair a segments CSV")
     p.add_argument("path")
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--window", type=float, default=1.5)
     p.add_argument("--hop", type=float, default=0.75)
-    finish(p, "windows", cmd_windows, workers=False)
+    finish(p, "windows", cmd_windows, workers=None)
 
     p = sub.add_parser("cluster", help="cluster embedding containers, report labels")
     p.add_argument("paths", nargs="+")

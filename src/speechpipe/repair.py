@@ -28,6 +28,9 @@ RULE_DELIMITERS = "collapse-delimiters"
 
 _TIME_RE = re.compile(r"^\d+(\.\d+)?$")
 _TOKEN_RE = re.compile(r"^\S+$")
+# The rows whose four comma-split tokens pass `_TOKEN_RE` and `_TIME_RE`, in
+# one `fullmatch`: a token holds no comma, and a line holds no line break.
+_CANONICAL_RE = re.compile(r"([^,\s]+),(\d+(?:\.\d+)?),(\d+(?:\.\d+)?),([^,\s]+)")
 _ALL_DIGITS_RE = re.compile(r"^\d+$")
 
 
@@ -43,7 +46,7 @@ class RepairReport:
         return {**asdict(self), "rules_fired": dict(sorted(self.rules_fired.items()))}
 
 
-@dataclass
+@dataclass(slots=True)
 class RowOutcome:
     """Per-row result: status is 'ok', 'repaired', or 'dropped'."""
 
@@ -161,15 +164,22 @@ def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], Repa
         found = lines[0] if lines else "<empty>"
         raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
 
+    canonical = _CANONICAL_RE.fullmatch
     outcomes: list[RowOutcome] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        match = canonical(line)
+        if match is not None:
+            rec_id, start, end, speaker = match.groups()
+            t0, t1 = float(start), float(end)
+            if t0 < t1 and not math.isinf(t1):
+                outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
+                continue
+        # Not canonical: the per-token checks name the first that fails.
         tokens = line.split(",")
-        record, diagnosis = _parse_row(tokens)
-        if record is not None:
-            outcomes.append(RowOutcome(line_no, "ok", record, raw=line))
-        elif strict:
+        diagnosis = _parse_row(tokens)[1]
+        if strict:
             outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
         else:
             record, rules = _repair_line(tokens)

@@ -8,7 +8,10 @@ from dataclasses import dataclass
 from .errors import ParameterError, StructuralError
 
 
-@dataclass(frozen=True, order=True)
+_MAX_FLOAT = sys.float_info.max
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class TimeSpan:
     """Half-open interval ``[start, end)`` in seconds, with ``0 <= start < end``
     and ``end`` finite."""
@@ -16,9 +19,13 @@ class TimeSpan:
     start: float
     end: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.start < self.end <= sys.float_info.max):
-            raise ParameterError(f"invalid span [{self.start}, {self.end}): need 0 <= start < end < inf")
+    def __init__(self, start: float, end: float):
+        # Checked before the frozen fields are set: spans are built by the
+        # hundred thousand when annotation files are parsed.
+        if not (0.0 <= start < end <= _MAX_FLOAT):
+            raise ParameterError(f"invalid span [{start}, {end}): need 0 <= start < end < inf")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     @property
     def duration(self) -> float:

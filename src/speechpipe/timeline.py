@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import FormatError, ParameterError, StructuralError
 from .spans import TimeSpan, check_sorted_by_start
 
+# `\S` is `str.isspace`'s complement on every code point.
+_LABEL_RE = re.compile(r"\S+")
+_START_END = attrgetter("start", "end")
 
-@dataclass(frozen=True)
+
+def _check_label(speaker: str) -> None:
+    if not _LABEL_RE.fullmatch(speaker):
+        raise ParameterError(f"speaker label must be non-empty without whitespace: {speaker!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SpeakerSegment:
     span: TimeSpan
     speaker: str
 
-    def __post_init__(self):
-        if not self.speaker or any(ch.isspace() for ch in self.speaker):
-            raise ParameterError(f"speaker label must be non-empty without whitespace: {self.speaker!r}")
+    def __init__(self, span: TimeSpan, speaker: str):
+        # Checked before the frozen fields are set, as `TimeSpan` does.
+        _check_label(speaker)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "speaker", speaker)
 
 
 @dataclass
@@ -36,31 +48,53 @@ class SpeakerTimeline:
         cls, recording_id: str, segments: list[SpeakerSegment]
     ) -> "SpeakerTimeline":
         """Build a normalized timeline: merge same-speaker overlap/adjacency, sort."""
-        return cls(recording_id, _merge_per_speaker(segments, lambda current, span: span.start <= current.end))
+        return cls(recording_id, _merge_per_speaker(_spans_by_speaker(segments), _touches))
 
     def speakers(self) -> list[str]:
         return sorted({seg.speaker for seg in self.segments})
 
 
-def _merge_per_speaker(segments, joins) -> list[SpeakerSegment]:
-    """Merge each speaker's time-sorted spans into the running one while
-    `joins(running, next)` holds; the result is sorted by (start, end, speaker)."""
-    by_speaker: dict[str, list[TimeSpan]] = defaultdict(list)
+def _touches(current: TimeSpan, span: TimeSpan) -> bool:
+    return span.start <= current.end
+
+
+def _add_span(by_speaker: dict[str, list[TimeSpan]], speaker: str, span: TimeSpan) -> None:
+    """Append `span` to the speaker's spans; a label is checked when first seen,
+    so the first row that holds a bad one raises."""
+    spans = by_speaker.get(speaker)
+    if spans is None:
+        _check_label(speaker)
+        by_speaker[speaker] = [span]
+    else:
+        spans.append(span)
+
+
+def _spans_by_speaker(segments) -> dict[str, list[TimeSpan]]:
+    by_speaker: dict[str, list[TimeSpan]] = {}
     for seg in segments:
-        by_speaker[seg.speaker].append(seg.span)
-    merged: list[SpeakerSegment] = []
+        _add_span(by_speaker, seg.speaker, seg.span)
+    return by_speaker
+
+
+def _merge_per_speaker(by_speaker: dict[str, list[TimeSpan]], joins) -> list[SpeakerSegment]:
+    """Merge each speaker's time-sorted spans into the running one while
+    `joins(running, next)` holds; the result is sorted by (start, end, speaker).
+    Sorts the span lists in place."""
+    runs: list[tuple[float, float, str, TimeSpan]] = []
     for speaker, spans in by_speaker.items():
-        spans.sort()
+        spans.sort(key=_START_END)
         current = spans[0]
         for span in spans[1:]:
             if joins(current, span):
                 current = TimeSpan(current.start, max(current.end, span.end))
             else:
-                merged.append(SpeakerSegment(current, speaker))
+                runs.append((current.start, current.end, speaker, current))
                 current = span
-        merged.append(SpeakerSegment(current, speaker))
-    merged.sort(key=lambda s: (s.span.start, s.span.end, s.speaker))
-    return merged
+        runs.append((current.start, current.end, speaker, current))
+    # A speaker's merged spans are distinct, so no two runs tie on
+    # (start, end, speaker) and the span itself is never compared.
+    runs.sort()
+    return [SpeakerSegment(span, speaker) for _, _, speaker, span in runs]
 
 
 def _parse_time(token: str, line_no: int, what: str) -> float:
@@ -76,19 +110,23 @@ def _parse_time(token: str, line_no: int, what: str) -> float:
 def timelines_from_rows(rows) -> list[SpeakerTimeline]:
     """Normalized timelines from `(recording id, span, speaker)` rows, in
     order of each id's first row."""
-    grouped: dict[str, list[SpeakerSegment]] = {}
+    grouped: dict[str, dict[str, list[TimeSpan]]] = {}
     for recording_id, span, speaker in rows:
-        grouped.setdefault(recording_id, []).append(SpeakerSegment(span, speaker))
-    return [SpeakerTimeline.from_segments(rid, segs) for rid, segs in grouped.items()]
+        _add_span(grouped.setdefault(recording_id, {}), speaker, span)
+    return [SpeakerTimeline(rid, _merge_per_speaker(by_speaker, _touches)) for rid, by_speaker in grouped.items()]
 
 
 def parse_rttm(text: str) -> list[SpeakerTimeline]:
     """Parse RTTM SPEAKER records, grouped by file in order of first appearance."""
-    rows = []
+    return timelines_from_rows(_rttm_rows(text))
+
+
+def _rttm_rows(text: str):
+    """`(file id, span, speaker)` of each SPEAKER record of positive duration."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if fields[0] != "SPEAKER":
             raise FormatError(f"unsupported record type {fields[0]!r}", line=line_no)
         if len(fields) != 10:
@@ -103,8 +141,7 @@ def parse_rttm(text: str) -> list[SpeakerTimeline]:
             span = TimeSpan(tbeg, round(tbeg + tdur, 6))
         except ParameterError as exc:
             raise FormatError(str(exc), line=line_no) from None
-        rows.append((fields[1], span, fields[7]))
-    return timelines_from_rows(rows)
+        yield fields[1], span, fields[7]
 
 
 def write_rttm(timelines: list[SpeakerTimeline]) -> str:
@@ -123,7 +160,8 @@ def suppress_gaps(t: SpeakerTimeline, min_duration_off: float) -> SpeakerTimelin
     """Absorb same-speaker gaps shorter than `min_duration_off` into one segment."""
     if not min_duration_off >= 0:
         raise ParameterError(f"min_duration_off must be >= 0, got {min_duration_off}")
-    merged = _merge_per_speaker(t.segments, lambda current, span: span.start - current.end < min_duration_off)
+    merged = _merge_per_speaker(_spans_by_speaker(t.segments),
+                                lambda current, span: span.start - current.end < min_duration_off)
     return SpeakerTimeline(t.recording_id, merged)
 
 
@@ -147,7 +185,7 @@ def merge_adjacent_windows(
         return SpeakerTimeline(recording_id, [])
 
     # Close a run of identical labels at each label change and at the end.
-    segments: list[SpeakerSegment] = []
+    by_speaker: dict[str, list[TimeSpan]] = {}
     boundary = window_spans[0].start
     first = 0
     for i in range(1, len(labels) + 1):
@@ -157,7 +195,7 @@ def merge_adjacent_windows(
                 end = (window_spans[i].start + end) / 2.0
             seg_start = max(boundary, window_spans[first].start)
             if end > seg_start:
-                segments.append(SpeakerSegment(TimeSpan(seg_start, end), str(labels[first])))
+                _add_span(by_speaker, str(labels[first]), TimeSpan(seg_start, end))
             boundary = max(boundary, end)
             first = i
-    return SpeakerTimeline.from_segments(recording_id, segments)
+    return SpeakerTimeline(recording_id, _merge_per_speaker(by_speaker, _touches))

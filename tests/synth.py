@@ -1047,11 +1047,37 @@ def corrupt_row(row: str, rng: np.random.Generator) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Former annotation parsers: a grouping loop each, counters kept in step
 
+def parse_row_reference(tokens: list[str]):
+    """The library's former row check, token by token: (record, "") for a
+    canonical row, else (None, the first failed check)."""
+    import re
+
+    time_re, token_re = re.compile(r"^\d+(\.\d+)?$"), re.compile(r"^\S+$")
+    if len(tokens) != 4:
+        return None, f"expected 4 fields, got {len(tokens)}"
+    rec_id, start, end, speaker = tokens
+    if not token_re.match(rec_id):
+        return None, f"bad id {rec_id!r}"
+    if not time_re.match(start):
+        return None, f"bad start time {start!r}"
+    if not time_re.match(end):
+        return None, f"bad end time {end!r}"
+    if not token_re.match(speaker):
+        return None, f"bad speaker {speaker!r}"
+    t0, t1 = float(start), float(end)
+    if math.isinf(t1):
+        return None, f"bad end time {end!r}"
+    if not t0 < t1:
+        return None, f"start {start} not before end {end}"
+    return (rec_id, t0, t1, speaker), ""
+
+
 def repair_rows_reference(text: str, strict: bool = False):
     """The library's former `repair_rows`: four counters and a dict updated
-    inside the branches that build the outcomes."""
+    inside the branches that build the outcomes, and every row checked token
+    by token with `parse_row_reference`."""
     from speechpipe.errors import FormatError
-    from speechpipe.repair import HEADER, RepairReport, RowOutcome, _parse_row, _repair_line
+    from speechpipe.repair import HEADER, RepairReport, RowOutcome, _repair_line
 
     lines = text.splitlines()
     if not lines or lines[0].lstrip("\ufeff").strip() != HEADER:
@@ -1065,7 +1091,7 @@ def repair_rows_reference(text: str, strict: bool = False):
             continue
         report.total_lines += 1
         tokens = line.split(",")
-        record, diagnosis = _parse_row(tokens)
+        record, diagnosis = parse_row_reference(tokens)
         if record is not None:
             outcomes.append(RowOutcome(line_no, "ok", record, raw=line))
             report.parsed_ok += 1

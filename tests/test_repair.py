@@ -193,3 +193,61 @@ class TestEqualsFormerParsers:
     def test_parse_segments_csv_strict_clean(self):
         text = as_csv(clean_rows(200, seed=11))
         assert parse_segments_csv(text, strict=True) == parse_segments_csv_reference(text, strict=True)
+
+
+EDGE_ROWS = {
+    "unicode_digits": "rec1,١٢,١٣,A",
+    "nbsp_in_id": "rec 1,0,1,A",
+    "em_space_in_label": "rec1,0,1,A B",
+    "ideographic_space_label": "rec1,0,1,　A",
+    "ideographic_space_id": "　rec1,0,1,A",
+    "unit_separator_in_label": "rec1,0,1,A\x1fB",
+    "huge_end": "rec1,0," + "9" * 400 + ",A",
+    "huge_start_and_end": "rec1," + "9" * 400 + "," + "9" * 401 + ",A",
+    "start_equals_end": "rec1,5,5,A",
+    "trailing_point": "rec1,1.,2,A",
+    "leading_point": "rec1,.5,2,A",
+    "plus_sign": "rec1,+1,2,A",
+    "three_fields": "rec1,1,2",
+    "five_fields": "rec1,1,2,A,B",
+    "five_fields_decimal_comma": "rec1,1,2,3,A",
+    "quoted_id": '"rec1",1,2,A',
+}
+
+
+class TestCanonicalPattern:
+    """Rows at the edge of the canonical pattern give what the former
+    token-by-token checks gave, in both modes."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_equals_token_checks(self, name, strict):
+        text = as_csv(["rec0,0,1,Z", EDGE_ROWS[name], "rec0,2,3,Z"])
+        outcomes, report = repair_rows(text, strict=strict)
+        want_outcomes, want_report = repair_rows_reference(text, strict=strict)
+        assert outcomes == want_outcomes
+        assert report.to_dict() == want_report.to_dict()
+        assert rows_to_csv(outcomes) == rows_to_csv(want_outcomes)
+
+    def test_unicode_digits_are_canonical(self):
+        (outcome,), _ = repair_rows(as_csv([EDGE_ROWS["unicode_digits"]]), strict=True)
+        assert outcome.status == "ok" and outcome.record == ("rec1", 12.0, 13.0, "A")
+
+    @pytest.mark.parametrize("name", ["huge_end", "huge_start_and_end"])
+    def test_infinite_end_dropped(self, name):
+        row = EDGE_ROWS[name]
+        for strict in (False, True):
+            (outcome,), _ = repair_rows(as_csv([row]), strict=strict)
+            assert outcome.status == "dropped" and outcome.record is None
+        (outcome,), _ = repair_rows(as_csv([row]), strict=True)
+        assert outcome.diagnosis.startswith("bad end time")
+
+    def test_start_equal_end_dropped(self):
+        (outcome,), _ = repair_rows(as_csv([EDGE_ROWS["start_equals_end"]]), strict=True)
+        assert outcome.diagnosis == "start 5 not before end 5"
+
+    def test_quoted_id_stays_ok_with_raw_text(self):
+        row = EDGE_ROWS["quoted_id"]
+        (outcome,), report = repair_rows(as_csv([row]))
+        assert outcome.status == "ok" and outcome.raw == row and outcome.record == ('"rec1"', 1.0, 2.0, "A")
+        assert rows_to_csv([outcome]) == as_csv([row])

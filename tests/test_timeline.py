@@ -15,6 +15,7 @@ from speechpipe import (
     suppress_gaps,
     write_rttm,
 )
+from speechpipe.timeline import timelines_from_rows
 from synth import merge_adjacent_windows_reference, parse_rttm_reference
 
 
@@ -106,6 +107,40 @@ class TestNormalization:
         )
         keys = [(s.span.start, s.span.end, s.speaker) for s in t.segments]
         assert keys == sorted(keys)
+
+
+class TestSpeakerLabel:
+    def test_refuses_exactly_empty_and_whitespace_labels(self):
+        """Every code point inside a label: refused exactly when `str.isspace`."""
+        span = TimeSpan(0, 1)
+        for label in ("", " A", "A ", "\u3000"):
+            with pytest.raises(ParameterError):
+                SpeakerSegment(span, label)
+        for cp in range(0x110000):
+            ch = chr(cp)
+            try:
+                SpeakerSegment(span, "A" + ch + "B")
+            except ParameterError:
+                assert ch.isspace(), hex(cp)
+            else:
+                assert not ch.isspace(), hex(cp)
+
+    def test_timelines_from_rows_first_bad_row_raises(self):
+        rows = [
+            ("r1", TimeSpan(0, 1), "A"),
+            ("r2", TimeSpan(5, 6), "X\u2003Y"),
+            ("r1", TimeSpan(0, 2), ""),
+        ]
+        with pytest.raises(ParameterError) as err:
+            timelines_from_rows(rows)
+        assert str(err.value) == "speaker label must be non-empty without whitespace: 'X\\u2003Y'"
+        with pytest.raises(ParameterError) as err:
+            timelines_from_rows(rows[:1] + rows[2:])
+        assert str(err.value) == "speaker label must be non-empty without whitespace: ''"
+
+    def test_merge_adjacent_windows_refuses_whitespace_label(self):
+        with pytest.raises(ParameterError, match="without whitespace: 'a b'"):
+            merge_adjacent_windows([TimeSpan(0, 1.5)], ["a b"])
 
 
 class TestSuppressGaps:
