@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan, check_sorted_by_start
+from .spans import TimeSpan, check_sorted_by_start, split_lines
 
 EMBEDDING_MAGIC = b"EMB1"
 EMBEDDING_VERSION = 1
@@ -223,7 +223,7 @@ class TranscriptRecord:
 def read_transcripts_jsonl(text: str) -> list[TranscriptRecord]:
     """One JSON object per line with keys id/start/end/text; reordered by (id, start)."""
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
-from .spans import TimeSpan
-from .timeline import SpeakerTimeline, timelines_from_rows
+from .spans import TimeSpan, split_lines
+from .timeline import SpeakerTimeline, gc_paused, timelines_from_rows
 
 HEADER = "id,start,end,speaker"
 
@@ -29,7 +29,7 @@ RULE_DELIMITERS = "collapse-delimiters"
 _TIME_RE = re.compile(r"^\d+(\.\d+)?$")
 _TOKEN_RE = re.compile(r"^\S+$")
 # The rows whose four comma-split tokens pass `_TOKEN_RE` and `_TIME_RE`, in
-# one `fullmatch`: a token holds no comma, and a line holds no line break.
+# one `fullmatch`: a token holds no comma, and a line holds no `\n`.
 _CANONICAL_RE = re.compile(r"([^,\s]+),(\d+(?:\.\d+)?),(\d+(?:\.\d+)?),([^,\s]+)")
 _ALL_DIGITS_RE = re.compile(r"^\d+$")
 
@@ -159,31 +159,32 @@ def _repair_line(tokens: list[str]) -> tuple[tuple[str, float, float, str] | Non
 
 def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], RepairReport]:
     """Classify every data row; strict mode marks non-canonical rows dropped with a diagnosis."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0].lstrip("﻿").strip() != HEADER:
         found = lines[0] if lines else "<empty>"
         raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
 
     canonical = _CANONICAL_RE.fullmatch
     outcomes: list[RowOutcome] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        match = canonical(line)
-        if match is not None:
-            rec_id, start, end, speaker = match.groups()
-            t0, t1 = float(start), float(end)
-            if t0 < t1 and not math.isinf(t1):
-                outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
+    with gc_paused():
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line.strip():
                 continue
-        # Not canonical: the per-token checks name the first that fails.
-        tokens = line.split(",")
-        diagnosis = _parse_row(tokens)[1]
-        if strict:
-            outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
-        else:
-            record, rules = _repair_line(tokens)
-            outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
+            match = canonical(line)
+            if match is not None:
+                rec_id, start, end, speaker = match.groups()
+                t0, t1 = float(start), float(end)
+                if t0 < t1 and not math.isinf(t1):
+                    outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
+                    continue
+            # Not canonical: the per-token checks name the first that fails.
+            tokens = line.split(",")
+            diagnosis = _parse_row(tokens)[1]
+            if strict:
+                outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
+            else:
+                record, rules = _repair_line(tokens)
+                outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
     statuses = Counter(o.status for o in outcomes)
     fired = Counter(rule for o in outcomes if o.status == "repaired" for rule in o.rules)
     report = RepairReport(len(outcomes), statuses["ok"], statuses["repaired"], statuses["dropped"], dict(fired))

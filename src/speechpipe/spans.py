@@ -1,4 +1,5 @@
-"""Half-open time intervals, the universal unit of the pipeline."""
+"""Half-open time intervals, the universal unit of the pipeline, and the line
+split the interval-bearing text formats share."""
 
 from __future__ import annotations
 
@@ -30,6 +31,19 @@ class TimeSpan:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a CSV, RTTM or JSONL text. A line ends at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r`` and nowhere else: the other breaks
+    ``str.splitlines`` knows (U+0085, U+2028, ``\\x0c``, ...) are line
+    content. A final line end starts no empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def check_sorted_disjoint(spans: list[TimeSpan], what: str = "spans") -> None:

@@ -2,16 +2,49 @@
 
 from __future__ import annotations
 
+import gc
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import FormatError, ParameterError, StructuralError
-from .spans import TimeSpan, check_sorted_by_start
+from .spans import TimeSpan, check_sorted_by_start, split_lines
 
 # `\S` is `str.isspace`'s complement on every code point.
 _LABEL_RE = re.compile(r"\S+")
 _START_END = attrgetter("start", "end")
+
+
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def gc_paused():
+    """Hold the cyclic garbage collector off while annotation rows are built.
+
+    Rows, spans and segments hold no reference cycle, so a collection during
+    a parse frees nothing and only walks the rows kept so far. Pauses nest
+    and may overlap across threads; the collector's switch is process-wide,
+    so the last pause to end turns it back on, and only if it was on when
+    the first began.
+    """
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def _check_label(speaker: str) -> None:
@@ -111,9 +144,10 @@ def timelines_from_rows(rows) -> list[SpeakerTimeline]:
     """Normalized timelines from `(recording id, span, speaker)` rows, in
     order of each id's first row."""
     grouped: dict[str, dict[str, list[TimeSpan]]] = {}
-    for recording_id, span, speaker in rows:
-        _add_span(grouped.setdefault(recording_id, {}), speaker, span)
-    return [SpeakerTimeline(rid, _merge_per_speaker(by_speaker, _touches)) for rid, by_speaker in grouped.items()]
+    with gc_paused():
+        for recording_id, span, speaker in rows:
+            _add_span(grouped.setdefault(recording_id, {}), speaker, span)
+        return [SpeakerTimeline(rid, _merge_per_speaker(by_speaker, _touches)) for rid, by_speaker in grouped.items()]
 
 
 def parse_rttm(text: str) -> list[SpeakerTimeline]:
@@ -123,7 +157,7 @@ def parse_rttm(text: str) -> list[SpeakerTimeline]:
 
 def _rttm_rows(text: str):
     """`(file id, span, speaker)` of each SPEAKER record of positive duration."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(text), start=1):
         fields = line.split()
         if not fields:
             continue

@@ -1047,6 +1047,14 @@ def corrupt_row(row: str, rng: np.random.Generator) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Former annotation parsers: a grouping loop each, counters kept in step
 
+def split_lines_reference(text: str) -> list[str]:
+    """The annotation formats' lines: ended by `\r\n`, `\r` or `\n` only."""
+    import re
+
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def parse_row_reference(tokens: list[str]):
     """The library's former row check, token by token: (record, "") for a
     canonical row, else (None, the first failed check)."""
@@ -1079,7 +1087,7 @@ def repair_rows_reference(text: str, strict: bool = False):
     from speechpipe.errors import FormatError
     from speechpipe.repair import HEADER, RepairReport, RowOutcome, _repair_line
 
-    lines = text.splitlines()
+    lines = split_lines_reference(text)
     if not lines or lines[0].lstrip("\ufeff").strip() != HEADER:
         found = lines[0] if lines else "<empty>"
         raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
@@ -1137,7 +1145,7 @@ def parse_rttm_reference(text: str):
     from speechpipe.timeline import _parse_time
 
     grouped: dict[str, list[SpeakerSegment]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines_reference(text), start=1):
         if not line.strip():
             continue
         fields = line.split()

@@ -195,6 +195,18 @@ class TestTranscripts:
         with pytest.raises(FormatError, match="keys"):
             read_transcripts_jsonl('{"id":"a","start":0,"end":1}\n')
 
+    @pytest.mark.parametrize("text", ["a\u2028b", "a\u2029b", "a\x85b", "a\x0b\x0c\x1c\x1d\x1eb"])
+    def test_round_trip_keeps_unicode_line_breaks_in_text(self, text):
+        records = [TranscriptRecord("rec1", TimeSpan(0, 1), text), TranscriptRecord("rec1", TimeSpan(1, 2), "x")]
+        jsonl = write_transcripts_jsonl(records)
+        assert read_transcripts_jsonl(jsonl) == records
+        assert len(jsonl.split("\n")) == 3
+
+    def test_crlf_lines(self):
+        text = '{"id":"a","start":0,"end":1,"text":"x"}\r\n\r\n{"id":"a","start":1,"end":2,"text":"y"}\r\n{bad\r'
+        with pytest.raises(FormatError, match="^line 4: invalid JSON"):
+            read_transcripts_jsonl(text)
+
     def test_round_trip_and_stability(self):
         rng = np.random.default_rng(8)
         records = [

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
 from speechpipe import (
     FormatError,
+    TimeSpan,
     format_seconds,
     parse_segments_csv,
     repair_rows,
+    parse_rttm,
     rows_to_csv,
+    write_rttm,
     write_segments_csv,
 )
+from speechpipe.timeline import gc_paused, timelines_from_rows
 from synth import clean_rows, corrupt_row, parse_segments_csv_reference, repair_rows_reference
 
 HEADER = "id,start,end,speaker"
@@ -212,6 +219,11 @@ EDGE_ROWS = {
     "five_fields": "rec1,1,2,A,B",
     "five_fields_decimal_comma": "rec1,1,2,3,A",
     "quoted_id": '"rec1",1,2,A',
+    "next_line_in_label": "rec1,0,1,A\x85B",
+    "line_separator_in_label": "rec1,0,1,A\u2028B",
+    "paragraph_separator_in_id": "rec\u20291,0,1,A",
+    "form_feed_in_label": "rec1,0,1,A\x0cB",
+    "record_separator_in_label": "rec1,0,1,A\x1eB",
 }
 
 
@@ -250,3 +262,147 @@ class TestCanonicalPattern:
         (outcome,), _ = repair_rows(as_csv([row]))
         assert outcome.status == "ok" and outcome.raw == row and outcome.record == ('"rec1"', 1.0, 2.0, "A")
         assert rows_to_csv([outcome]) == as_csv([row])
+
+
+class TestLineEnds:
+    """A row ends at `\\n`, `\\r\\n` or a lone `\\r` only; the other
+    breaks `str.splitlines` knows are row content."""
+
+    def test_next_line_is_row_content(self):
+        outcomes, report = repair_rows(as_csv(["rec1,0,1,A\x85B", "rec1,2,3,C"]))
+        assert [(o.line_no, o.status) for o in outcomes] == [(2, "dropped"), (3, "ok")]
+        assert outcomes[0].diagnosis == "bad speaker 'A\\x85B'"
+        assert report.total_lines == 2
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_rows_keep_their_file_lines(self, sep):
+        text = as_csv(["rec1,0,1,A" + sep, "rec1,2,3,C", "rec1,x,4,C"])
+        outcomes, _ = repair_rows(text)
+        assert [(o.line_no, o.status) for o in outcomes] == [(2, "repaired"), (3, "ok"), (4, "dropped")]
+        assert outcomes[0].rules == ["trim-whitespace"]
+        with pytest.raises(FormatError, match="^line 2: bad speaker"):
+            parse_segments_csv(text, strict=True)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_format_line_ends(self, eol):
+        text = eol.join([HEADER, "rec1,0,1,A", "", "rec1,2,3,B"]) + eol
+        outcomes, _ = repair_rows(text, strict=True)
+        assert [(o.line_no, o.raw) for o in outcomes] == [(2, "rec1,0,1,A"), (4, "rec1,2,3,B")]
+
+
+def rttm_text(rows: int, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    return "".join(
+        f"SPEAKER f{rng.integers(4)} 1 {rng.uniform(0, 3600):.3f} {rng.uniform(0.1, 8):.3f} "
+        f"<NA> <NA> S{rng.integers(6)} <NA> <NA>\n"
+        for _ in range(rows)
+    )
+
+
+def parse_all(clean: str, dirty: str, rttm: str):
+    return (
+        parse_segments_csv(clean, strict=True),
+        parse_segments_csv(dirty),
+        repair_rows(dirty),
+        repair_rows(dirty, strict=True),
+        parse_rttm(rttm),
+    )
+
+
+class TestGcPause:
+    """The parsers hold the cyclic collector off while they build rows and
+    leave its switch as they found it."""
+
+    CLEAN = as_csv(clean_rows(3000, seed=4))
+    DIRTY = HEADER + "\n" + "".join(mixed_csv(seed)[len(HEADER) + 1:] for seed in range(8))
+    RTTM = rttm_text(3000, seed=4)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_kept(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_all(self.CLEAN, self.DIRTY, self.RTTM)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_off_while_rows_are_built(self, monkeypatch):
+        import speechpipe.repair as repair
+
+        seen = []
+
+        def rows():
+            seen.append(gc.isenabled())
+            yield "r", TimeSpan(0, 1), "A"
+
+        timelines_from_rows(rows())
+        outcome = repair.RowOutcome
+        monkeypatch.setattr(repair, "RowOutcome", lambda *args, **kw: seen.append(gc.isenabled()) or outcome(*args, **kw))
+        repair_rows(as_csv(["rec1,0,1,A", "rec1, 1,2,B"]))
+        assert seen == [False, False, False] and gc.isenabled()
+
+    def test_state_restored_after_error(self):
+        bad_rttm = self.RTTM + "SPEAKER f1 1 x 1.0 <NA> <NA> A <NA> <NA>\n" + self.RTTM
+        with pytest.raises(FormatError, match="line 3001: non-numeric onset"):
+            parse_rttm(bad_rttm)
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="inner"):
+            with gc_paused():
+                with gc_paused():
+                    raise ValueError("inner")
+        assert gc.isenabled()
+
+    def test_nested(self):
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_overlapping_threads(self):
+        """The first pause to begin ends first: the collector stays off while
+        another thread's pause is open, and comes back on after the last."""
+        inside, release = threading.Event(), threading.Event()
+
+        def hold():
+            with gc_paused():
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold)
+        try:
+            with gc_paused():
+                thread.start()
+                assert inside.wait(10)
+            assert not gc.isenabled()
+        finally:
+            release.set()
+            thread.join()
+        assert gc.isenabled()
+
+    def test_threads_parse_at_once(self):
+        want = parse_all(self.CLEAN, self.DIRTY, self.RTTM)
+        start = threading.Barrier(2, timeout=10)
+        got = [None, None]
+
+        def parse(i):
+            start.wait()
+            got[i] = parse_all(self.CLEAN, self.DIRTY, self.RTTM)
+
+        threads = [threading.Thread(target=parse, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [want, want]
+        assert gc.isenabled()
+
+    def test_parsed_rows_hold_no_cycles(self):
+        """The pause's premise: what the parsers build is freed by reference
+        counting alone."""
+        assert write_rttm(parse_rttm(self.RTTM))  # every lazy import done
+        gc.collect()
+        results = parse_all(self.CLEAN, self.DIRTY, self.RTTM)
+        assert len(results[2][0]) > 2000
+        del results
+        assert gc.collect() == 0

@@ -60,6 +60,23 @@ class TestParseRttm:
         with pytest.raises(FormatError, match="record type"):
             parse_rttm("SPKR-INFO rec1 1 <NA> <NA> <NA> unknown A <NA> <NA>\n")
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_format_line_ends_only(self, sep):
+        """Other `str.splitlines` breaks separate fields; they end no line."""
+        record = "SPEAKER rec1 1 0.5 2.0 <NA> <NA> A <NA> <NA>"
+        assert parse_rttm(record + sep + "\n") == parse_rttm(record + "\n")
+        with pytest.raises(FormatError, match="^line 1: expected 10 fields, got 20"):
+            parse_rttm(record + sep + record + "\n")
+        with pytest.raises(FormatError, match="^line 2: unsupported record type"):
+            parse_rttm(record + sep + "\nLEXEME rec1 1 0.5 2.0 <NA> <NA> A <NA> <NA>\n")
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, eol):
+        record = "SPEAKER rec1 1 0.5 2.0 <NA> <NA> A <NA> <NA>"
+        assert parse_rttm(record + eol + eol + record + eol) == parse_rttm(record + "\n")
+        with pytest.raises(FormatError, match="^line 3: unsupported"):
+            parse_rttm(record + eol + eol + "LEXEME" + eol)
+
 
 class TestWriteRttm:
     def test_round_trip(self):
