@@ -1,15 +1,21 @@
-"""Waveform representation and per-sample DSP.
+"""Signals and per-sample DSP.
 
 Covers downmix, polyphase resampling, peak normalization, high-pass
 filtering, framed energy, silence splitting and the spectral-flux
-music-presence heuristic. Everything here is a pure function: no global
-state, safe to call concurrently.
+music-presence heuristic. A signal is a `Waveform`, held in memory, or a
+`SpooledSignal`, float32 samples in an unnamed temporary file that are
+scaled by a gain as they are read back. The analyses and the chunk writer
+read either through `read(start, stop)`, a block of frames at a time, and
+resampling and high-pass turn float32 blocks into float32 blocks, so a long
+recording never needs to be held whole. No global state: the functions are
+safe to call concurrently, and each spooled signal is read by one thread.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +26,10 @@ from .spans import TimeSpan
 SILENCE_FLOOR_DB = -100.0
 # Below this global frame level the input is treated as digital silence.
 DIGITAL_SILENCE_DB = -80.0
-# Samples per block wherever a whole-signal float64 temporary would otherwise
-# be made (resampled output, whose input slices are down/up times as long;
-# high-pass; framed RMS; the music-detection STFT): 2 MB of float64 each, so
-# memory grows with the float32 signal alone.
+# Samples per block wherever a whole-signal temporary would otherwise be made
+# (resampled output, whose input slices are down/up times as long; high-pass;
+# framed RMS; the music-detection STFT): 2 MB of float64 each, so memory does
+# not grow with the signal.
 _BLOCK_SAMPLES = 2**18
 # The most taps a resampling filter may have, each a float64 temporary.
 _MAX_TAPS = 2**21
@@ -46,10 +52,7 @@ class Waveform:
             raise ParameterError("Waveform samples must be one-dimensional")
         if self.sample_rate <= 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
-        # NaN propagates to the minimum and an infinity is an extreme: no
-        # whole-signal mask is made.
-        if len(self.samples) and not (math.isfinite(self.samples.min()) and math.isfinite(self.samples.max())):
-            raise ParameterError("Waveform samples must be finite")
+        _finite_extremes(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -58,6 +61,101 @@ class Waveform:
     def duration_seconds(self) -> float:
         return len(self.samples) / self.sample_rate
 
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop), a view."""
+        return self.samples[start:stop]
+
+
+class SpooledSignal:
+    """A mono signal written once, from its float32 blocks in order, to an
+    unnamed `tempfile.TemporaryFile` in the standard temp dir: 4 bytes a
+    sample. `read` multiplies each slice it reads back by `gain` in float32,
+    which `normalize` sets as `peak_normalize` would. The file has no name,
+    so it is gone once closed (by `close`, the `with` block, or a block that
+    fails to come or is not finite) or once the process dies.
+    """
+
+    def __init__(self, blocks: Iterable[np.ndarray], sample_rate: int):
+        if sample_rate <= 0:
+            raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
+        self.sample_rate = sample_rate
+        self.gain = np.float32(1.0)
+        self._length, self._low, self._high = 0, 0.0, 0.0
+        self._file = tempfile.TemporaryFile()
+        try:
+            for block in blocks:
+                low, high = _finite_extremes(block)
+                self._low, self._high = min(self._low, low), max(self._high, high)
+                self._file.write(np.ascontiguousarray(block, dtype=np.float32))
+                self._length += len(block)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def duration_seconds(self) -> float:
+        return self._length / self.sample_rate
+
+    def normalize(self, target_peak: float) -> None:
+        """Scale every later read so that max |sample| equals `target_peak`."""
+        self.gain = _peak_gain(target_peak, self._low, self._high)
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) of the signal (0 <= start <= stop), times the gain."""
+        out = np.empty(max(0, min(stop, self._length) - start), dtype=np.float32)
+        self._file.seek(4 * start)
+        self._file.readinto(out)
+        out *= self.gain
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "SpooledSignal":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+# What the analyses and the chunk writer read: both give `read(start, stop)`,
+# `len`, `sample_rate` and `duration_seconds`.
+Signal = Waveform | SpooledSignal
+
+
+def _finite_extremes(x: np.ndarray) -> tuple[float, float]:
+    """(min, max) of an array, (0, 0) when empty; ParameterError unless every
+    sample is finite. NaN propagates to the minimum and an infinity is an
+    extreme: no mask of the array is made."""
+    if not len(x):
+        return 0.0, 0.0
+    low, high = float(x.min()), float(x.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ParameterError("Waveform samples must be finite")
+    return low, high
+
+
+def _peak_gain(target_peak: float, low: float, high: float) -> np.float32:
+    """The float32 gain that takes the largest magnitude in [low, high] to
+    `target_peak`; 1, which leaves every sample's bits as they are, for 0."""
+    if not (0.0 < target_peak <= 1.0):
+        raise ParameterError(f"target_peak must be in (0, 1], got {target_peak}")
+    peak = max(high, -low)
+    return np.float32(target_peak / peak if peak else 1.0)
+
+
+def join_blocks(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """One float32 array of `n` samples from the blocks that make it up, in order."""
+    out = np.empty(n, dtype=np.float32)
+    at = 0
+    for block in blocks:
+        out[at : at + len(block)] = block
+        at += len(block)
+    return out
+
 
 def check_frame_params(frame_length: int, hop_length: int) -> None:
     """Raise unless both framing lengths are at least one sample."""
@@ -65,10 +163,15 @@ def check_frame_params(frame_length: int, hop_length: int) -> None:
         raise ParameterError("frame_length and hop_length must be >= 1")
 
 
+def _frame_count(n: int, frame_length: int, hop_length: int) -> int:
+    """Left-aligned frames of `frame_length` at `hop_length` in `n` samples."""
+    check_frame_params(frame_length, hop_length)
+    return (n - frame_length) // hop_length + 1 if n >= frame_length else 0
+
+
 def _frame_view(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
     """Left-aligned frames; empty (0, frame_length) array when the signal is too short."""
-    check_frame_params(frame_length, hop_length)
-    if len(x) < frame_length:
+    if _frame_count(len(x), frame_length, hop_length) == 0:
         return np.empty((0, frame_length), dtype=x.dtype)
     return np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop_length]
 
@@ -122,18 +225,23 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     """Band-limited resampling to `target_hz` via a windowed-sinc polyphase filter.
 
     Equal byte for byte to `scipy.signal.resample_poly` on the whole signal
-    in float64; see `resample_slices`, which reads slices of the signal.
+    in float64: the blocks of `resample_slices`, joined.
     """
     if target_hz == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
-    out = resample_slices(lambda start, stop: w.samples[start:stop], len(w.samples), w.sample_rate, target_hz)
-    return Waveform(out, target_hz)
+    blocks = resample_slices(w.read, len(w), w.sample_rate, target_hz)
+    return Waveform(join_blocks(blocks, resampled_length(len(w), w.sample_rate, target_hz)), target_hz)
 
 
-def resample_slices(read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target_hz: int) -> np.ndarray:
-    """Resample `n_in` float32 samples at `rate` to one float32 signal at
-    `target_hz`, computed one output block at a time from `read(start, stop)`,
-    the input samples [start, stop) that the block sums over.
+def resampled_length(n_in: int, rate: int, target_hz: int) -> int:
+    """Samples that `resample_slices` makes of `n_in` samples at `rate`."""
+    return -(-n_in * target_hz // rate)
+
+
+def resample_slices(read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target_hz: int) -> Iterator[np.ndarray]:
+    """Resample `n_in` float32 samples at `rate` to `target_hz`: float32
+    output blocks in order, each computed from `read(start, stop)`, the
+    input samples [start, stop) that the block sums over.
 
     Output j of `upfirdn` sums input samples up to (j * down) // up, over the
     filter's taps per phase, in input order; so an output block computed from
@@ -154,10 +262,9 @@ def resample_slices(read: Callable[[int, int], np.ndarray], n_in: int, rate: int
         )
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
-    n_out = -(-n_in * up // down)
+    n_out = resampled_length(n_in, rate, target_hz)
     h, skip = _polyphase_filter(_design_resample_filter(up, down), up, down)
     history = -(-len(h) // up)  # input samples summed into each output
-    out = np.empty(n_out, dtype=np.float32)
     step = max(1, _BLOCK_SAMPLES // up) * up  # a whole number of the upsampling factor
     for first in range(0, n_out, step):
         last = min(first + step, n_out)
@@ -166,21 +273,16 @@ def resample_slices(read: Callable[[int, int], np.ndarray], n_in: int, rate: int
         stop = min(n_in, (last - 1 + skip) * down // up + 1)
         lead = skip - start // down * up  # outputs of the slice before `first`
         x = np.asarray(read(start, stop), dtype=np.float64)
-        out[first:last] = sps.upfirdn(h, x, up, down)[first + lead : last + lead]
-    return out
+        # A sum past float32's range casts to inf, which a finiteness check rejects.
+        with np.errstate(over="ignore"):
+            block = sps.upfirdn(h, x, up, down)[first + lead : last + lead].astype(np.float32)
+        yield block
 
 
-def peak_normalize(w: Waveform, target_peak: float, out: np.ndarray | None = None) -> Waveform:
+def peak_normalize(w: Waveform, target_peak: float) -> Waveform:
     """Scale so max |sample| equals `target_peak`; all-zero input is returned
-    unchanged. The samples are written into `out` (it may be `w.samples`)
-    when given, else into a new array."""
-    if not (0.0 < target_peak <= 1.0):
-        raise ParameterError(f"target_peak must be in (0, 1], got {target_peak}")
-    # The largest magnitude without an |x| copy of the signal.
-    peak = max(float(w.samples.max()), -float(w.samples.min())) if len(w.samples) else 0.0
-    # A gain of 1 leaves every sample's bits as they are.
-    gain = np.float32(target_peak / peak if peak else 1.0)
-    return Waveform(np.multiply(w.samples, gain, out=out), w.sample_rate)
+    unchanged."""
+    return Waveform(w.samples * _peak_gain(target_peak, *_finite_extremes(w.samples)), w.sample_rate)
 
 
 def highpass_coefficients(cutoff_hz: float, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,42 +303,43 @@ def highpass_coefficients(cutoff_hz: float, sample_rate: int) -> tuple[np.ndarra
     return b / a[0], a / a[0]
 
 
-def highpass(w: Waveform, cutoff_hz: float, out: np.ndarray | None = None) -> Waveform:
-    """Apply the Butterworth high-pass once, forward (causal) direction.
+def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
+    """Apply the Butterworth high-pass once, forward (causal) direction: the
+    blocks of `highpass_blocks`, joined."""
+    return Waveform(join_blocks(highpass_blocks([w.samples], cutoff_hz, w.sample_rate), len(w)), w.sample_rate)
 
-    Filtered in float64 one block at a time, the filter state carried across
-    block edges, into one float32 output: `out` (it may be `w.samples`) when
-    given, else a new array.
-    """
+
+def highpass_blocks(blocks: Iterable[np.ndarray], cutoff_hz: float, sample_rate: int) -> Iterator[np.ndarray]:
+    """The high-pass of a signal given as float32 blocks in order, as float32
+    blocks: filtered in float64 at most `_BLOCK_SAMPLES` samples at a time,
+    the filter state carried across block edges, so no block length
+    changes a byte."""
     from scipy import signal as sps  # on first use: a cold start loads no scipy
 
-    b, a = highpass_coefficients(cutoff_hz, w.sample_rate)
-    if out is None:
-        out = np.empty(len(w.samples), dtype=np.float32)
+    b, a = highpass_coefficients(cutoff_hz, sample_rate)
     zi = np.zeros(max(len(a), len(b)) - 1)
-    for start in range(0, len(out), _BLOCK_SAMPLES):
-        block = w.samples[start : start + _BLOCK_SAMPLES]
-        out[start : start + len(block)], zi = sps.lfilter(b, a, block.astype(np.float64), zi=zi)
-    return Waveform(out, w.sample_rate)
+    for block in blocks:
+        for start in range(0, len(block), _BLOCK_SAMPLES):
+            filtered, zi = sps.lfilter(b, a, block[start : start + _BLOCK_SAMPLES].astype(np.float64), zi=zi)
+            yield filtered.astype(np.float32)
 
 
-def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> np.ndarray:
+def frame_rms_db(w: Signal, frame_length: int, hop_length: int) -> np.ndarray:
     """Per-frame RMS level in dB, floored at -100 dB for silent frames; frame
     i covers samples [i * hop_length, i * hop_length + frame_length).
 
-    Squared in float64 a block of frames at a time; each block's frames are
-    views of its squares, so memory grows with neither the signal nor the
-    overlap, and each frame's mean is the same reduction as over the squares
-    of the whole signal.
+    Read and squared in float64 a block of frames at a time; each block's
+    frames are views of its squares, so memory grows with neither the signal
+    nor the overlap, and each frame's mean is the same reduction as over the
+    squares of the whole signal.
     """
-    x = w.samples
-    n_frames = len(_frame_view(x, frame_length, hop_length))
+    n_frames = _frame_count(len(w), frame_length, hop_length)
     mean_squares = np.empty(n_frames)
     step = max(1, _BLOCK_SAMPLES // hop_length)
-    buffer = np.empty(min(len(x), (step - 1) * hop_length + frame_length))
+    buffer = np.empty(min(len(w), (step - 1) * hop_length + frame_length))
     for first in range(0, n_frames, step):
         last = min(first + step, n_frames)
-        block = x[first * hop_length : (last - 1) * hop_length + frame_length]
+        block = w.read(first * hop_length, (last - 1) * hop_length + frame_length)
         squares = np.square(block, out=buffer[: len(block)], dtype=np.float64)
         mean_squares[first:last] = np.mean(_frame_view(squares, frame_length, hop_length), axis=1)
     rms = np.sqrt(mean_squares)
@@ -247,7 +350,7 @@ def frame_rms_db(w: Waveform, frame_length: int, hop_length: int) -> np.ndarray:
 
 
 def split_on_silence(
-    w: Waveform,
+    w: Signal,
     top_db: float = 25.0,
     frame_length: int = 2048,
     hop_length: int = 512,
@@ -273,7 +376,7 @@ def split_on_silence(
     # start and every fall the (exclusive) end of one run.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], nonsilent.astype(np.int8), [0]))))
     starts, ends = edges[::2], edges[1::2]
-    n = len(w.samples)
+    n = len(w)
     start_samples = starts * hop_length
     end_samples = np.minimum((ends - 1) * hop_length + frame_length, n)
     end_samples[ends == len(levels)] = n
@@ -284,15 +387,15 @@ def split_on_silence(
     return [TimeSpan(a / sr, b / sr) for a, b in zip(start_samples.tolist(), end_samples.tolist())]
 
 
-def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
+def _flux_and_energy(w: Signal, frame_length: int, hop_length: int) -> tuple[np.ndarray, np.ndarray]:
     """Positive frame-to-frame magnitude-spectrum change (flux[0] = 0) and the
     magnitude sum of each Hann-windowed, left-aligned frame.
 
-    The spectrum is taken a block of frames at a time; the last magnitude
-    row of each block is carried to the next for the flux difference.
+    The frames are read and their spectrum taken a block of frames at a
+    time; the last magnitude row of each block is carried to the next for
+    the flux difference.
     """
-    frames = _frame_view(w.samples, frame_length, hop_length)
-    n = len(frames)
+    n = _frame_count(len(w), frame_length, hop_length)
     flux, energy = np.zeros(n), np.zeros(n)
     if n == 0:
         return flux, energy
@@ -300,13 +403,15 @@ def _flux_and_energy(w: Waveform, frame_length: int, hop_length: int) -> tuple[n
     step = max(1, _BLOCK_SAMPLES // frame_length)
     previous = None
     for start in range(0, n, step):
-        block = frames[start : start + step].astype(np.float64)
+        stop = min(start + step, n)
+        x = w.read(start * hop_length, (stop - 1) * hop_length + frame_length)
+        block = _frame_view(x, frame_length, hop_length).astype(np.float64)
         block *= window
         mags = np.abs(np.fft.rfft(block, axis=1))
-        energy[start : start + len(mags)] = mags.sum(axis=1)
+        energy[start:stop] = mags.sum(axis=1)
         diffs = np.diff(mags, axis=0, prepend=mags[:1] if previous is None else previous)
         np.maximum(diffs, 0.0, out=diffs)
-        flux[start : start + len(mags)] = diffs.sum(axis=1)
+        flux[start:stop] = diffs.sum(axis=1)
         previous = mags[-1:]
     return flux, energy
 
@@ -334,7 +439,7 @@ class MusicPresence:
     low_confidence: bool = False
 
 
-def music_presence(w: Waveform, config: MusicDetectConfig | None = None) -> MusicPresence:
+def music_presence(w: Signal, config: MusicDetectConfig | None = None) -> MusicPresence:
     """Score the fraction of one-second windows whose flux statistics look musical.
 
     Flux is normalized by frame spectral energy, so the score is invariant

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import bisect
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
-from .audio import Waveform
+from .audio import Signal, Waveform
 from .errors import FormatError, ParameterError, StructuralError
 from .spans import TimeSpan, check_sorted_disjoint
 
@@ -170,17 +171,15 @@ def plan_chunks(nonsilent: list[TimeSpan], total_duration: float, cfg: ChunkConf
     return ChunkPlan(chunks, total_duration, kinds.count(KIND_FORCED), kinds)
 
 
-def chunk_to_samples(plan: ChunkPlan, w: Waveform) -> list[Waveform]:
-    """Each chunk's sample slice, a view of `w.samples` (no copy); boundaries
-    round to the nearest sample."""
+def chunk_to_samples(plan: ChunkPlan, w: Signal) -> Iterator[Waveform]:
+    """Each chunk's samples, read from `w` one chunk at a time as the
+    iterator is advanced (a view of the samples of a `Waveform`); boundaries
+    round to the nearest sample. The plan is checked against `w` first."""
     if abs(plan.source_duration - w.duration_seconds) * w.sample_rate > 1.0:
         raise StructuralError(
             f"plan covers {plan.source_duration:.6f}s but waveform is {w.duration_seconds:.6f}s"
         )
-    out = []
-    n = len(w.samples)
-    for chunk in plan.chunks:
-        a = min(int(round(chunk.start * w.sample_rate)), n)
-        b = min(int(round(chunk.end * w.sample_rate)), n)
-        out.append(Waveform(w.samples[a:b], w.sample_rate))
-    return out
+    n = len(w)
+    bounds = [(min(int(round(c.start * w.sample_rate)), n), min(int(round(c.end * w.sample_rate)), n))
+              for c in plan.chunks]
+    return (Waveform(w.read(a, b), w.sample_rate) for a, b in bounds)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import MusicDetectConfig, Waveform, check_frame_params, highpass, music_presence, peak_normalize, split_on_silence
+from .audio import MusicDetectConfig, SpooledSignal, check_frame_params, highpass_blocks, music_presence, split_on_silence
 from .chunking import ChunkConfig, ChunkPlan, chunk_to_samples, plan_chunks
 from .clustering import ClusteringConfig, cluster_embeddings
 from .errors import ConfigError, ParameterError, PipelineError
@@ -38,9 +38,10 @@ from .interchange import build_config, check_window_params, parse_json, read_emb
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
 from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments_csv
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
-from .wavefile import load_mono, write_wav
+from .wavefile import mono_stream, write_wav
 
-# A failed allocation (say, an upsampled signal too large) is that file's error.
+# A failed allocation or spool write (say, an upsampled signal too large for
+# memory or for the temp dir's disk) is that file's error.
 _INPUT_ERRORS = (PipelineError, OSError, UnicodeDecodeError, MemoryError)
 
 
@@ -213,18 +214,25 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _conditioned(path: str, cfg: PreprocessConfig) -> Waveform:
-    """A WAV as every audio command analyses it: mono, resampled, high-passed, peak-normalized."""
-    w = load_mono(path, cfg.target_sample_rate)
-    # The array is this call's own, so the later steps write into it.
-    if cfg.highpass_hz:
-        w = highpass(w, cfg.highpass_hz, out=w.samples)
+def _conditioned(path: str, cfg: PreprocessConfig) -> SpooledSignal:
+    """A WAV as every audio command analyses it: mono, resampled, high-passed
+    and peak-normalized, in a temporary file that the caller closes.
+
+    Decoded, downmixed, resampled and high-passed a block at a time into the
+    spool, which notes the extremes; the peak gain scales each block read
+    back. The samples read are those of
+    `peak_normalize(highpass(load_mono(path, rate), hz), peak)`, byte for byte.
+    """
+    with mono_stream(path, cfg.target_sample_rate) as (rate, _, blocks):
+        if cfg.highpass_hz:
+            blocks = highpass_blocks(blocks, cfg.highpass_hz, rate)
+        signal = SpooledSignal(blocks, rate)
     if cfg.peak_target:
-        w = peak_normalize(w, cfg.peak_target, out=w.samples)
-    return w
+        signal.normalize(cfg.peak_target)
+    return signal
 
 
-def _speech_spans(w: Waveform, s: SilenceConfig):
+def _speech_spans(w: SpooledSignal, s: SilenceConfig):
     return split_on_silence(w, s.top_db, s.frame_length, s.hop_length)
 
 
@@ -257,16 +265,16 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
     owners = {Path(p).stem: p for p in sorted(args.paths, reverse=True)}
 
     def work(path: str):
-        # The chunk WAVs are written here, so no decoded waveform outlives its file.
+        # The chunk WAVs are written here, so no spool outlives its file.
         stem = Path(path).stem
         if args.write_chunks:
             _claim_output(owners, "file stem", stem, path)
-        w = _conditioned(path, config.preprocess)
-        plan = plan_chunks(_speech_spans(w, config.silence), w.duration_seconds, config.chunking)
-        presence = music_presence(w, config.music) if config.preprocess.detect_music else None
-        if args.write_chunks:
-            for i, piece in enumerate(chunk_to_samples(plan, w)):
-                write_wav(os.path.join(args.write_chunks, f"{stem}_chunk{i:03d}.wav"), piece)
+        with _conditioned(path, config.preprocess) as w:
+            plan = plan_chunks(_speech_spans(w, config.silence), w.duration_seconds, config.chunking)
+            presence = music_presence(w, config.music) if config.preprocess.detect_music else None
+            if args.write_chunks:
+                for i, piece in enumerate(chunk_to_samples(plan, w)):
+                    write_wav(os.path.join(args.write_chunks, f"{stem}_chunk{i:03d}.wav"), piece)
         return plan, presence
 
     def describe(path: str, result) -> dict:
@@ -282,7 +290,8 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_detect_music(args: argparse.Namespace, config: PipelineConfig) -> int:
     def work(path: str):
-        return music_presence(_conditioned(path, config.preprocess), config.music)
+        with _conditioned(path, config.preprocess) as w:
+            return music_presence(w, config.music)
 
     def describe(path: str, presence) -> dict:
         _log(f"detect-music: {path}: score={presence.score:.3f} is_music={presence.is_music}")
@@ -413,7 +422,8 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
             raise PipelineError(f"the chunk report lists {len(files)} files; windows takes the plan of one")
         spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) and files else doc).chunks
     else:
-        spans = _speech_spans(_conditioned(args.path, config.preprocess), config.silence)
+        with _conditioned(args.path, config.preprocess) as w:
+            spans = _speech_spans(w, config.silence)
     windows = [{"start": sw.span.start, "end": sw.span.end, "short": sw.short}
                for sw in window_schedule(spans, args.window, args.hop)]
     _emit({"command": "windows", "window": args.window, "hop": args.hop, "windows": windows}, args.out)

@@ -5,9 +5,9 @@ Compressed or otherwise exotic codecs are rejected with a clear error.
 
 Reading seeks through the chunk headers of an open file (bytes are read
 through `io.BytesIO`), then decodes the frames it needs, a slice at a time:
-`read_wav` into one float32 (frames, channels) matrix, and `load_mono`
-straight into one float32 mono buffer or into the resampler, so a file's raw
-bytes and its decoded channels are never held whole at once.
+`read_wav` into one float32 (frames, channels) matrix, and `mono_stream`
+into float32 mono blocks, resampled or not, which `load_mono` joins; so a
+file's raw bytes and its decoded channels are never held whole at once.
 """
 
 from __future__ import annotations
@@ -15,21 +15,21 @@ from __future__ import annotations
 import io
 import struct
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, downmix_mono, resample_slices
+from .audio import Waveform, downmix_mono, join_blocks, resample_slices, resampled_length
 from .errors import FormatError, ParameterError
 from .interchange import write_atomic
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
 _FORMAT_EXTENSIBLE = 0xFFFE
-# Samples (frames times channels) decoded per block: 2 MB of PCM16 and
-# 4 MB of float32.
-_BLOCK_SAMPLES = 2**20
+# Samples (frames times channels) decoded per block: 0.5 MB of PCM16 and
+# 1 MB of float32.
+_BLOCK_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -160,29 +160,46 @@ def read_wav(data_or_path) -> tuple[list[np.ndarray], int]:
 
 def load_mono(path, target_hz: int = 0) -> Waveform:
     """Read a WAV file and downmix it to a mono waveform, resampled to
-    `target_hz` when that is nonzero and not the file's rate.
+    `target_hz` when that is nonzero and not the file's rate: the blocks of
+    `mono_stream`, joined.
 
     Equal byte for byte to `downmix_mono(*read_wav(path))`, resampled with
-    `resample`: `downmix_mono` runs on each decoded block of frames, and when
-    resampling, `resample_slices` reads from the file only the frames each
-    output block sums over, so the file's own rate is never held whole.
+    `resample`.
+    """
+    with mono_stream(path, target_hz) as (rate, n, blocks):
+        return Waveform(join_blocks(blocks, n), rate)
+
+
+@contextmanager
+def mono_stream(path, target_hz: int = 0) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
+    """Open a WAV file as (sample rate, sample count, float32 blocks in
+    order) of its mono downmix, resampled to `target_hz` when that is
+    nonzero and not the file's rate; the blocks are read while the file is
+    open, inside the `with` block.
+
+    `downmix_mono` runs on each decoded block of frames. When resampling,
+    `resample_slices` reads from the file only the frames each output block
+    sums over, so the file's own rate is never held whole.
     """
     with _opened(path) as fh:
         layout = _read_layout(fh)
         rate = layout.sample_rate
 
         def mono(first: int, stop: int) -> np.ndarray:
-            # Decoded a block at a time: memory does not grow with the channel count.
+            # Decoded a block at a time: memory does not grow with the channel
+            # count. Non-finite float32 samples make no warning here: a
+            # finiteness check rejects them.
             samples = np.empty(stop - first, dtype=np.float32)
-            for a, b in _decode_blocks(layout, first, stop):
-                samples[a - first : b - first] = downmix_mono(list(_frames(fh, layout, a, b).T), rate).samples
+            with np.errstate(invalid="ignore", over="ignore"):
+                for a, b in _decode_blocks(layout, first, stop):
+                    samples[a - first : b - first] = downmix_mono(list(_frames(fh, layout, a, b).T), rate).samples
             return samples
 
-        # Non-finite float32 samples make no warning here: the Waveform rejects them.
-        with np.errstate(invalid="ignore", over="ignore"):
-            if target_hz and target_hz != rate:
-                return Waveform(resample_slices(mono, layout.n_frames, rate, target_hz), target_hz)
-            return Waveform(mono(0, layout.n_frames), rate)
+        if target_hz and target_hz != rate:
+            n = resampled_length(layout.n_frames, rate, target_hz)
+            yield target_hz, n, resample_slices(mono, layout.n_frames, rate, target_hz)
+        else:
+            yield rate, layout.n_frames, (mono(a, b) for a, b in _decode_blocks(layout, 0, layout.n_frames))
 
 
 def wav_bytes(channels: list[np.ndarray], sample_rate: int, encoding: str = "pcm16") -> bytes:

@@ -9,16 +9,19 @@ import pytest
 
 from speechpipe import audio
 from speechpipe import (
+    ChunkConfig,
     MusicDetectConfig,
     ParameterError,
     StructuralError,
     Waveform,
+    chunk_to_samples,
     downmix_mono,
     frame_rms_db,
     highpass,
     load_mono,
     music_presence,
     peak_normalize,
+    plan_chunks,
     resample,
     split_on_silence,
     wav_bytes,
@@ -167,30 +170,8 @@ class TestPeakNormalize:
                 want = w.samples * np.float32(0.95 / peak)
                 assert peak_normalize(w, 0.95).samples.tobytes() == want.tobytes(), n
 
-    def test_out_gets_the_copy_bytes(self):
-        rng = np.random.default_rng(22)
-        for x in (rng.uniform(-1, 1, 1001), np.zeros(5), np.array([0.0, -0.0, 0.0])):
-            w = Waveform(x.astype(np.float32), SR)
-            want = peak_normalize(w, 0.9).samples.tobytes()
-            other = np.empty(len(x), np.float32)
-            assert peak_normalize(w, 0.9, out=other).samples is other and other.tobytes() == want
-            got = peak_normalize(w, 0.9, out=w.samples)
-            assert got.samples is w.samples and w.samples.tobytes() == want
-
 
 class TestHighpass:
-    @pytest.mark.parametrize("block", [64, audio._BLOCK_SAMPLES])
-    def test_out_gets_the_copy_bytes(self, block, monkeypatch):
-        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
-        rng = np.random.default_rng(block)
-        for n in (0, 1, block - 1, block, 3 * block + 5):
-            w = noise(n, rng)
-            want = highpass(w, 60.0).samples.tobytes()
-            other = np.empty(n, np.float32)
-            assert highpass(w, 60.0, out=other).samples is other and other.tobytes() == want
-            got = highpass(w, 60.0, out=w.samples)
-            assert got.samples is w.samples and w.samples.tobytes() == want, n
-
     def test_dc_rejection(self):
         w = Waveform(np.full(2 * SR, 0.5, dtype=np.float32), SR)
         out = highpass(w, 60.0)
@@ -531,7 +512,7 @@ class TestBlockedEqualsReference:
                 calls.append((start, stop))
                 return w.samples[start:stop]
 
-            got = audio.resample_slices(read, n, rate, target)
+            got = audio.join_blocks(audio.resample_slices(read, n, rate, target), audio.resampled_length(n, rate, target))
             case = (rate, target, n)
             assert all(0 <= start < stop <= n for start, stop in calls), case
             starts, stops = [c[0] for c in calls], [c[1] for c in calls]
@@ -576,6 +557,80 @@ class TestBlockedEqualsReference:
             interleaved = (rng.uniform(-1, 1, (1001, n_channels)) * scale).astype(dtype)
             views = list(interleaved.T)
             assert same_bytes(downmix_mono(views, SR).samples, downmix_mono_reference(views, SR).samples)
+
+
+def spooled(w: Waveform, block: int, target_peak: float = 0.0) -> audio.SpooledSignal:
+    """`w` spooled in blocks of `block` samples, normalized when `target_peak` is nonzero."""
+    signal = audio.SpooledSignal((w.samples[i : i + block] for i in range(0, len(w), block)), w.sample_rate)
+    if target_peak:
+        signal.normalize(target_peak)
+    return signal
+
+
+class TestSpooledSignal:
+    """A spooled signal reads back, and is analysed, as the in-memory
+    waveform that `peak_normalize` makes of the same samples, byte for byte."""
+
+    @pytest.mark.parametrize("block", [1, 1000, audio._BLOCK_SAMPLES])
+    def test_reads_the_normalized_bytes(self, block):
+        rng = np.random.default_rng(block + 30)
+        for n in (0, 1, 999, 5000):
+            for x in (rng.uniform(-0.3, 0.2, n), -np.abs(rng.uniform(0, 1, n)), np.zeros(n)):
+                w = Waveform(x.astype(np.float32), SR)
+                want = peak_normalize(w, 0.98).samples
+                with spooled(w, block, 0.98) as signal:
+                    assert len(signal) == n and signal.duration_seconds == w.duration_seconds
+                    assert same_bytes(signal.read(0, n), want), (block, n)
+                    for start, stop in ((0, 0), (n // 3, n // 2), (n // 2, n), (n // 2, n + 7)):
+                        assert same_bytes(signal.read(start, stop), want[start:stop]), (block, n, start, stop)
+                with spooled(w, block) as signal:  # no gain: the samples as written
+                    assert same_bytes(signal.read(0, n), w.samples)
+
+    @pytest.mark.parametrize("block", [7, 1000, 4096])
+    def test_analyses_equal_the_in_memory_ones(self, block, monkeypatch):
+        monkeypatch.setattr(audio, "_BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(block + 31)
+        for n in (0, 2047, 2048, 12345, 6 * SR + 5):
+            w = music_and_speech(n, SR, rng) if n else Waveform(np.zeros(0, np.float32), SR)
+            w = Waveform(w.samples * np.float32(0.4), SR)
+            want = peak_normalize(w, 0.98)
+            with spooled(w, block, 0.98) as signal:
+                assert same_bytes(frame_rms_db(signal, 2048, 512), frame_rms_db(want, 2048, 512)), n
+                flux, energy = audio._flux_and_energy(signal, 2048, 512)
+                want_flux, want_energy = audio._flux_and_energy(want, 2048, 512)
+                assert same_bytes(flux, want_flux) and same_bytes(energy, want_energy), n
+                assert split_on_silence(signal) == split_on_silence(want), n
+                assert music_presence(signal) == music_presence(want), n
+                plan = plan_chunks(split_on_silence(want), want.duration_seconds, ChunkConfig(0.5, 1.0))
+                pieces = list(chunk_to_samples(plan, signal))
+                assert len(pieces) == len(plan.chunks)
+                for got, piece in zip(pieces, chunk_to_samples(plan, want)):
+                    assert got.sample_rate == SR and same_bytes(got.samples, piece.samples), n
+
+    def test_a_failing_block_closes_the_file(self, monkeypatch):
+        opened = []
+        temporary_file = audio.tempfile.TemporaryFile
+
+        def recorded():
+            opened.append(temporary_file())
+            return opened[-1]
+
+        monkeypatch.setattr(audio.tempfile, "TemporaryFile", recorded)
+
+        with pytest.raises(ParameterError, match="finite"):
+            audio.SpooledSignal([np.ones(10, np.float32), np.array([0.5, np.nan], np.float32)], SR)
+
+        def failing():
+            yield np.ones(10, np.float32)
+            raise MemoryError("Unable to allocate the next block")
+
+        with pytest.raises(MemoryError):
+            audio.SpooledSignal(failing(), SR)
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+    def test_rejects_a_nonpositive_rate(self):
+        with pytest.raises(ParameterError):
+            audio.SpooledSignal([], 0)
 
 
 def write_tiled_pcm16(path, minutes: int, sr: int, n_channels: int, seed: int) -> None:
@@ -656,7 +711,7 @@ class TestBoundedMemory:
         assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
 
     def test_load_mono_resampling_peak_does_not_grow_with_channels(self, tmp_path):
-        # Each resampled block's input slice is decoded a 2**20-sample block
+        # Each resampled block's input slice is decoded a 2**18-sample block
         # at a time, so eight channels hold no more than one.
         peaks = []
         for n_channels in (1, 8):
@@ -667,26 +722,27 @@ class TestBoundedMemory:
         assert peaks[1] - peaks[0] < self.MARGIN
 
     @pytest.mark.parametrize("sr, n_channels", [(44100, 2), (SR, 1)], ids=["44k_stereo", "16k_mono"])
-    def test_conditioning_grows_with_its_16k_output(self, sr, n_channels, tmp_path):
+    def test_conditioning_peak_does_not_grow_with_length(self, sr, n_channels, tmp_path):
         # A 44.1 kHz file goes into the resampler a decoded block at a time,
-        # so it is never whole at its own rate; high-pass and gain write into
-        # the 16 kHz output, so no second signal is made at either rate.
+        # so it is never whole at its own rate, and the 16 kHz signal goes to
+        # the spool file a block at a time, so it is never whole either.
         cfg = PreprocessConfig()
         write_tiled_pcm16(tmp_path / "warm.wav", 1, sr, n_channels, 12)
-        _conditioned(str(tmp_path / "warm.wav"), cfg)  # loads scipy untraced
-        peaks, output_bytes = [], []
+        _conditioned(str(tmp_path / "warm.wav"), cfg).close()  # loads scipy untraced
+        peaks = []
         for minutes in (2, 8):
             path = tmp_path / f"{minutes}.wav"
             write_tiled_pcm16(path, minutes, sr, n_channels, 12)
-            peaks.append(traced_peak(_conditioned, str(path), cfg))
-            output_bytes.append(minutes * 60 * 16000 * 4)
-        assert peaks[1] - peaks[0] < output_bytes[1] - output_bytes[0] + self.MARGIN
+            peaks.append(traced_peak(lambda: _conditioned(str(path), cfg).close()))
+        assert peaks[1] - peaks[0] < self.MARGIN
 
-    def test_highpass_in_place_peak_is_fixed(self):
-        # Two float64 blocks, the cast input and the filtered output: 4 MB.
+    def test_highpass_blocks_peak_is_fixed(self):
+        # A whole-signal block is filtered 2**18 samples at a time: two
+        # float64 blocks, the cast input and the filtered output, and the
+        # float32 result, 5 MB.
         highpass(Waveform(np.ones(100, np.float32), SR), 60.0)  # loads scipy untraced
-        w = Waveform((np.random.default_rng(17).standard_normal(2 * 60 * SR) * 0.1).astype(np.float32), SR)
-        assert traced_peak(highpass, w, 60.0, w.samples) < 8 * 2**20
+        x = (np.random.default_rng(17).standard_normal(2 * 60 * SR) * 0.1).astype(np.float32)
+        assert traced_peak(lambda: all(len(b) for b in audio.highpass_blocks([x], 60.0, SR))) < 8 * 2**20
 
     def test_music_presence_peak_is_fixed(self):
         # Flux and energy take 16 bytes a frame (0.24 MB at eight minutes);

@@ -218,13 +218,13 @@ class TestChunkToSamples:
     def test_full_span_copy(self):
         w = Waveform(tone(440, 2.0), SR)
         plan = ChunkPlan([TimeSpan(0, 2.0)], 2.0, 0, ["end-of-audio"])
-        pieces = chunk_to_samples(plan, w)
+        pieces = list(chunk_to_samples(plan, w))
         assert np.array_equal(pieces[0].samples, w.samples)
 
     def test_exact_sample_count(self):
         w = Waveform(tone(440, 3.0), SR)
         plan = ChunkPlan([TimeSpan(1.0, 2.0)], 3.0, 0, ["silence"])
-        assert len(chunk_to_samples(plan, w)[0]) == SR
+        assert len(next(chunk_to_samples(plan, w))) == SR
 
     def test_adjacent_chunks_partition(self):
         w = Waveform(tone(440, 2.0), SR)
@@ -238,6 +238,28 @@ class TestChunkToSamples:
         plan = ChunkPlan([TimeSpan(0, 2.0)], 2.0, 0, ["silence"])
         with pytest.raises(StructuralError):
             chunk_to_samples(plan, w)
+
+    def test_reads_one_chunk_at_a_time(self):
+        w = Waveform(tone(440, 3.0), SR)
+        plan = ChunkPlan([TimeSpan(0, 1.3), TimeSpan(1.3, 2.5)], 3.0, 0, ["silence"] * 2)
+        reads = []
+
+        class Recorded:
+            sample_rate, duration_seconds = w.sample_rate, w.duration_seconds
+
+            def __len__(self):
+                return len(w)
+
+            def read(self, start, stop):
+                reads.append((start, stop))
+                return w.read(start, stop)
+
+        pieces = chunk_to_samples(plan, Recorded())
+        assert reads == []
+        next(pieces)
+        assert reads == [(0, int(1.3 * SR))]
+        assert [len(p) for p in pieces] == [int(2.5 * SR) - int(1.3 * SR)]
+        assert len(reads) == 2
 
     def test_pieces_are_views(self):
         w = Waveform(tone(440, 3.0), SR)
@@ -253,7 +275,7 @@ class TestChunkToSamples:
                          ["forced"] * 19 + ["end-of-audio"])
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            pieces = chunk_to_samples(plan, w)
+            pieces = list(chunk_to_samples(plan, w))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

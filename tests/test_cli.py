@@ -55,6 +55,31 @@ def speech_wav(tmp_path):
     return path
 
 
+# Runs the CLI with a write that takes a spool file past 32 MiB failing.
+_FAILING_SPOOL_CHILD = """
+import errno, sys, tempfile
+from speechpipe import cli
+
+make_file = tempfile.TemporaryFile
+
+class SpoolQuota:
+    def __init__(self):
+        self.file, self.size = make_file(), 0
+
+    def write(self, data):
+        self.size += memoryview(data).nbytes
+        if self.size > 32 << 20:
+            raise {failure}
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+tempfile.TemporaryFile = SpoolQuota
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestChunkCommand:
     def test_silent_file_empty_plan(self, tmp_path, capsys):
         path = tmp_path / "quiet.wav"
@@ -217,11 +242,18 @@ class TestChunkCommand:
         assert sorted(errors) == paths
         assert all("16000 Hz to 2147483647 Hz" in message for message in errors.values())
 
-    def test_unallocatable_upsampled_output_reported_per_file(self, tmp_path):
-        # 16 kHz -> 131.072 MHz passes the filter bound, but the 5-s file's
-        # 4.9 GiB output cannot be allocated under the 2 GiB address-space
-        # cap: that file is reported under errors and the short file's plan
-        # is still written.
+    @pytest.mark.parametrize("failure, message", [
+        ("MemoryError('Unable to allocate 8.00 MiB')", "Unable to allocate"),
+        ("OSError(errno.ENOSPC, 'No space left on device')", "No space left on device"),
+    ], ids=["memory", "disk"])
+    def test_unallocatable_upsampled_output_reported_per_file(self, failure, message, tmp_path):
+        # 16 kHz -> 131.072 MHz passes the filter bound, and the 5-s file's
+        # 655 M output samples would take a 2.4 GiB spool file. Its spool
+        # write past 32 MiB fails here, as memory or the disk running out
+        # would make it fail: that file is reported under errors, and the
+        # short file's 26 MB spool is still planned. A child with a timeout
+        # and a capped address space makes a regression fail instead of
+        # hanging or exhausting the host.
         resource = pytest.importorskip("resource")
         long_wav, short_wav = str(tmp_path / "long.wav"), str(tmp_path / "short.wav")
         write_wav(long_wav, Waveform(tone(440, 5.0), SR))
@@ -234,8 +266,9 @@ class TestChunkCommand:
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
+        argv = ["chunk", long_wav, short_wav, "--config", str(config)]
         result = subprocess.run(
-            [sys.executable, "-m", "speechpipe.cli", "chunk", long_wav, short_wav, "--config", str(config)],
+            [sys.executable, "-c", _FAILING_SPOOL_CHILD.format(failure=failure), *argv],
             capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=cap_address_space, timeout=120,
         )
@@ -245,7 +278,7 @@ class TestChunkCommand:
         assert [f["path"] for f in doc["files"]] == [short_wav]
         assert doc["files"][0]["chunks"]
         assert list(doc["errors"]) == [long_wav]
-        assert "Unable to allocate" in doc["errors"][long_wav]
+        assert message in doc["errors"][long_wav]
 
     def test_resampled_input_planned_and_written_at_target_rate(self, speech_wav, tmp_path, capsys):
         # The same signal at 44.1 kHz: resampled to 16 kHz before planning.
@@ -1162,51 +1195,132 @@ def test_cold_start_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
-_PEAK_RSS_CHILD = """
-import sys
+# Runs the CLI, then reports its status, the directory each spool file was
+# made in and whether each was closed.
+_SPOOL_CHILD = """
+import json, os, sys, tempfile
+from speechpipe import cli
+
+make_file, spools = tempfile.TemporaryFile, []
+
+def recorded():
+    fh = make_file()
+    spools.append((fh, os.path.dirname(os.readlink(f"/proc/self/fd/{fh.fileno()}"))))
+    return fh
+
+tempfile.TemporaryFile = recorded
+status = cli.main(sys.argv[1:])
+print(json.dumps({"status": status, "dirs": [d for _, d in spools], "closed": [fh.closed for fh, _ in spools]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="reads where the spool files are")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_spool_files_removed_on_every_exit_path(workers, tmp_path):
+    # A float32 file with a NaN after its first decode block fails once its
+    # first block is spooled; the good file is still planned. Every spool
+    # is made in TMPDIR and closed, none is left to the collector (which
+    # would warn), and TMPDIR is empty after the failed run and a clean one.
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    x = (np.random.default_rng(5).standard_normal(wavefile._BLOCK_SAMPLES + SR) * 0.1).astype(np.float32)
+    x[wavefile._BLOCK_SAMPLES + 7] = np.nan
+    bad, good = str(tmp_path / "bad.wav"), str(tmp_path / "good.wav")
+    write_wav(bad, [x], SR, "float32")
+    write_wav(good, Waveform(np.concatenate([tone(440, 4.0), silence(1.0), tone(880, 4.0)]), SR))
+    (tmp_path / "config.json").write_text(json.dumps({"preprocess": {"detect_music": True}}))
+    flags = ["--config", str(tmp_path / "config.json"), "--workers", workers,
+             "--min-dur", "3", "--max-dur", "6", "--write-chunks", str(tmp_path / "pieces")]
+    for paths, status in (([bad, good], 1), ([good], 0)):
+        result = subprocess.run(
+            [sys.executable, "-W", "always::ResourceWarning", "-c", _SPOOL_CHILD, "chunk", *paths, *flags,
+             "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True, env={**os.environ, "TMPDIR": str(spool_dir), "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
+        run = json.loads(result.stdout)
+        assert run["status"] == status
+        assert run["dirs"] == [str(spool_dir)] * len(paths) and all(run["closed"]), run
+        assert list(spool_dir.iterdir()) == []
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert [f["path"] for f in doc["files"]] == [good]
+        assert doc.get("errors", {}) == ({bad: "Waveform samples must be finite"} if status else {})
+
+
+def write_speech_like_wav(path, minutes: int) -> None:
+    """`minutes` of 16 kHz mono PCM16 with 0.3 s bursts of 220 Hz over
+    noise, one 10-second tile repeated, written a tile at a time."""
+    rng = np.random.default_rng(0)
+    t = np.arange(10 * SR) / SR
+    bursts = 0.3 * np.sin(2 * np.pi * 220 * t) * (np.sin(2 * np.pi * 0.3 * t) > 0)
+    tile = wav_bytes([(bursts + 0.01 * rng.standard_normal(len(t))).astype(np.float32)], SR, "pcm16")
+    payload = tile[tile.index(b"data") + 8 :]
+    size = len(payload) * minutes * 6
+    with open(path, "wb") as fh:
+        fh.write(tile[: tile.index(b"data")].replace(tile[4:8], struct.pack("<I", 36 + size), 1)
+                 + b"data" + struct.pack("<I", size))
+        for _ in range(minutes * 6):
+            fh.write(payload)
+
+
+# Imports the CLI once, then runs each command line of the JSON list in
+# argv[1] in a forked child of its own, which prints its exit status, its
+# VmHWM before the run and its VmHWM after it (ru_maxrss would carry the
+# parent's peak into the child).
+_PEAK_RSS_RUNS = """
+import json, os, sys
 import scipy.signal  # loaded on first use: part of the baseline
 from speechpipe import cli
 
 def high_water_kb():
-    # VmHWM of this process: ru_maxrss would carry the parent's peak across exec.
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-base = high_water_kb()
-status = cli.main(sys.argv[1:])
-print(status, base, high_water_kb())
+for argv in json.loads(sys.argv[1]):
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        base = high_water_kb()
+        status = cli.main(argv)
+        print(status, base, high_water_kb(), flush=True)
+        os._exit(0)
+    os.waitpid(pid, 0)
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the process's VmHWM")
+@pytest.mark.skipif(not (os.path.exists("/proc/self/status") and hasattr(os, "fork")), reason="reads a forked child's VmHWM")
 def test_chunk_peak_memory_bounded_by_file_size(tmp_path):
-    """`chunk` with music detection on six minutes of 44.1 kHz stereo PCM16
-    (63.5 MB) peaks under 2.5 times the file size above the process's
-    import-time peak. Decoding every channel and resampling in float64 on
-    the whole signal took 3.7 times; the streamed front end about 1.7."""
-    sr, tile_seconds, tiles = 44100, 10, 36
-    rng = np.random.default_rng(0)
-    t = np.arange(tile_seconds * sr) / sr
-    bursts = 0.3 * np.sin(2 * np.pi * 220 * t) * (np.sin(2 * np.pi * 0.3 * t) > 0)
-    left = (bursts + 0.01 * rng.standard_normal(len(t))).astype(np.float32)
-    tile = wav_bytes([left, left[::-1]], sr, "pcm16")
-    payload = tile[tile.index(b"data") + 8 :]
-    size = len(payload) * tiles
-    fmt = struct.pack("<HHIIHH", 1, 2, sr, sr * 4, 4, 16)
-    path = tmp_path / "long.wav"
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 36 + size) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
-                 + b"data" + struct.pack("<I", size))
-        for _ in range(tiles):
-            fh.write(payload)
+    """`chunk --write-chunks` with music detection, at one worker and at two
+    (on two files), `detect-music` and `windows` on a WAV peak as high on
+    6 minutes of audio as on 24, within a fixed 24 MB, above the process's
+    import-time peak: the conditioned signal waits in a spool file, and
+    memory holds blocks of it. Holding the 16 kHz float32 signal took 69 MB
+    more at 24 minutes than at 6."""
     (tmp_path / "config.json").write_text(json.dumps({"preprocess": {"detect_music": True}}))
-    argv = ["chunk", str(path), "--config", str(tmp_path / "config.json"), "--workers", "1",
-            "--out", str(tmp_path / "plans.json")]
-    result = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True)
+    config = ["--config", str(tmp_path / "config.json")]
+    runs = []
+    for minutes in (6, 24):
+        paths = [str(tmp_path / f"{name}{minutes}.wav") for name in ("a", "b")]
+        write_speech_like_wav(paths[0], minutes)
+        os.link(paths[0], paths[1])
+        runs += [
+            ["chunk", paths[0], *config, "--workers", "1", "--write-chunks", str(tmp_path / f"w1_{minutes}")],
+            ["chunk", *paths, *config, "--workers", "2", "--write-chunks", str(tmp_path / f"w2_{minutes}")],
+            ["detect-music", *paths, "--workers", "2"],
+            ["windows", paths[0]],
+        ]
+    runs = [[*argv, "--out", str(tmp_path / "report.json")] for argv in runs]
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUNS, json.dumps(runs)], capture_output=True, text=True,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
     assert result.returncode == 0, result.stderr
-    status, base_kb, peak_kb = map(int, result.stdout.split())
-    assert status == 0
-    assert (peak_kb - base_kb) * 1024 < 2.5 * path.stat().st_size
+    measured = [tuple(map(int, line.split())) for line in result.stdout.splitlines()]
+    assert [status for status, _, _ in measured] == [0] * len(runs), result.stderr
+    growth = [(peak_kb - base_kb) / 1024 for _, base_kb, peak_kb in measured]
+    half = len(runs) // 2
+    for argv, short, long in zip(runs, growth[:half], growth[half:]):
+        assert abs(long - short) < 24, (argv[0], growth)
 
 
 def conditioned_by_library_calls(path, cfg: PreprocessConfig) -> Waveform:
@@ -1224,8 +1338,9 @@ def conditioned_by_library_calls(path, cfg: PreprocessConfig) -> Waveform:
 
 
 class TestConditionedEqualsLibraryCalls:
-    """`_conditioned` decodes, downmixes and resamples a block at a time and
-    high-passes and normalizes in place; it gives the copying calls' bytes."""
+    """`_conditioned` decodes, downmixes, resamples and high-passes a block at
+    a time into a spool file, and scales each block read back by the peak
+    gain; it reads back the copying calls' bytes."""
 
     CONFIGS = [
         PreprocessConfig(),
@@ -1237,10 +1352,12 @@ class TestConditionedEqualsLibraryCalls:
 
     @staticmethod
     def assert_same(path, cfg: PreprocessConfig, case):
-        got, want = _conditioned(str(path), cfg), conditioned_by_library_calls(str(path), cfg)
-        assert got.sample_rate == want.sample_rate, case
-        assert got.samples.dtype == want.samples.dtype == np.float32, case
-        assert got.samples.tobytes() == want.samples.tobytes(), case
+        want = conditioned_by_library_calls(str(path), cfg)
+        with _conditioned(str(path), cfg) as got:
+            assert got.sample_rate == want.sample_rate and len(got) == len(want), case
+            samples = got.read(0, len(got))
+        assert samples.dtype == want.samples.dtype == np.float32, case
+        assert samples.tobytes() == want.samples.tobytes(), case
 
     @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
     def test_many_block_edges(self, rate, monkeypatch, tmp_path):
