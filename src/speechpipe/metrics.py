@@ -7,7 +7,9 @@ insertions exactly without a distance matrix. DER sweeps boundary events
 into elementary intervals, builds (intervals × speakers) activity arrays,
 maps hypothesis speakers to reference speakers by optimal assignment, and
 decomposes the error into miss / false alarm / confusion, every sum taken
-in interval order. scipy is imported on first use, not with the module.
+in interval order. The assignment is an in-module port of the
+shortest-augmenting-path algorithm scipy uses (Crouse 2016), so the module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -123,18 +125,80 @@ def optimal_assignment(cost_matrix: np.ndarray) -> tuple[list[tuple[int, int]], 
     """Exact minimum-cost one-to-one assignment on a rectangular matrix.
 
     Equivalent to zero-padding to square and discarding dummy pairs; returns
-    (pairs sorted by row, total cost).
+    (pairs sorted by row, total cost). The pairs are those of
+    `scipy.optimize.linear_sum_assignment`, whose algorithm `_col4row` ports.
     """
     cost = np.asarray(cost_matrix, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ParameterError(f"cost matrix must be 2-D, got {cost.ndim}-D")
     if cost.size and not np.all(np.isfinite(cost)):
         raise ParameterError("cost matrix entries must be finite")
     if cost.size == 0:
         return [], 0.0
-    from scipy.optimize import linear_sum_assignment  # on first use: a cold start loads no scipy
-
-    rows, cols = linear_sum_assignment(cost)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    if cost.shape[0] > cost.shape[1]:  # the solver wants no more rows than columns
+        pairs = sorted((r, c) for c, r in enumerate(_col4row(cost.T.tolist())))
+    else:
+        pairs = list(enumerate(_col4row(cost.tolist())))
+    rows, cols = zip(*pairs)
     return pairs, float(cost[rows, cols].sum())
+
+
+def _col4row(cost: list[list[float]]) -> list[int]:
+    """The column of each row in a minimum-cost assignment of every row of
+    `cost` (no more rows than columns).
+
+    Shortest augmenting paths with dual variables `u` and `v` (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
+    step for step as scipy's `linear_sum_assignment` runs it, so ties break
+    the same way: columns are scanned from a list filled in reverse and
+    shrunk by moving its last entry into the taken slot, and among equal
+    path costs a column with no row yet wins.
+    """
+    n_cols = len(cost[0])
+    u, v = [0.0] * len(cost), [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row, row4col = [-1] * len(cost), [-1] * n_cols
+    for cur in range(len(cost)):
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            if lowest == math.inf:  # path costs overflowed float64
+                raise ParameterError("cost matrix is infeasible")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in rows_seen:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:  # augment along the path back to row `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _activity(timeline: SpeakerTimeline, edges: np.ndarray, speakers: list[str]) -> np.ndarray:

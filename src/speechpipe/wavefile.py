@@ -80,6 +80,8 @@ def _read_layout(fh) -> _Layout:
                     raise FormatError("extensible fmt chunk too short", offset=pos)
                 (sub_format,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_format,) + fmt[1:]
+            if fmt[2] == 0:
+                raise FormatError("sample rate must be >= 1", offset=pos)
         elif chunk_id == b"data":
             if present < chunk_size:
                 raise FormatError("data chunk truncated", offset=pos + 8 + present)

@@ -38,7 +38,7 @@ from speechpipe import (
 from speechpipe.cli import (
     OPTIONS, MetricsConfig, PipelineConfig, PreprocessConfig, SilenceConfig, _conditioned, build_parser, main,
 )
-from synth import SR, clean_rows, corrupt_row, silence, tone, two_speaker_scene
+from synth import SR, clean_rows, corrupt_row, random_timeline, silence, tone, two_speaker_scene
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -1040,6 +1040,36 @@ class TestLocatedInputErrors:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("command", ["chunk", "detect-music", "windows"])
+    def test_sample_rate_zero_is_that_files_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "rate0.wav"
+        bad.write_bytes(wav_bytes([np.full(100, 0.25, np.float32)], 0, "pcm16"))
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        message = "sample rate must be >= 1 (byte offset 12)"  # at the fmt chunk
+        if command == "windows":
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"windows: error: {message}"]
+        else:
+            assert json.loads(captured.out)["errors"] == {str(bad): message}
+
+    def test_sample_rate_zero_beside_good_file(self, speech_wav, tmp_path, capsys):
+        bad = tmp_path / "rate0.wav"
+        bad.write_bytes(wav_bytes([np.full(100, 0.25, np.float32)], 0, "pcm16"))
+        out_dir = tmp_path / "pieces"
+        code, out = run(capsys, "chunk", str(bad), str(speech_wav), "--min-dur", "3", "--max-dur", "6",
+                        "--write-chunks", str(out_dir), "--workers", "2")
+        doc = json.loads(out)
+        assert code == 1
+        assert list(doc["errors"]) == [str(bad)]
+        assert [f["path"] for f in doc["files"]] == [str(speech_wav)]
+        n_chunks = len(doc["files"][0]["chunks"])
+        assert n_chunks >= 2
+        assert sorted(p.name for p in out_dir.iterdir()) == [f"speech_chunk{i:03d}.wav" for i in range(n_chunks)]
+
+
 # Every flag of every subcommand today: flag -> (dest, type, choices, default, nargs, required).
 _COMMON = {
     "--config": ("config", None, None, None, None, False),
@@ -1188,11 +1218,56 @@ def test_console_entry_point_smoke(tmp_path):
 
 
 def test_cold_start_loads_no_scipy():
-    # scipy.signal and scipy.optimize are imported by the functions that use them.
+    # scipy.signal is imported by the audio functions that use it; scoring needs no scipy.
     code = "import sys, speechpipe.cli; speechpipe.cli.build_parser(); print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# Runs the CLI where any import of scipy fails; the report goes to stdout.
+_NO_SCIPY_CHILD = """
+import sys
+sys.modules["scipy"] = None
+from speechpipe import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.fixture
+def score_inputs(tmp_path):
+    """Reference and hypothesis timelines of three recordings with overlapping
+    speakers (the hypothesis CSV with corrupted rows), and transcripts."""
+    rng = np.random.default_rng(11)
+    ids = ["rec_a", "rec_b", "rec_c"]
+    ref = [random_timeline(rng, rid, 4) for rid in ids]
+    hyp = [random_timeline(rng, rid, 5) for rid in ids]
+    (tmp_path / "ref.rttm").write_text(write_rttm(ref))
+    header, *rows = write_segments_csv(hyp).splitlines()
+    rows = [corrupt_row(row, rng)[1] if i % 4 == 0 else row for i, row in enumerate(rows)]
+    (tmp_path / "hyp.csv").write_text("\n".join([header, *rows]) + "\n")
+    words = "ami bhalo achi tumi kemon acho".split()
+    for name, picks in [("ref", [0, 1, 2, 3, 4, 5]), ("hyp", [0, 2, 2, 3, 5])]:
+        text = " ".join(words[i] for i in picks)
+        (tmp_path / f"{name}.jsonl").write_text(
+            "".join(f'{{"id":"{rid}","start":0,"end":5,"text":"{text}"}}\n' for rid in ids))
+    return tmp_path
+
+
+@pytest.mark.parametrize("metric, ref, hyp, flags", [
+    ("der", "ref.rttm", "hyp.csv", ["--repair", "--collar", "0.25"]),
+    ("der", "ref.rttm", "hyp.csv", ["--repair", "--skip-overlap"]),
+    ("wer", "ref.jsonl", "hyp.jsonl", []),
+])
+def test_score_runs_without_scipy(metric, ref, hyp, flags, score_inputs, capsys):
+    argv = ["score", metric, "--ref", str(score_inputs / ref), "--hyp", str(score_inputs / hyp), *flags]
+    code, expected = run(capsys, *argv)
+    assert code == 0
+    if metric == "der":
+        assert all(len(f["mapping"]) >= 2 for f in json.loads(expected)["files"].values())
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
 
 
 # Runs the CLI, then reports its status, the directory each spool file was

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,76 @@ class TestOptimalAssignment:
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
             optimal_assignment(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ParameterError, match="2-D"):
+            optimal_assignment(np.zeros(shape))
+
+
+def scipy_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], str]:
+    """Pairs and total (its repr, so -0.0 counts) from scipy's solver."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist())), repr(float(cost[rows, cols].sum()))
+
+
+def negated_overlaps(rng: np.random.Generator, n_ref: int, n_hyp: int) -> np.ndarray:
+    """`-overlap` as `der` passes it: scored time two speakers share, negated,
+    so a pair that never speaks together is -0.0."""
+    n_intervals = int(rng.integers(1, 60))
+    ref_active = rng.random((n_intervals, n_ref)) < 0.2
+    hyp_active = rng.random((n_intervals, n_hyp)) < 0.2
+    lengths = rng.random(n_intervals)
+    return -((ref_active * lengths[:, None]).T @ hyp_active)
+
+
+def oracle_matrices(seed: int):
+    """20,000 seeded cost matrices: random and tie-heavy small-integer ones up
+    to 8 on a side, `-overlap` ones, wide and tall, up to 30 on a side, and
+    single rows and columns up to 30 long."""
+    rng = np.random.default_rng(seed)
+    for _ in range(7000):
+        yield rng.standard_normal(tuple(rng.integers(1, 9, 2)))
+    for _ in range(7000):
+        yield rng.integers(0, 4, tuple(rng.integers(1, 9, 2))).astype(float)
+    for _ in range(5000):
+        yield negated_overlaps(rng, *rng.integers(1, 31, 2))
+    for i in range(1000):
+        n = int(rng.integers(1, 31))
+        cost = rng.integers(-3, 3, n).astype(float) if i % 2 else rng.standard_normal(n)
+        yield cost[None, :] if i < 500 else cost[:, None]
+
+
+class TestAssignmentEqualsScipy:
+    """The solver returns scipy's pairs, ties included, and the same total bit
+    for bit; scipy is imported by this test only."""
+
+    def test_seeded_matrices(self):
+        n = 0
+        for cost in oracle_matrices(seed=27):
+            pairs, total = optimal_assignment(cost)
+            assert (pairs, repr(total)) == scipy_assignment(cost), cost
+            n += 1
+        assert n == 20000
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes(self, shape):
+        assert optimal_assignment(np.zeros(shape)) == ([], 0.0)
+        assert scipy_assignment(np.zeros(shape))[0] == []
+
+    def test_constant_matrix_gives_the_diagonal(self):
+        for shape in [(4, 4), (3, 6), (6, 3)]:
+            pairs, _ = optimal_assignment(np.full(shape, -0.0))
+            assert pairs == [(i, i) for i in range(min(shape))] == scipy_assignment(np.full(shape, -0.0))[0]
+
+    def test_200_square_in_under_a_second(self):
+        cost = np.random.default_rng(200).standard_normal((200, 200))
+        start = time.perf_counter()
+        pairs, total = optimal_assignment(cost)
+        assert time.perf_counter() - start < 1.0
+        assert (pairs, repr(total)) == scipy_assignment(cost)
 
 
 class TestDer:
