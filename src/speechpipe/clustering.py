@@ -633,10 +633,10 @@ def cluster_embeddings(vectors: np.ndarray, cfg: ClusteringConfig, seed: int) ->
     if n == 0:
         return ClusterResult(np.empty(0, dtype=int), 0, np.empty((0, 0)), method)
 
-    if cfg.pca_components and n >= 2:
-        components = min(cfg.pca_components, n, x.shape[1])
-        basis = pca_fit(x, components)
-        x = pca_transform(basis, x)
+    # 0-d vectors clamp to 0 components: a 0-column projection is the input.
+    components = min(cfg.pca_components, n, x.shape[1])
+    if components and n >= 2:
+        x = pca_transform(pca_fit(x, components), x)
 
     if method == "gmm":
         # A fixed k is a sweep over that one k.

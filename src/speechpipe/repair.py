@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
 from .spans import TimeSpan, split_lines
-from .timeline import SpeakerTimeline, gc_paused, timelines_from_rows
+from .timeline import SpeakerTimeline, timelines_from_rows
 
 HEADER = "id,start,end,speaker"
 
@@ -166,25 +166,24 @@ def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], Repa
 
     canonical = _CANONICAL_RE.fullmatch
     outcomes: list[RowOutcome] = []
-    with gc_paused():
-        for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        match = canonical(line)
+        if match is not None:
+            rec_id, start, end, speaker = match.groups()
+            t0, t1 = float(start), float(end)
+            if t0 < t1 and not math.isinf(t1):
+                outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
                 continue
-            match = canonical(line)
-            if match is not None:
-                rec_id, start, end, speaker = match.groups()
-                t0, t1 = float(start), float(end)
-                if t0 < t1 and not math.isinf(t1):
-                    outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
-                    continue
-            # Not canonical: the per-token checks name the first that fails.
-            tokens = line.split(",")
-            diagnosis = _parse_row(tokens)[1]
-            if strict:
-                outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
-            else:
-                record, rules = _repair_line(tokens)
-                outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
+        # Not canonical: the per-token checks name the first that fails.
+        tokens = line.split(",")
+        diagnosis = _parse_row(tokens)[1]
+        if strict:
+            outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
+        else:
+            record, rules = _repair_line(tokens)
+            outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
     statuses = Counter(o.status for o in outcomes)
     fired = Counter(rule for o in outcomes if o.status == "repaired" for rule in o.rules)
     report = RepairReport(len(outcomes), statuses["ok"], statuses["repaired"], statuses["dropped"], dict(fired))

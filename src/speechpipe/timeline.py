@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import gc
 import re
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -15,36 +12,6 @@ from .spans import TimeSpan, check_sorted_by_start, split_lines
 # `\S` is `str.isspace`'s complement on every code point.
 _LABEL_RE = re.compile(r"\S+")
 _START_END = attrgetter("start", "end")
-
-
-_gc_lock = threading.Lock()
-_gc_depth = 0
-_gc_was_enabled = False
-
-
-@contextmanager
-def gc_paused():
-    """Hold the cyclic garbage collector off while annotation rows are built.
-
-    Rows, spans and segments hold no reference cycle, so a collection during
-    a parse frees nothing and only walks the rows kept so far. Pauses nest
-    and may overlap across threads; the collector's switch is process-wide,
-    so the last pause to end turns it back on, and only if it was on when
-    the first began.
-    """
-    global _gc_depth, _gc_was_enabled
-    with _gc_lock:
-        if _gc_depth == 0:
-            _gc_was_enabled = gc.isenabled()
-            gc.disable()
-        _gc_depth += 1
-    try:
-        yield
-    finally:
-        with _gc_lock:
-            _gc_depth -= 1
-            if _gc_depth == 0 and _gc_was_enabled:
-                gc.enable()
 
 
 def _check_label(speaker: str) -> None:
@@ -144,10 +111,9 @@ def timelines_from_rows(rows) -> list[SpeakerTimeline]:
     """Normalized timelines from `(recording id, span, speaker)` rows, in
     order of each id's first row."""
     grouped: dict[str, dict[str, list[TimeSpan]]] = {}
-    with gc_paused():
-        for recording_id, span, speaker in rows:
-            _add_span(grouped.setdefault(recording_id, {}), speaker, span)
-        return [SpeakerTimeline(rid, _merge_per_speaker(by_speaker, _touches)) for rid, by_speaker in grouped.items()]
+    for recording_id, span, speaker in rows:
+        _add_span(grouped.setdefault(recording_id, {}), speaker, span)
+    return [SpeakerTimeline(rid, _merge_per_speaker(by_speaker, _touches)) for rid, by_speaker in grouped.items()]
 
 
 def parse_rttm(text: str) -> list[SpeakerTimeline]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -614,6 +615,116 @@ class TestRepairCommand:
         assert ":2:" in err
 
 
+def score_pair(tmp_path, rows: int):
+    """A segments CSV reference, every fourth row corrupted, and an RTTM
+    hypothesis, each of `rows` rows over the same five recordings."""
+    rng = np.random.default_rng(rows)
+    csv_rows = [corrupt_row(r, rng)[1] if i % 4 == 0 else r for i, r in enumerate(clean_rows(rows, seed=1))]
+    ref = tmp_path / f"ref{rows}.csv"
+    ref.write_text("id,start,end,speaker\n" + "\n".join(csv_rows) + "\n")
+    hyp = tmp_path / f"hyp{rows}.rttm"
+    hyp.write_text("".join(
+        f"SPEAKER rec{rng.integers(1, 6)} 1 {rng.uniform(0, 500):.3f} {rng.uniform(0.1, 8):.3f} "
+        f"<NA> <NA> S{rng.integers(6)} <NA> <NA>\n"
+        for _ in range(rows)
+    ))
+    return ref, hyp
+
+
+class TestCollectorPause:
+    """`main` holds the cyclic collector off while a command runs, and leaves
+    its switch as it found it."""
+
+    def test_off_while_rows_are_built(self, tmp_path, capsys, monkeypatch):
+        import speechpipe.cli as cli
+        import speechpipe.repair as repair
+
+        seen = []
+        outcome, score = repair.RowOutcome, cli.der
+        monkeypatch.setattr(repair, "RowOutcome", lambda *args, **kw: seen.append(gc.isenabled()) or outcome(*args, **kw))
+        monkeypatch.setattr(cli, "der", lambda *args, **kw: seen.append(gc.isenabled()) or score(*args, **kw))
+        ref, hyp = score_pair(tmp_path, 40)
+        assert main(["repair", str(ref), "--out", str(tmp_path / "out.csv")]) == 0
+        assert main(["score", "der", "--repair", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+        # 40 outcomes per parse, and one DER per recording.
+        assert len(seen) > 80 and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case, status", [("ok", 0), ("missing input", 1), ("bad workers", 2)])
+    def test_state_kept(self, enabled, case, status, tmp_path, capsys):
+        ref, hyp = score_pair(tmp_path, 40)
+        argv = {
+            "ok": ["score", "der", "--repair", "--ref", str(ref), "--hyp", str(hyp)],
+            "missing input": ["repair", str(tmp_path / "missing.csv")],
+            "bad workers": ["score", "der", "--ref", str(ref), "--hyp", str(hyp), "--workers", "0"],
+        }[case]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == status
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_kept_when_a_command_raises(self, enabled, tmp_path, monkeypatch):
+        import speechpipe.cli as cli
+
+        seen = []
+
+        def fail(args, config):
+            seen.append(gc.isenabled())
+            raise RuntimeError("command failed")
+
+        monkeypatch.setattr(cli, "cmd_repair", fail)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="command failed"):
+                main(["repair", str(tmp_path / "in.csv")])
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_no_command_leaves_garbage_that_grows_with_its_input(self, speech_wav, tmp_path, capsys):
+        """The pause's premise: a command's cyclic garbage does not grow with
+        its input. What a call leaves is what `main` builds before the pause
+        (its parser), so the sizes are compared with each other and with
+        every other command, not with a fixed count."""
+        def left_by(argv):
+            main(argv)  # warm-up: lazy imports and caches
+            gc.collect()
+            main(argv)
+            return gc.collect()
+
+        def score_der(rows):
+            ref, hyp = score_pair(tmp_path, rows)
+            return ["score", "der", "--repair", "--ref", str(ref), "--hyp", str(hyp), "--out", str(tmp_path / "der.json")]
+
+        small, large = left_by(score_der(2_000)), left_by(score_der(20_000))
+        assert small == large
+
+        ref, _ = score_pair(tmp_path, 2_000)
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "hyp").mkdir()
+        (tmp_path / "ref" / "a.txt").write_text(" ".join(f"w{i % 50}" for i in range(20_000)))
+        (tmp_path / "hyp" / "a.txt").write_text(" ".join(f"w{i % 60}" for i in range(20_000)))
+        emb = tmp_path / "scene.emb"
+        write_embeddings_file(emb, two_speaker_scene(seed=9)[0])
+        out = ["--out", str(tmp_path / "out.json")]
+        for argv in (
+            ["repair", str(ref), "--out", str(tmp_path / "out.csv"), "--report", str(tmp_path / "report.json")],
+            ["score", "wer", "--ref", str(tmp_path / "ref" / "a.txt"), "--hyp", str(tmp_path / "hyp" / "a.txt"), *out],
+            ["chunk", str(speech_wav), "--write-chunks", str(tmp_path / "chunks"), *out],
+            ["detect-music", str(speech_wav), *out],
+            ["windows", str(speech_wav), *out],
+            ["diarize", str(emb), "--out-dir", str(tmp_path / "ahc"), *out],
+            ["diarize", str(emb), "--method", "gmm", "--out-dir", str(tmp_path / "gmm"), *out],
+            ["cluster", str(emb), "--method", "kmeans", *out],
+        ):
+            assert left_by(argv) == small, argv
+
+
 class TestWindowsCommand:
     def test_from_wav(self, speech_wav, capsys):
         code, out = run(capsys, "windows", str(speech_wav))
@@ -656,6 +767,17 @@ class TestWindowsCommand:
         assert captured.out == ""
         assert "windows: error: the chunk report lists 2 files" in captured.err
 
+    def test_chunk_report_of_no_files_exits_one(self, tmp_path, capsys):
+        plans = tmp_path / "plans.json"
+        assert main(["chunk", str(tmp_path / "missing.wav"), "--out", str(plans)]) == 1
+        assert json.loads(plans.read_text())["files"] == []
+        capsys.readouterr()
+        code = main(["windows", str(plans)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "windows: error: the chunk report lists 0 files; windows takes the plan of one\n"
+
     @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"],
                                        ["--hop", "0"], ["--hop", "2", "--window", "1"]])
     def test_bad_window_or_hop_exits_two_before_reading_input(self, flags, tmp_path, capsys):
@@ -689,6 +811,21 @@ class TestClusterCommand:
         assert code == 0
         assert json.loads(out)["files"] == [{"path": str(container), "recording_id": "empty", "method": reported,
                                              "k": 0, "labels": [], "centroids": [], "diagnostics": {}}]
+
+    @pytest.mark.parametrize("method", ["gmm", "kmeans"])
+    def test_pca_on_zero_dimension_vectors_is_skipped(self, method, tmp_path, capsys):
+        from speechpipe import EmbeddingSet
+
+        spans = [TimeSpan(0.75 * i, 0.75 * i + 1.5) for i in range(6)]
+        container = tmp_path / "d0.emb"
+        write_embeddings_file(container, EmbeddingSet(np.empty((6, 0)), spans, "d0"))
+        reports = []
+        for flags in ([], ["--pca-components", "4"]):
+            code, out = run(capsys, "cluster", str(container), "--method", method, *flags)
+            assert code == 0
+            reports.append(json.loads(out)["files"])
+        assert reports[0] == reports[1]
+        assert reports[0][0]["k"] == 1
 
     def test_cluster_and_diarize_give_one_recording_id(self, tmp_path, capsys):
         emb, _ = two_speaker_scene(seed=9)
@@ -996,7 +1133,7 @@ class TestLocatedInputErrors:
 
     @pytest.mark.parametrize("text, where", [
         ("[]", "chunk plan must be a JSON object"),
-        ('{"files": []}', "chunk plan: missing key 'chunks'"),
+        ('{"files": []}', "the chunk report lists 0 files; windows takes the plan of one"),
         ('{"source_duration": 5, "forced_split_count": 0,'
          ' "chunks": [{"start": 0, "end": 2, "kind": "silence"}, {"start": 3, "end": "x", "kind": "silence"}]}',
          "chunk plan chunks[1]:"),

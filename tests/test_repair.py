@@ -8,7 +8,6 @@ import pytest
 
 from speechpipe import (
     FormatError,
-    TimeSpan,
     format_seconds,
     parse_segments_csv,
     repair_rows,
@@ -17,7 +16,6 @@ from speechpipe import (
     write_rttm,
     write_segments_csv,
 )
-from speechpipe.timeline import gc_paused, timelines_from_rows
 from synth import clean_rows, corrupt_row, parse_segments_csv_reference, repair_rows_reference
 
 HEADER = "id,start,end,speaker"
@@ -310,8 +308,9 @@ def parse_all(clean: str, dirty: str, rttm: str):
 
 
 class TestGcPause:
-    """The parsers hold the cyclic collector off while they build rows and
-    leave its switch as they found it."""
+    """The parsers leave the cyclic collector's switch as they found it, and
+    what they build holds no reference cycle, so `cli.main` may hold the
+    collector off around a command."""
 
     CLEAN = as_csv(clean_rows(3000, seed=4))
     DIRTY = HEADER + "\n" + "".join(mixed_csv(seed)[len(HEADER) + 1:] for seed in range(8))
@@ -326,58 +325,10 @@ class TestGcPause:
         finally:
             gc.enable()
 
-    def test_off_while_rows_are_built(self, monkeypatch):
-        import speechpipe.repair as repair
-
-        seen = []
-
-        def rows():
-            seen.append(gc.isenabled())
-            yield "r", TimeSpan(0, 1), "A"
-
-        timelines_from_rows(rows())
-        outcome = repair.RowOutcome
-        monkeypatch.setattr(repair, "RowOutcome", lambda *args, **kw: seen.append(gc.isenabled()) or outcome(*args, **kw))
-        repair_rows(as_csv(["rec1,0,1,A", "rec1, 1,2,B"]))
-        assert seen == [False, False, False] and gc.isenabled()
-
     def test_state_restored_after_error(self):
         bad_rttm = self.RTTM + "SPEAKER f1 1 x 1.0 <NA> <NA> A <NA> <NA>\n" + self.RTTM
         with pytest.raises(FormatError, match="line 3001: non-numeric onset"):
             parse_rttm(bad_rttm)
-        assert gc.isenabled()
-        with pytest.raises(ValueError, match="inner"):
-            with gc_paused():
-                with gc_paused():
-                    raise ValueError("inner")
-        assert gc.isenabled()
-
-    def test_nested(self):
-        with gc_paused():
-            with gc_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-    def test_overlapping_threads(self):
-        """The first pause to begin ends first: the collector stays off while
-        another thread's pause is open, and comes back on after the last."""
-        inside, release = threading.Event(), threading.Event()
-
-        def hold():
-            with gc_paused():
-                inside.set()
-                release.wait(10)
-
-        thread = threading.Thread(target=hold)
-        try:
-            with gc_paused():
-                thread.start()
-                assert inside.wait(10)
-            assert not gc.isenabled()
-        finally:
-            release.set()
-            thread.join()
         assert gc.isenabled()
 
     def test_threads_parse_at_once(self):

@@ -1,6 +1,6 @@
 """Module boundaries of the package: no module reaches into another's
-private names, and none reads the environment, so every knob is a flag or a
-config field."""
+private names, none reads the environment, so every knob is a flag or a
+config field, and none but the CLI imports `gc` or `threading`."""
 
 from __future__ import annotations
 
@@ -55,3 +55,22 @@ def environment_reads(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(path) == []
+
+
+def process_state_imports(path: Path) -> list[str]:
+    """`line N: <module>` for every import of `gc` or `threading` in `path`."""
+    names = {"gc", "threading"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] in names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] in names:
+            found.append(f"line {node.lineno}: {node.module}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_touches_process_wide_state(path):
+    """The collector's switch is process-wide, so only `cli.main`, which owns
+    the process, may flip it; no library module keeps a lock either."""
+    assert path.name == "cli.py" or process_state_imports(path) == []
