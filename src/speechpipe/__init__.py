@@ -77,6 +77,7 @@ from .metrics import (
 from .repair import (
     RepairReport,
     RowOutcome,
+    classify_rows,
     format_seconds,
     parse_segments_csv,
     repair_rows,

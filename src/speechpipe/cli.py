@@ -47,7 +47,7 @@ from .clustering import ClusteringConfig, cluster_embeddings
 from .errors import ConfigError, ParameterError, PipelineError
 from .interchange import build_config, check_window_params, parse_json, read_embeddings_file, read_transcripts_jsonl, window_schedule
 from .metrics import der, merge_der_reports, merge_wer_reports, wer
-from .repair import parse_segments_csv, repair_rows, rows_to_csv, write_segments_csv
+from .repair import RepairReport, classify_rows, parse_segments_csv, rows_to_csv, write_segments_csv
 from .timeline import SpeakerTimeline, merge_adjacent_windows, parse_rttm, suppress_gaps, write_rttm
 from .wavefile import mono_stream, write_wav
 
@@ -404,24 +404,25 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
-    outcomes, report = repair_rows(Path(args.path).read_text(encoding="utf-8"), strict=args.strict)
-    doc = {"command": "repair", "strict": args.strict, "report": report.to_dict()}
+    # The input is read whole first, so `--out` may name it.
+    report = RepairReport()
+    outcomes = classify_rows(Path(args.path).read_text(encoding="utf-8"), report, args.strict)
     if args.strict:
-        bad = [o for o in outcomes if o.status == "dropped"]
-        for outcome in bad:
-            _log(f"repair: {args.path}:{outcome.line_no}: {outcome.diagnosis}")
-        _emit(doc, args.report)
-        return 1 if bad else 0
-    csv_text = rows_to_csv(outcomes)
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        for outcome in outcomes:
+            if outcome.status == "dropped":
+                _log(f"repair: {args.path}:{outcome.line_no}: {outcome.diagnosis}")
     else:
-        sys.stdout.write(csv_text)
-    if args.report:
+        csv_text = rows_to_csv(outcomes)
+        if args.out:
+            Path(args.out).write_text(csv_text, encoding="utf-8")
+        else:
+            sys.stdout.write(csv_text)
+    doc = {"command": "repair", "strict": args.strict, "report": report.to_dict()}
+    if args.strict or args.report:
         _emit(doc, args.report)
     else:
         _log(json.dumps(doc["report"], ensure_ascii=False))
-    return 0
+    return 1 if report.dropped and args.strict else 0
 
 
 def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -512,8 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repair", help="repair a segments CSV")
     p.add_argument("path")
-    p.add_argument("--strict", action="store_true", help="validate only; list malformed rows")
-    p.add_argument("--out", help="write the repaired CSV here instead of stdout")
+    # Strict mode writes no CSV, so it takes no --out.
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true", help="validate only; list malformed rows")
+    mode.add_argument("--out", help="write the repaired CSV here instead of stdout")
     p.add_argument("--report", help="write the repair report JSON here")
     p.set_defaults(fn=cmd_repair)
 

@@ -4,15 +4,18 @@ Canonical format: header ``id,start,end,speaker``, UTF-8, LF line endings,
 times as decimal seconds with up to 3 fractional digits. Strict mode rejects
 any deviation; repair mode applies an ordered rule set, from most conservative
 to most aggressive, and drops whatever remains unrecoverable. Rows that strict
-mode accepts are never altered.
+mode accepts are never altered. Rows are classified one at a time, as a
+stream of outcomes (`classify_rows`) that the parser and the CSV writer
+consume as it runs, so no outcome outlives its row unless a caller keeps it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 from .errors import FormatError
 from .spans import TimeSpan, split_lines
@@ -157,50 +160,69 @@ def _repair_line(tokens: list[str]) -> tuple[tuple[str, float, float, str] | Non
     return _parse_row(tokens)[0], fired
 
 
-def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], RepairReport]:
-    """Classify every data row; strict mode marks non-canonical rows dropped with a diagnosis."""
+def classify_rows(text: str, report: RepairReport, strict: bool = False) -> Iterator[RowOutcome]:
+    """Each data row's outcome, in file order, tallied into `report` as it is
+    yielded; the header is checked at the first step. Strict mode marks
+    non-canonical rows dropped with a diagnosis."""
     lines = split_lines(text)
-    if not lines or lines[0].lstrip("﻿").strip() != HEADER:
+    if not lines or lines[0].lstrip("\ufeff").strip() != HEADER:
         found = lines[0] if lines else "<empty>"
         raise FormatError(f"expected header {HEADER!r}, found {found!r}", line=1)
 
     canonical = _CANONICAL_RE.fullmatch
-    outcomes: list[RowOutcome] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    fired = report.rules_fired
+    for line_no, line in enumerate(islice(lines, 1, None), start=2):
         if not line.strip():
             continue
+        report.total_lines += 1
         match = canonical(line)
         if match is not None:
             rec_id, start, end, speaker = match.groups()
             t0, t1 = float(start), float(end)
             if t0 < t1 and not math.isinf(t1):
-                outcomes.append(RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line))
+                report.parsed_ok += 1
+                yield RowOutcome(line_no, "ok", (rec_id, t0, t1, speaker), raw=line)
                 continue
         # Not canonical: the per-token checks name the first that fails.
         tokens = line.split(",")
         diagnosis = _parse_row(tokens)[1]
         if strict:
-            outcomes.append(RowOutcome(line_no, "dropped", diagnosis=diagnosis))
+            report.dropped += 1
+            yield RowOutcome(line_no, "dropped", diagnosis=diagnosis)
+            continue
+        record, rules = _repair_line(tokens)
+        if record is None:
+            report.dropped += 1
         else:
-            record, rules = _repair_line(tokens)
-            outcomes.append(RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis))
-    statuses = Counter(o.status for o in outcomes)
-    fired = Counter(rule for o in outcomes if o.status == "repaired" for rule in o.rules)
-    report = RepairReport(len(outcomes), statuses["ok"], statuses["repaired"], statuses["dropped"], dict(fired))
-    return outcomes, report
+            report.repaired += 1
+            for rule in rules:
+                fired[rule] = fired.get(rule, 0) + 1
+        yield RowOutcome(line_no, "dropped" if record is None else "repaired", record, rules, diagnosis)
+
+
+def repair_rows(text: str, strict: bool = False) -> tuple[list[RowOutcome], RepairReport]:
+    """Every data row's outcome (`classify_rows`, as a list) and their report."""
+    report = RepairReport()
+    return list(classify_rows(text, report, strict)), report
+
+
+def _kept_rows(outcomes: Iterator[RowOutcome], strict: bool):
+    """`(id, span, speaker)` of each kept row; strict mode raises at the first dropped one."""
+    for outcome in outcomes:
+        if outcome.record is not None:
+            rec_id, t0, t1, speaker = outcome.record
+            yield rec_id, TimeSpan(t0, t1), speaker
+        elif strict:
+            raise FormatError(outcome.diagnosis, line=outcome.line_no)
 
 
 def parse_segments_csv(
     text: str, strict: bool = False
 ) -> tuple[list[SpeakerTimeline], RepairReport]:
-    """Parse a segments CSV into timelines; strict mode raises on the first bad row."""
-    outcomes, report = repair_rows(text, strict=strict)
-    if strict:
-        for outcome in outcomes:
-            if outcome.status == "dropped":
-                raise FormatError(outcome.diagnosis, line=outcome.line_no)
-    records = [o.record for o in outcomes if o.record is not None]
-    return timelines_from_rows((rid, TimeSpan(t0, t1), spk) for rid, t0, t1, spk in records), report
+    """Parse a segments CSV into timelines; strict mode raises on the first bad
+    row, before any later row is read."""
+    report = RepairReport()
+    return timelines_from_rows(_kept_rows(classify_rows(text, report, strict), strict)), report
 
 
 def _csv_line(rec_id: str, start: float, end: float, speaker: str) -> str:
@@ -215,8 +237,8 @@ def write_segments_csv(timelines: list[SpeakerTimeline]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(outcomes: list[RowOutcome]) -> str:
-    """Re-emit recovered rows in input order.
+def rows_to_csv(outcomes: Iterable[RowOutcome]) -> str:
+    """Re-emit recovered rows in input order; `outcomes` may be a stream.
 
     Rows strict mode accepted pass through byte-identical; repaired rows are
     canonically formatted.

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -508,6 +509,25 @@ class TestScoreCommand:
         code, _ = run(capsys, "score", "der", "--ref", str(ref), "--hyp", str(hyp), "--repair")
         assert code == 0
 
+    def test_strict_parse_stops_at_the_first_bad_row(self, tmp_path, capsys, monkeypatch):
+        import speechpipe.repair as repair
+
+        built = []
+        outcome = repair.RowOutcome
+        monkeypatch.setattr(repair, "RowOutcome", lambda *args, **kw: built.append(args[0]) or outcome(*args, **kw))
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER a 1 0.000 5.000 <NA> <NA> A <NA> <NA>\n")
+        hyp = tmp_path / "hyp.csv"
+        good = "".join(f"a,{i},{i}.5,B\n" for i in range(1000))
+        hyp.write_text("id,start,end,speaker\na,0,1,B\na,5.0,2.0,B\n" + good)
+        code = main(["score", "der", "--ref", str(ref), "--hyp", str(hyp)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "score: error: line 3: start 5.0 not before end 2.0\n"
+        # One outcome per row up to the bad one (lines 2 and 3), none after it.
+        assert built == [2, 3]
+
     @pytest.mark.parametrize("name, row, where", [
         ("hyp.rttm", "SPEAKER a 1 1.000 inf <NA> <NA> B <NA> <NA>", "line 2: invalid span [1.0, inf)"),
         ("hyp.rttm", "SPEAKER a 1 nan 1.000 <NA> <NA> B <NA> <NA>", "line 2: invalid span [nan, nan)"),
@@ -613,6 +633,47 @@ class TestRepairCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert ":2:" in err
+
+    def test_strict_takes_no_out(self, tmp_path, capsys):
+        src = tmp_path / "clean.csv"
+        src.write_text("id,start,end,speaker\n" + "\n".join(clean_rows(5, seed=1)) + "\n")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["repair", str(src), "--strict", "--out", str(out)])
+        assert exited.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_in_place(self, tmp_path, capsys):
+        """The input is read whole before the output is written, so `--out`
+        may name the input."""
+        rng = np.random.default_rng(4)
+        rows = [corrupt_row(r, rng)[1] if i % 3 == 0 else r for i, r in enumerate(clean_rows(300, seed=4))]
+        src, other = tmp_path / "in.csv", tmp_path / "other.csv"
+        src.write_text("id,start,end,speaker\n" + "\n".join(rows + ["@@@@"]) + "\n")
+        before = src.read_bytes()
+        assert main(["repair", str(src), "--out", str(other)]) == 0
+        assert main(["repair", str(src), "--out", str(src)]) == 0
+        assert src.read_bytes() == other.read_bytes() != before
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_memory_per_row(self, rows, tmp_path, capsys):
+        """Row outcomes stream from the classifier to the CSV writer: the
+        peak is the input text, its lines and the output, a few times the
+        file's size at any length, not an outcome kept per row."""
+        rng = np.random.default_rng(rows)
+        csv_rows = [corrupt_row(r, rng)[1] if i % 4 == 0 else r for i, r in enumerate(clean_rows(rows, seed=1))]
+        src = tmp_path / "in.csv"
+        src.write_text("id,start,end,speaker\n" + "\n".join(csv_rows) + "\n")
+        argv = ["repair", str(src), "--out", str(tmp_path / "out.csv"), "--report", str(tmp_path / "report.json")]
+        assert main(argv) == 0  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * src.stat().st_size
 
 
 def score_pair(tmp_path, rows: int):

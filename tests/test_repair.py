@@ -8,6 +8,8 @@ import pytest
 
 from speechpipe import (
     FormatError,
+    RepairReport,
+    classify_rows,
     format_seconds,
     parse_segments_csv,
     repair_rows,
@@ -198,6 +200,27 @@ class TestEqualsFormerParsers:
     def test_parse_segments_csv_strict_clean(self):
         text = as_csv(clean_rows(200, seed=11))
         assert parse_segments_csv(text, strict=True) == parse_segments_csv_reference(text, strict=True)
+
+
+class TestClassifyRows:
+    """`classify_rows` is the one classification loop: `repair_rows` is its
+    list, and its report counts each outcome by the time it is yielded."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_report_tallied_as_outcomes_pass(self, strict):
+        text = mixed_csv(1)
+        want_outcomes, want_report = repair_rows(text, strict=strict)
+        report = RepairReport()
+        for n, outcome in enumerate(classify_rows(text, report, strict), start=1):
+            assert outcome == want_outcomes[n - 1]
+            assert report.total_lines == n
+            assert report.parsed_ok + report.repaired + report.dropped == n
+        assert report == want_report
+
+    def test_header_checked_at_first_step(self):
+        rows = classify_rows("a,b,c,d\n", RepairReport())
+        with pytest.raises(FormatError, match="line 1: expected header"):
+            next(rows)
 
 
 EDGE_ROWS = {
