@@ -3,7 +3,8 @@
 Subcommands: chunk, detect-music, diarize, score wer, score der, repair,
 windows, cluster. All reports are JSON on stdout (or --out); per-file work
 runs in a thread pool but outputs are always ordered by sorted input path,
-so results are deterministic regardless of worker count.
+so results are deterministic regardless of worker count. Every text a
+command writes (reports, CSV, RTTM) goes through `_write`, as UTF-8.
 
 Every flag that overrides a config value comes from one table, `OPTIONS`:
 each row names the flag's dest (the flag is ``--`` plus the dest with
@@ -110,6 +111,13 @@ class MetricsConfig:
             raise ParameterError(f"collar must be >= 0, got {self.collar}")
 
 
+def _check_step(name: str, seconds: float, rate: int) -> None:
+    """Raise unless a step of `seconds` spans at least one sample at `rate`
+    Hz: a shorter chunk or window hop would make more steps than samples."""
+    if seconds < 1 / rate:
+        raise ParameterError(f"{name} must be at least one sample period at {rate} Hz, {1 / rate} s, got {seconds}")
+
+
 @dataclass
 class PipelineConfig:
     chunking: ChunkConfig = field(default_factory=ChunkConfig)
@@ -120,8 +128,10 @@ class PipelineConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     music: MusicDetectConfig = field(default_factory=MusicDetectConfig)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        # At a target rate of 0 each file keeps its own rate and is checked on its own.
+        if self.preprocess.target_sample_rate:
+            _check_step("chunking.min_dur", self.chunking.min_dur, self.preprocess.target_sample_rate)
 
 
 _CLUSTER_COMMANDS = ("diarize", "cluster")
@@ -175,7 +185,7 @@ def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | N
         try:
             return fn(path), None
         except _INPUT_ERRORS as exc:
-            return None, str(exc)
+            return None, _message(exc)
 
     if workers <= 1 or len(paths) <= 1:
         return [attempt(path) for path in paths]
@@ -196,13 +206,9 @@ def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
                 files.append(describe(path, result))
                 continue
             except _INPUT_ERRORS as exc:
-                error = str(exc)
+                error = _message(exc)
         errors[path] = error
-    report = {**head, "files": files}
-    if errors:
-        report["errors"] = errors
-    _emit(report, args.out)
-    return 1 if errors else 0
+    return _report({**head, "files": files}, errors, args.out)
 
 
 def _claim_output(owners: dict[str, str], what: str, name: str, path: str) -> None:
@@ -213,12 +219,29 @@ def _claim_output(owners: dict[str, str], what: str, name: str, path: str) -> No
         raise PipelineError(f"{what} {name!r} is also that of {owner}: its outputs would overwrite that file's")
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """`text` as UTF-8 to the file `out`, or to stdout without one: a path's
+    undecodable bytes (surrogate escapes) go back as given, and the whole
+    text is encoded before the file is opened."""
+    data = text.encode("utf-8", "surrogateescape")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+
+
+def _report(doc: dict, errors: dict[str, str], out: str | None) -> int:
+    """Write `doc` as JSON, with the per-item `errors` if any; 1 on any, else 0."""
+    if errors:
+        doc["errors"] = errors
+    _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", out)
+    return 1 if errors else 0
+
+
+def _message(exc: Exception) -> str:
+    """An input error's message, never empty: a bare `MemoryError()` has none."""
+    return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
 
 
 def _log(message: str) -> None:
@@ -281,6 +304,7 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
         if args.write_chunks:
             _claim_output(owners, "file stem", stem, path)
         with _conditioned(path, config.preprocess) as w:
+            _check_step("chunking.min_dur", config.chunking.min_dur, w.sample_rate)
             plan = plan_chunks(_speech_spans(w, config.silence), w.duration_seconds, config.chunking)
             presence = music_presence(w, config.music) if config.preprocess.detect_music else None
             if args.write_chunks:
@@ -296,7 +320,7 @@ def cmd_chunk(args: argparse.Namespace, config: PipelineConfig) -> int:
         _log(f"chunk: {path}: {len(plan.chunks)} chunks, {plan.forced_split_count} forced")
         return entry
 
-    return _run_batch(args, {"command": "chunk", "config": config.to_dict()}, work, describe)
+    return _run_batch(args, {"command": "chunk", "config": asdict(config)}, work, describe)
 
 
 def cmd_detect_music(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -331,14 +355,14 @@ def cmd_diarize(args: argparse.Namespace, config: PipelineConfig) -> int:
         _claim_output(owners, "recording id", rid, path)
         csv_path = os.path.join(out_dir, f"{rid}.csv")
         rttm_path = os.path.join(out_dir, f"{rid}.rttm")
-        Path(csv_path).write_text(write_segments_csv([timeline]), encoding="utf-8")
-        Path(rttm_path).write_text(write_rttm([timeline]), encoding="utf-8")
+        _write(write_segments_csv([timeline]), csv_path)
+        _write(write_rttm([timeline]), rttm_path)
         _log(f"diarize: {path}: {clustering.k} speakers, {len(timeline.segments)} segments")
         _warn_unconverged("diarize", path, clustering)
         return {"path": path, "recording_id": rid, "speakers": clustering.k,
                 "segments": len(timeline.segments), "csv": csv_path, "rttm": rttm_path}
 
-    head = {"command": "diarize", "seed": args.seed, "config": config.to_dict()}
+    head = {"command": "diarize", "seed": args.seed, "config": asdict(config)}
     return _run_batch(args, head, work, describe)
 
 
@@ -397,10 +421,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         "micro": merge(list(reports.values())).to_dict(),
         f"macro_{metric}": float(np.mean([getattr(r, metric) for r in reports.values()])),
     }
-    if errors:
-        doc["errors"] = errors
-    _emit(doc, args.out)
-    return 1 if errors else 0
+    return _report(doc, errors, args.out)
 
 
 def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -412,14 +433,10 @@ def cmd_repair(args: argparse.Namespace, config: PipelineConfig) -> int:
             if outcome.status == "dropped":
                 _log(f"repair: {args.path}:{outcome.line_no}: {outcome.diagnosis}")
     else:
-        csv_text = rows_to_csv(outcomes)
-        if args.out:
-            Path(args.out).write_text(csv_text, encoding="utf-8")
-        else:
-            sys.stdout.write(csv_text)
+        _write(rows_to_csv(outcomes), args.out)
     doc = {"command": "repair", "strict": args.strict, "report": report.to_dict()}
     if args.strict or args.report:
-        _emit(doc, args.report)
+        _report(doc, {}, args.report)
     else:
         _log(json.dumps(doc["report"], ensure_ascii=False))
     return 1 if report.dropped and args.strict else 0
@@ -435,11 +452,11 @@ def cmd_windows(args: argparse.Namespace, config: PipelineConfig) -> int:
         spans = ChunkPlan.from_dict(files[0] if isinstance(files, list) else doc).chunks
     else:
         with _conditioned(args.path, config.preprocess) as w:
+            _check_step("--hop", args.hop, w.sample_rate)
             spans = _speech_spans(w, config.silence)
     windows = [{"start": sw.span.start, "end": sw.span.end, "short": sw.short}
                for sw in window_schedule(spans, args.window, args.hop)]
-    _emit({"command": "windows", "window": args.window, "hop": args.hop, "windows": windows}, args.out)
-    return 0
+    return _report({"command": "windows", "window": args.window, "hop": args.hop, "windows": windows}, {}, args.out)
 
 
 def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -544,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "windows":
             check_window_params(args.window, args.hop)
+            if config.preprocess.target_sample_rate:
+                _check_step("--hop", args.hop, config.preprocess.target_sample_rate)
     except (ConfigError, ParameterError) as exc:
         _log(f"config error: {exc}")
         return 2
@@ -552,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args, config)
     except _INPUT_ERRORS as exc:
-        _log(f"{args.command}: error: {exc}")
+        _log(f"{args.command}: error: {_message(exc)}")
         return 1
     finally:
         if was_enabled:

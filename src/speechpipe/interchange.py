@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -21,6 +22,8 @@ from .spans import TimeSpan, check_sorted_by_start, split_lines
 EMBEDDING_MAGIC = b"EMB1"
 EMBEDDING_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
+# A JSON escape can name a lone surrogate, which no byte encoding can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass
@@ -221,7 +224,8 @@ class TranscriptRecord:
 
 
 def read_transcripts_jsonl(text: str) -> list[TranscriptRecord]:
-    """One JSON object per line with keys id/start/end/text; reordered by (id, start)."""
+    """One JSON object per line with keys id/start/end/text; reordered by (id, start).
+    An id or text holding a surrogate code point (U+D800 to U+DFFF) is rejected."""
     records = []
     for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
@@ -236,7 +240,10 @@ def read_transcripts_jsonl(text: str) -> list[TranscriptRecord]:
             span = TimeSpan(float(doc["start"]), float(doc["end"]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(str(exc), line=line_no) from None
-        records.append(TranscriptRecord(str(doc["id"]), span, str(doc["text"])))
+        rid, words = str(doc["id"]), str(doc["text"])
+        if _SURROGATE.search(rid) or _SURROGATE.search(words):
+            raise FormatError("id and text must not hold a surrogate code point (U+D800 to U+DFFF)", line=line_no)
+        records.append(TranscriptRecord(rid, span, words))
     records.sort(key=lambda r: (r.recording_id, r.chunk_span.start, r.chunk_span.end))
     return records
 

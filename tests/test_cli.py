@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from speechpipe import audio, wavefile
+from speechpipe import audio, cli, wavefile
 from speechpipe import (
     MusicDetectConfig,
     ParameterError,
@@ -113,11 +113,13 @@ class TestChunkCommand:
         assert code == 1
         assert "errors" in json.loads(out)
 
-    @pytest.mark.parametrize("defect", ["cut-in-fmt", "odd-pcm16-payload"])
+    @pytest.mark.parametrize("defect", ["cut-in-fmt", "odd-pcm16-payload", "short-fmt"])
     def test_malformed_wav_reported_beside_good_file(self, defect, speech_wav, tmp_path, capsys):
         data = bytearray(wav_bytes([tone(440, 1.0)], SR, "pcm16"))
         if defect == "cut-in-fmt":
             data = data[:30]
+        elif defect == "short-fmt":
+            struct.pack_into("<I", data, 16, 14)  # a fmt chunk of 14 bytes
         else:
             data_at = data.index(b"data")
             struct.pack_into("<I", data, data_at + 4, struct.unpack_from("<I", data, data_at + 4)[0] - 1)
@@ -188,11 +190,13 @@ class TestChunkCommand:
         code, _ = run(capsys, "chunk", first, second)  # without writes the shared stem is harmless
         assert code == 0
 
-    def test_max_dur_below_time_resolution_reported_per_file(self, tmp_path):
+    def test_max_dur_below_one_sample_exits_two_before_reading_input(self, tmp_path):
         # After 1 s of leading silence, 1 + 1e-300 == 1: a forced cut could
-        # never advance. That file is an input error and the silent one is
-        # still described. A child with a timeout and a capped address space
-        # makes a regression fail instead of hanging or exhausting the host.
+        # never advance, and from 0 s the cuts would outnumber the samples.
+        # Below one sample period at the target rate, the bounds are a config
+        # error: no input is read and nothing is written. A child with a
+        # timeout and a capped address space makes a regression fail instead
+        # of hanging or exhausting the host.
         resource = pytest.importorskip("resource")
         late, quiet = str(tmp_path / "late.wav"), str(tmp_path / "quiet.wav")
         write_wav(late, Waveform(np.concatenate([silence(1.0), tone(440, 2.0)]), SR))
@@ -208,13 +212,26 @@ class TestChunkCommand:
             capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=cap_address_space, timeout=60,
         )
-        assert result.returncode == 1, result.stderr
+        assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
-        doc = json.loads(result.stdout)
-        assert [f["path"] for f in doc["files"]] == [quiet]
-        assert doc["files"][0]["chunks"] == []
-        assert list(doc["errors"]) == [late]
-        assert "max_dur=1e-300" in doc["errors"][late]
+        assert result.stdout == ""
+        assert result.stderr == ("config error: config: chunking.min_dur must be at least one sample period"
+                                 " at 16000 Hz, 6.25e-05 s, got 1e-300\n")
+
+    def test_min_dur_below_a_files_sample_period_is_that_files_error(self, tmp_path, capsys):
+        # At a target rate of 0 each file keeps its rate: 1e-4 s is over one
+        # sample at 16 kHz and under one at 8 kHz.
+        paths = [str(tmp_path / f"{rate}.wav") for rate in (16000, 8000)]
+        for path, rate in zip(paths, (16000, 8000)):
+            write_wav(path, Waveform(tone(440, 0.05, sr=rate), rate))
+        config = tmp_path / "native.json"
+        config.write_text(json.dumps({"preprocess": {"target_sample_rate": 0}}))
+        code, out = run(capsys, "chunk", *paths, "--config", str(config), "--min-dur", "1e-4", "--max-dur", "1e-4")
+        doc = json.loads(out)
+        assert code == 1
+        assert [f["path"] for f in doc["files"]] == [paths[0]]
+        assert doc["errors"] == {
+            paths[1]: "chunking.min_dur must be at least one sample period at 8000 Hz, 0.000125 s, got 0.0001"}
 
     def test_huge_target_rate_reported_per_file(self, tmp_path):
         # The resampling filter for 16 kHz -> 2**31 - 1 Hz would take 1 TiB;
@@ -533,6 +550,7 @@ class TestScoreCommand:
         ("hyp.rttm", "SPEAKER a 1 nan 1.000 <NA> <NA> B <NA> <NA>", "line 2: invalid span [nan, nan)"),
         ("hyp.rttm", "SPEAKER a 1 1.000 1e-7 <NA> <NA> B <NA> <NA>", "line 2: invalid span [1.0, 1.0)"),
         ("hyp.csv", "a,1," + "9" * 400 + ",B", "line 3: bad end time '999"),
+        ("hyp.rttm", "SPEAKER a 1 -1.000 2.000 <NA> <NA> B <NA> <NA>", "line 2: negative onset '-1.000'"),
     ])
     def test_non_finite_or_empty_time_is_located(self, name, row, where, tmp_path, capsys):
         ref = tmp_path / "ref.rttm"
@@ -594,6 +612,59 @@ class TestScoreCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "score: error: WER is undefined for an empty reference\n"
+
+
+    def test_wer_plain_text_transcripts_scored_by_stem(self, tmp_path, capsys):
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "hyp").mkdir()
+        (tmp_path / "ref" / "talk.txt").write_text("ami bhalo achi\n", encoding="utf-8")
+        (tmp_path / "hyp" / "talk.txt").write_text("ami bhalo\n", encoding="utf-8")
+        code, out = run(capsys, "score", "wer", "--ref", str(tmp_path / "ref" / "talk.txt"),
+                        "--hyp", str(tmp_path / "hyp" / "talk.txt"))
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["files"]) == ["talk"]
+        assert doc["files"]["talk"]["deletions"] == 1 and doc["files"]["talk"]["ref_word_count"] == 3
+
+    def test_hypothesis_id_with_no_reference_exits_one(self, tmp_path, capsys):
+        ref = tmp_path / "ref.jsonl"
+        hyp = tmp_path / "hyp.jsonl"
+        ref.write_text('{"id":"a","start":0,"end":5,"text":"ami"}\n')
+        hyp.write_text('{"id":"a","start":0,"end":5,"text":"ami"}\n{"id":"z","start":0,"end":5,"text":"tumi"}\n')
+        code = main(["score", "wer", "--ref", str(ref), "--hyp", str(hyp)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "score: error: hypothesis ids with no reference: ['z']\n"
+
+    @pytest.mark.parametrize("metric, name, message", [
+        ("wer", "ref.jsonl", "no reference words across reports"),
+        ("der", "ref.rttm", "no reference speech across reports"),
+    ])
+    def test_empty_reference_corpus_exits_one(self, metric, name, message, tmp_path, capsys):
+        ref = tmp_path / name
+        ref.write_text("")
+        code = main(["score", metric, "--ref", str(ref), "--hyp", str(ref)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"score: error: {message}\n"
+
+    @pytest.mark.parametrize("record", [
+        r'{"id":"r\ud800","start":0,"end":5,"text":"ami"}',
+        r'{"id":"r","start":0,"end":5,"text":"ami \uDFFF"}',
+    ], ids=["id", "text"])
+    def test_surrogate_in_transcript_is_located(self, record, tmp_path, capsys):
+        # No byte encoding holds a lone surrogate, so the report could not be written.
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(record + "\n")
+        out = tmp_path / "report.json"
+        code = main(["score", "wer", "--ref", str(ref), "--hyp", str(ref), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("score: error: line 1: id and text must not hold a surrogate code point"
+                                " (U+D800 to U+DFFF)\n")
+        assert not out.exists()
 
 
 class TestRepairCommand:
@@ -839,15 +910,32 @@ class TestWindowsCommand:
         assert captured.out == ""
         assert captured.err == "windows: error: the chunk report lists 0 files; windows takes the plan of one\n"
 
-    @pytest.mark.parametrize("flags", [["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"],
-                                       ["--hop", "0"], ["--hop", "2", "--window", "1"]])
-    def test_bad_window_or_hop_exits_two_before_reading_input(self, flags, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, message", [
+        *[(flags, "config error: need 0 < hop <= window, both finite")
+          for flags in (["--window", "inf"], ["--window", "nan"], ["--hop", "inf", "--window", "inf"],
+                        ["--hop", "0"], ["--hop", "2", "--window", "1"])],
+        (["--hop", "1e-300", "--window", "1e-300"], "config error: --hop must be at least one sample period at 16000 Hz"),
+        (["--hop", "1e-5"], "config error: --hop must be at least one sample period at 16000 Hz, 6.25e-05 s, got 1e-05"),
+    ])
+    def test_bad_window_or_hop_exits_two_before_reading_input(self, flags, message, tmp_path, capsys):
         code = main(["windows", str(tmp_path / "missing.wav"), *flags])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "config error: need 0 < hop <= window, both finite" in captured.err
+        assert message in captured.err
         assert "missing.wav" not in captured.err
+
+    def test_hop_below_the_wavs_sample_period_exits_one(self, tmp_path, capsys):
+        # At a target rate of 0 the WAV keeps its 8 kHz, whose period is 1.25e-4 s.
+        wav = tmp_path / "low.wav"
+        write_wav(wav, Waveform(tone(440, 1.0, sr=8000), 8000))
+        config = tmp_path / "native.json"
+        config.write_text(json.dumps({"preprocess": {"target_sample_rate": 0}}))
+        code = main(["windows", str(wav), "--config", str(config), "--hop", "1e-4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "windows: error: --hop must be at least one sample period at 8000 Hz, 0.000125 s, got 0.0001\n"
 
 
 class TestClusterCommand:
@@ -1041,6 +1129,13 @@ class TestConfig:
         cfg.write_text('{"nonsense": {}}')
         assert main(["chunk", str(speech_wav), "--config", str(cfg)]) == 2
 
+    def test_missing_config_file_exit_two(self, tmp_path, capsys, speech_wav):
+        code = main(["chunk", str(speech_wav), "--config", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error: cannot read config file" in captured.err
+
     def test_config_file_used(self, tmp_path, capsys, speech_wav):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"chunking": {"min_dur": 3, "max_dur": 6}}')
@@ -1108,6 +1203,10 @@ class TestConfigValidation:
         ("cluster", ["--method", "kmeans", "--seed=-1"], None),
         ("diarize", ["--method", "gmm", "--seed=-1"], None),
         ("diarize", ["--method", "kmeans", "--seed=-1"], None),
+        ("chunk", ["--min-dur", "1e-300", "--max-dur", "1e-300"], None),
+        ("chunk", [], {"chunking": {"min_dur": 1e-5, "max_dur": 1e-5}}),
+        ("chunk", ["--min-dur", "1e-4"], {"preprocess": {"target_sample_rate": 8000}}),
+        ("diarize", [], {"chunking": {"min_dur": 1e-5}}),
     ])
     def test_exit_two_and_nothing_written(self, command, flags, section, tmp_path, capsys):
         self.assert_exit_two(command, flags, section, tmp_path, capsys)
@@ -1208,6 +1307,8 @@ class TestLocatedInputErrors:
          "chunk plan: forced_split_count must be 1, the number of forced chunks, got 'x'"),
         ('{"source_duration": 5, "forced_split_count": 0, "chunks": [{"start": 0, "end": 2, "kind": "forced"}]}',
          "chunk plan: forced_split_count must be 1"),
+        ('{"source_duration": 5, "forced_split_count": 0, "chunks": [{"start": 0, "end": 2}]}',
+         "chunk plan chunks[0]: missing key 'kind'"),
     ])
     def test_bad_plan_document(self, text, where, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -1238,6 +1339,64 @@ class TestLocatedInputErrors:
         assert "Traceback" not in captured.err
 
 
+    def test_unsorted_container_spans(self, tmp_path, capsys):
+        emb, _ = two_speaker_scene(seed=5)
+        data = bytearray(write_embeddings(emb))
+        spans_at = 14 + emb.vectors.size * 4  # after the header and the vectors
+        data[spans_at:spans_at + 32] = data[spans_at + 16:spans_at + 32] + data[spans_at:spans_at + 16]
+        container = tmp_path / "scene.emb"
+        container.write_bytes(bytes(data))
+        code, out = run(capsys, "cluster", str(container))
+        assert code == 1
+        assert json.loads(out)["errors"] == {str(container): "spans must be sorted by start (byte offset 14)"}
+
+    def test_chunk_wav_named_as_a_directory(self, speech_wav, tmp_path, capsys):
+        # The first chunk's name is taken by a directory: that file's error,
+        # with no temporary WAV left behind.
+        out_dir = tmp_path / "pieces"
+        (out_dir / "speech_chunk000.wav").mkdir(parents=True)
+        code, out = run(capsys, "chunk", str(speech_wav), "--min-dur", "3", "--max-dur", "6",
+                        "--write-chunks", str(out_dir))
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["files"] == []
+        assert "Is a directory" in doc["errors"][str(speech_wav)]
+        assert [p.name for p in out_dir.iterdir()] == ["speech_chunk000.wav"]
+
+    def test_zero_channels_is_that_files_error(self, speech_wav, tmp_path, capsys):
+        data = bytearray(wav_bytes([tone(440, 1.0)], SR, "pcm16"))
+        struct.pack_into("<H", data, 22, 0)  # the fmt chunk's channel count
+        bad = tmp_path / "mute.wav"
+        bad.write_bytes(bytes(data))
+        code, out = run(capsys, "chunk", str(bad), str(speech_wav))
+        doc = json.loads(out)
+        assert code == 1
+        assert [f["path"] for f in doc["files"]] == [str(speech_wav)]
+        assert doc["errors"] == {str(bad): "channel count must be >= 1"}
+
+    @pytest.mark.parametrize("step", ["plan_chunks", "_log"])
+    def test_bare_memory_error_named_per_file(self, step, speech_wav, tmp_path, capsys, monkeypatch):
+        # str(MemoryError()) is empty; the report still says what went wrong,
+        # whether `work` (plan_chunks) or `describe` (_log) raised it.
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, step, fail)
+        code, out = run(capsys, "chunk", str(speech_wav))
+        assert code == 1
+        assert json.loads(out)["errors"] == {str(speech_wav): "out of memory"}
+
+    def test_bare_memory_error_named_for_the_command(self, speech_wav, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "window_schedule", fail)
+        code = main(["windows", str(speech_wav)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "windows: error: out of memory\n"
+
     @pytest.mark.parametrize("command", ["chunk", "detect-music", "windows"])
     def test_sample_rate_zero_is_that_files_error(self, command, tmp_path, capsys):
         bad = tmp_path / "rate0.wav"
@@ -1266,6 +1425,55 @@ class TestLocatedInputErrors:
         n_chunks = len(doc["files"][0]["chunks"])
         assert n_chunks >= 2
         assert sorted(p.name for p in out_dir.iterdir()) == [f"speech_chunk{i:03d}.wav" for i in range(n_chunks)]
+
+
+class TestOutputBytes:
+    """Reports, CSVs and RTTMs are UTF-8, written the same way to stdout and
+    to files: a path's undecodable bytes are written back as given. Each
+    command runs in a child whose stdout encoding is strict UTF-8."""
+
+    @staticmethod
+    def non_utf8_path(directory, name: bytes, data: bytes) -> bytes:
+        path = os.path.join(os.fsencode(directory), name)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        return path
+
+    @staticmethod
+    def speechpipe(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "speechpipe.cli", *argv], capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict", "OPENBLAS_NUM_THREADS": "1"},
+        )
+
+    def test_report_file_holds_the_bytes_stdout_gets(self, tmp_path):
+        wav = self.non_utf8_path(tmp_path, b"bad\xffname.wav", wav_bytes([tone(440, 1.0)], SR, "pcm16"))
+        printed = self.speechpipe("detect-music", wav)
+        assert printed.returncode == 0, printed.stderr
+        assert b"bad\xffname.wav" in printed.stdout
+        report = tmp_path / "r.json"
+        written = self.speechpipe("detect-music", wav, "--out", str(report))
+        assert written.returncode == 0, written.stderr
+        assert written.stdout == b""
+        assert report.read_bytes() == printed.stdout
+
+    def test_recording_id_from_a_non_utf8_stem(self, tmp_path):
+        emb, _ = two_speaker_scene(seed=5)
+        emb.recording_id = ""  # the file stem stands in
+        bad = self.non_utf8_path(tmp_path, b"bad\xff.emb", write_embeddings(emb))
+        write_embeddings_file(tmp_path / "good.emb", emb)
+        out_dir, report = tmp_path / "out", tmp_path / "report.json"
+        result = self.speechpipe("diarize", bad, str(tmp_path / "good.emb"), "--out-dir", str(out_dir),
+                                 "--out", str(report))
+        assert result.returncode == 0, result.stderr
+        assert sorted(os.listdir(os.fsencode(out_dir))) == [b"bad\xff.csv", b"bad\xff.rttm", b"good.csv", b"good.rttm"]
+        with open(os.path.join(os.fsencode(out_dir), b"bad\xff.csv"), "rb") as fh:
+            assert fh.read() == (out_dir / "good.csv").read_bytes().replace(b"\ngood,", b"\nbad\xff,")
+        doc = json.loads(report.read_bytes().decode("utf-8", "surrogateescape"))
+        assert [f["recording_id"] for f in doc["files"]] == ["bad\udcff", "good"]
 
 
 # Every flag of every subcommand today: flag -> (dest, type, choices, default, nargs, required).

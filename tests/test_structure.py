@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module reaches into another's
 private names, none reads the environment, so every knob is a flag or a
-config field, and none but the CLI imports `gc` or `threading`."""
+config field, none but the CLI imports `gc` or `threading`, and the CLI
+writes its output in one place."""
 
 from __future__ import annotations
 
@@ -74,3 +75,31 @@ def test_only_the_cli_touches_process_wide_state(path):
     """The collector's switch is process-wide, so only `cli.main`, which owns
     the process, may flip it; no library module keeps a lock either."""
     assert path.name == "cli.py" or process_state_imports(path) == []
+
+
+_WRITER_CALLS = {"write_text", "write_bytes", "sys.stdout.write", "sys.stdout.buffer.write"}
+
+
+def output_writes(path: Path, writer: str) -> list[str]:
+    """`line N: <call>` for every call in `path` of a method named
+    `write_text` or `write_bytes`, or of `sys.stdout.write` or
+    `sys.stdout.buffer.write`, outside the function named `writer`."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name == writer:
+            return
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _WRITER_CALLS or ast.unparse(node.func) in _WRITER_CALLS:
+                found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_the_cli_writes_its_output_in_one_place():
+    """Every report, CSV and RTTM the CLI writes goes through `cli._write`,
+    so one encoding rule holds for stdout and every file."""
+    assert output_writes(PACKAGE / "cli.py", "_write") == []
