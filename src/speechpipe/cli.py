@@ -2,9 +2,11 @@
 
 Subcommands: chunk, detect-music, diarize, score wer, score der, repair,
 windows, cluster. All reports are JSON on stdout (or --out); per-file work
-runs in a thread pool but outputs are always ordered by sorted input path,
-so results are deterministic regardless of worker count. Every text a
-command writes (reports, CSV, RTTM) goes through `_write`, as UTF-8.
+runs in worker processes made by `fork` (see `_map_files`), and this
+process runs a share of it, but outputs are always written here, ordered
+by sorted input path, so results are deterministic regardless of worker
+count. Every text a command writes (reports, CSV, RTTM) goes through
+`_write`, as UTF-8.
 
 Every flag that overrides a config value comes from one table, `OPTIONS`:
 each row names the flag's dest (the flag is ``--`` plus the dest with
@@ -34,8 +36,10 @@ import argparse
 import gc
 import json
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -179,18 +183,91 @@ def load_pipeline_config(path: str | None, args: argparse.Namespace | None = Non
 # Helpers
 
 def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | None]]:
-    """fn over each file (or id), in a pool when workers > 1: (result, None)
-    or (None, error message) per path, in the order of `paths`."""
+    """fn over each file (or id): (result, None) or (None, error message) per
+    path, in the order of `paths`.
+
+    With w = min(workers, len(paths)), w - 1 forked children share the work
+    with this process, dealt round robin: child i runs paths i, i + w, ...
+    and this process runs paths 0, w, 2w, .... `fn` and the paths reach the
+    children by the fork, and only their results come back, pickled, so `fn`
+    must not rely on state it mutates. A child that dies before its results
+    are whole makes each of its paths an error naming how it ended; an
+    exception outside `_INPUT_ERRORS` in any process fails the command. No
+    child outlives the call: if this process's own share raises, the
+    children are killed and reaped before the exception goes on."""
     def attempt(path: str):
         try:
             return fn(path), None
         except _INPUT_ERRORS as exc:
             return None, _message(exc)
 
-    if workers <= 1 or len(paths) <= 1:
-        return [attempt(path) for path in paths]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(attempt, paths))
+    w = max(1, min(workers, len(paths)))
+    results = [None] * len(paths)
+    children, sent, statuses = [], [], []
+    try:
+        for i in range(1, w):
+            children.append(_fork_share(attempt, paths[i::w]))
+        results[::w] = [attempt(path) for path in paths[::w]]
+        sent = [reader.read() for _, reader in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader in children:
+            reader.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for i, (data, status) in enumerate(zip(sent, statuses), 1):
+        try:
+            pairs, raised = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            pairs, raised = [(None, _ended(status))] * len(paths[i::w]), None
+        if raised is not None:
+            exc, text = raised
+            raise exc from RuntimeError(f"raised in a worker process:\n{text}")
+        results[i::w] = pairs
+    return results
+
+
+def _fork_share(attempt, share: list[str]):
+    """(pid, read end of its pipe) of a forked child that pickles
+    ([attempt(item) for item in share], None) into the pipe, or (None,
+    (exception, traceback text)) if that raises, and leaves by `os._exit`:
+    it never returns into the caller's stack, runs no cleanup of this
+    process and flushes none of its buffered output."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            data = pickle.dumps(([attempt(item) for item in share], None))
+        except BaseException as exc:
+            text = traceback.format_exc()
+            try:
+                data = pickle.dumps((None, (exc, text)))
+            except Exception:  # an exception that does not pickle still fails the command
+                data = pickle.dumps((None, (RuntimeError("an exception that does not pickle"), text)))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _ended(status: int) -> str:
+    """How a worker process that sent no whole results ended, from its wait status."""
+    code = os.waitstatus_to_exitcode(status)
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return f"worker process {how} before sending its results"
 
 
 def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
@@ -240,7 +317,11 @@ def _report(doc: dict, errors: dict[str, str], out: str | None) -> int:
 
 
 def _message(exc: Exception) -> str:
-    """An input error's message, never empty: a bare `MemoryError()` has none."""
+    """An input error's message, never empty: a bare `MemoryError()` has none.
+
+    The exception's traceback is dropped first: its frames may hold what ran
+    out of memory, and formatting the message needs memory."""
+    exc.__traceback__ = None
     return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
 
 
@@ -405,7 +486,8 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     if extra:
         raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
     # A recording that cannot be scored is that id's error; the rest still
-    # report. One worker: scoring holds the GIL, and two threads measured slower.
+    # report. One worker: two threads measured slower, and worker processes
+    # were not measured on scoring.
     ids = sorted(refs)
     reports, errors = {}, {}
     for rid, (report, error) in zip(ids, _map_files(ids, lambda rid: score(rid, refs[rid], hyps), 1)):
@@ -484,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = PipelineConfig()
 
     def finish(p: argparse.ArgumentParser, command: str, fn, config: bool = True,
-               workers: str | None = "worker threads, >= 1 (default: CPUs, at most 4)") -> None:
+               workers: str | None = "worker processes, >= 1 (default: CPUs, at most 4)") -> None:
         """Add the table flags of `command` and the common flags (`--config`
         if it reads the config, `--workers` with help `workers` unless None); route to `fn`."""
         for dest, section, name, kwargs, commands in OPTIONS:

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -1614,6 +1615,35 @@ def test_no_number_flag_value_escapes_main(command, tail, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+class _Held:
+    """An object that a raising frame holds, watched by weak reference."""
+
+
+@pytest.mark.parametrize("command, raiser", [("windows", "window_schedule"), ("cluster", "cluster_embeddings")])
+def test_input_error_frames_freed_before_the_message(command, raiser, tmp_path, monkeypatch, capsys):
+    # A MemoryError's traceback holds the frames, and so what ran out of
+    # memory; they are freed before the message is formatted, in `main`'s
+    # handler (windows) and in a file's attempt (cluster). Formatting with
+    # them held could itself run out of memory.
+    held, freed = [], []
+
+    class Exhausted(MemoryError):
+        def __str__(self):
+            freed.append(held[0]() is None)
+            return "exhausted"
+
+    def runaway(*args):
+        hog = _Held()
+        held.append(weakref.ref(hog))
+        raise Exhausted
+
+    monkeypatch.setattr(cli, raiser, runaway)
+    assert main([command, *_sweep_inputs(command, tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert freed == [True]
+    assert "exhausted" in (captured.err if command == "windows" else json.loads(captured.out)["errors"][str(tmp_path / "scene.emb")])
+
+
 def test_console_entry_point_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "speechpipe.cli", "--version"],
@@ -1676,22 +1706,36 @@ def test_score_runs_without_scipy(metric, ref, hyp, flags, score_inputs, capsys)
     assert result.stdout == expected
 
 
-# Runs the CLI, then reports its status, the directory each spool file was
-# made in and whether each was closed.
+# Runs the CLI with the records directory as argv[1] and every spool file
+# recorded, in whichever process makes it (a worker process's memory dies
+# with it): each spool gets a record file of its own, named by process id
+# and count, that holds the directory the spool was made in and, once the
+# spool is closed, a second line "closed".
 _SPOOL_CHILD = """
-import json, os, sys, tempfile
+import itertools, os, sys, tempfile
 from speechpipe import cli
 
-make_file, spools = tempfile.TemporaryFile, []
+make_file, records, numbers = tempfile.TemporaryFile, sys.argv.pop(1), itertools.count()
 
-def recorded():
-    fh = make_file()
-    spools.append((fh, os.path.dirname(os.readlink(f"/proc/self/fd/{fh.fileno()}"))))
-    return fh
+class Recorded:
+    def __init__(self):
+        self.file = make_file()
+        self.record = os.path.join(records, f"{os.getpid()}.{next(numbers)}")
+        self.note(os.path.dirname(os.readlink(f"/proc/self/fd/{self.file.fileno()}")))
 
-tempfile.TemporaryFile = recorded
-status = cli.main(sys.argv[1:])
-print(json.dumps({"status": status, "dirs": [d for _, d in spools], "closed": [fh.closed for fh, _ in spools]}))
+    def note(self, line):
+        with open(self.record, "a") as fh:
+            fh.write(line + "\\n")
+
+    def close(self):
+        self.file.close()
+        self.note("closed")
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+tempfile.TemporaryFile = Recorded
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
@@ -1699,9 +1743,10 @@ print(json.dumps({"status": status, "dirs": [d for _, d in spools], "closed": [f
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_spool_files_removed_on_every_exit_path(workers, tmp_path):
     # A float32 file with a NaN after its first decode block fails once its
-    # first block is spooled; the good file is still planned. Every spool
-    # is made in TMPDIR and closed, none is left to the collector (which
-    # would warn), and TMPDIR is empty after the failed run and a clean one.
+    # first block is spooled; the good file is still planned. Every spool,
+    # in this process or a worker, is made in TMPDIR and closed, none is
+    # left to the collector (which would warn), and TMPDIR is empty after
+    # the failed run and a clean one.
     spool_dir = tmp_path / "spool"
     spool_dir.mkdir()
     x = (np.random.default_rng(5).standard_normal(wavefile._BLOCK_SAMPLES + SR) * 0.1).astype(np.float32)
@@ -1713,17 +1758,19 @@ def test_spool_files_removed_on_every_exit_path(workers, tmp_path):
     flags = ["--config", str(tmp_path / "config.json"), "--workers", workers,
              "--min-dur", "3", "--max-dur", "6", "--write-chunks", str(tmp_path / "pieces")]
     for paths, status in (([bad, good], 1), ([good], 0)):
+        records = tmp_path / f"records{len(paths)}"
+        records.mkdir()
         result = subprocess.run(
-            [sys.executable, "-W", "always::ResourceWarning", "-c", _SPOOL_CHILD, "chunk", *paths, *flags,
-             "--out", str(tmp_path / "report.json")],
+            [sys.executable, "-W", "always::ResourceWarning", "-c", _SPOOL_CHILD, str(records), "chunk", *paths,
+             *flags, "--out", str(tmp_path / "report.json")],
             capture_output=True, text=True, env={**os.environ, "TMPDIR": str(spool_dir), "OPENBLAS_NUM_THREADS": "1"},
             timeout=120,
         )
-        assert result.returncode == 0, result.stderr
-        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
-        run = json.loads(result.stdout)
-        assert run["status"] == status
-        assert run["dirs"] == [str(spool_dir)] * len(paths) and all(run["closed"]), run
+        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr, result.stderr
+        assert result.returncode == status, result.stderr
+        notes = [path.read_text().splitlines() for path in sorted(records.iterdir())]
+        assert notes == [[str(spool_dir), "closed"]] * len(paths), notes
+        assert len({path.name.split(".")[0] for path in records.iterdir()}) == min(int(workers), len(paths))
         assert list(spool_dir.iterdir()) == []
         doc = json.loads((tmp_path / "report.json").read_text())
         assert [f["path"] for f in doc["files"]] == [good]

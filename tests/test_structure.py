@@ -1,7 +1,7 @@
 """Module boundaries of the package: no module reaches into another's
 private names, none reads the environment, so every knob is a flag or a
-config field, none but the CLI imports `gc` or `threading`, and the CLI
-writes its output in one place."""
+config field, none but the CLI imports `gc` or `threading` or forks, waits
+for or exits a process, and the CLI writes its output in one place."""
 
 from __future__ import annotations
 
@@ -75,6 +75,33 @@ def test_only_the_cli_touches_process_wide_state(path):
     """The collector's switch is process-wide, so only `cli.main`, which owns
     the process, may flip it; no library module keeps a lock either."""
     assert path.name == "cli.py" or process_state_imports(path) == []
+
+
+_PROCESS_CALLS = {"fork", "_exit", "waitpid"}
+
+
+def process_calls(path: Path) -> list[str]:
+    """`line N: <expression>` for every use of `os.fork`, `os._exit` or
+    `os.waitpid` in `path`, and for every `from os import` of them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _PROCESS_CALLS and ast.unparse(node.value) == "os":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {a.name}" for a in node.names if a.name in _PROCESS_CALLS]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_makes_processes(path):
+    """Worker processes are the CLI's, as the collector switch is: a library
+    module that forked, waited or left by `os._exit` would act for the whole
+    process of every caller."""
+    assert path.name == "cli.py" or process_calls(path) == []
+
+
+def test_the_cli_makes_its_worker_processes():
+    assert {line.split(": ")[1] for line in process_calls(PACKAGE / "cli.py")} == {"os.fork", "os._exit", "os.waitpid"}
 
 
 _WRITER_CALLS = {"write_text", "write_bytes", "sys.stdout.write", "sys.stdout.buffer.write"}
