@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import pickle
 import signal
 import sys
+import tempfile
 import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -189,12 +191,11 @@ def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | N
     With w = min(workers, len(paths)), w - 1 forked children share the work
     with this process, dealt round robin: child i runs paths i, i + w, ...
     and this process runs paths 0, w, 2w, .... `fn` and the paths reach the
-    children by the fork, and only their results come back, pickled, so `fn`
-    must not rely on state it mutates. A child that dies before its results
-    are whole makes each of its paths an error naming how it ended; an
-    exception outside `_INPUT_ERRORS` in any process fails the command. No
-    child outlives the call: if this process's own share raises, the
-    children are killed and reaped before the exception goes on."""
+    children by the fork, and only their results come back, a path at a time,
+    so `fn` must not rely on state it mutates. A dead child's paths that it
+    sent no result for are errors naming how it ended; an exception outside
+    `_INPUT_ERRORS` in any process fails the command. No child outlives the
+    call: if this process's own share raises, they are killed and reaped."""
     def attempt(path: str):
         try:
             return fn(path), None
@@ -202,72 +203,73 @@ def _map_files(paths: list[str], fn, workers: int) -> list[tuple[object, str | N
             return None, _message(exc)
 
     w = max(1, min(workers, len(paths)))
-    results = [None] * len(paths)
-    children, sent, statuses = [], [], []
+    results, children, sent = [None] * len(paths), [], []
     try:
         for i in range(1, w):
             children.append(_fork_share(attempt, paths[i::w]))
         results[::w] = [attempt(path) for path in paths[::w]]
-        sent = [reader.read() for _, reader in children]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, reader in children:
-            reader.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    for i, (data, status) in enumerate(zip(sent, statuses), 1):
-        try:
-            pairs, raised = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            pairs, raised = [(None, _ended(status))] * len(paths[i::w]), None
-        if raised is not None:
-            exc, text = raised
-            raise exc from RuntimeError(f"raised in a worker process:\n{text}")
-        results[i::w] = pairs
+        for pid, records in children:
+            with records:
+                status = os.waitpid(pid, 0)[1]
+                records.seek(0)
+                sent.append((records.read(), status))
+    for i, (data, status) in enumerate(sent, 1):
+        results[i::w] = _records(data, len(paths[i::w]), status)
     return results
 
 
 def _fork_share(attempt, share: list[str]):
-    """(pid, read end of its pipe) of a forked child that pickles
-    ([attempt(item) for item in share], None) into the pipe, or (None,
-    (exception, traceback text)) if that raises, and leaves by `os._exit`:
-    it never returns into the caller's stack, runs no cleanup of this
-    process and flushes none of its buffered output."""
-    read_fd, write_fd = os.pipe()
+    """(pid, records file) of a forked child that pickles attempt(item) into
+    the records file, an unnamed temp file opened here, as each item of
+    `share` is done, or (None, (exception, traceback text)) if that raises.
+    It leaves by `os._exit`: it never returns into the caller's stack, runs
+    no cleanup of this process and flushes none of its buffered output."""
+    records = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        records.close()
         raise
     if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
+        return pid, records
     status = 1
     try:
-        os.close(read_fd)
         try:
-            data = pickle.dumps(([attempt(item) for item in share], None))
+            for item in share:
+                records.write(pickle.dumps(attempt(item)))
+                records.flush()
         except BaseException as exc:
             text = traceback.format_exc()
             try:
-                data = pickle.dumps((None, (exc, text)))
+                records.write(pickle.dumps((None, (exc, text))))
             except Exception:  # an exception that does not pickle still fails the command
-                data = pickle.dumps((None, (RuntimeError("an exception that does not pickle"), text)))
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(data)
+                records.write(pickle.dumps((None, (RuntimeError("an exception that does not pickle"), text))))
+            records.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _ended(status: int) -> str:
-    """How a worker process that sent no whole results ended, from its wait status."""
-    code = os.waitstatus_to_exitcode(status)
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return f"worker process {how} before sending its results"
+def _records(data: bytes, count: int, status: int) -> list[tuple[object, str | None]]:
+    """The (result, error) records a worker pickled one after another into
+    `data`, raising its program error; each of its `count` items without a
+    whole record is an error naming how it ended, from its wait `status`."""
+    stream, records = io.BytesIO(data), []
+    while True:
+        try:
+            result, error = pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):  # no record left, or one cut short
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            return records + [(None, f"worker process {how} before sending its results")] * (count - len(records))
+        if isinstance(error, tuple):  # the worker's program error
+            raise error[0] from RuntimeError(f"raised in a worker process:\n{error[1]}")
+        records.append((result, error))
 
 
 def _run_batch(args: argparse.Namespace, head: dict, work, describe) -> int:
@@ -486,8 +488,8 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     if extra:
         raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
     # A recording that cannot be scored is that id's error; the rest still
-    # report. One worker: two threads measured slower, and worker processes
-    # were not measured on scoring.
+    # report. One worker: two threads measured slower, and two worker
+    # processes were faster on `score wer` only (README).
     ids = sorted(refs)
     reports, errors = {}, {}
     for rid, (report, error) in zip(ids, _map_files(ids, lambda rid: score(rid, refs[rid], hyps), 1)):

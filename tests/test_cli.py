@@ -58,7 +58,8 @@ def speech_wav(tmp_path):
     return path
 
 
-# Runs the CLI with a write that takes a spool file past 32 MiB failing.
+# Runs the CLI with a write that takes a spool file past 32 MiB failing (a
+# worker's records file is a temp file too, and stays far below that).
 _FAILING_SPOOL_CHILD = """
 import errno, sys, tempfile
 from speechpipe import cli
@@ -74,6 +75,12 @@ class SpoolQuota:
         if self.size > 32 << 20:
             raise {failure}
         return self.file.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
 
     def __getattr__(self, name):
         return getattr(self.file, name)
@@ -1706,11 +1713,12 @@ def test_score_runs_without_scipy(metric, ref, hyp, flags, score_inputs, capsys)
     assert result.stdout == expected
 
 
-# Runs the CLI with the records directory as argv[1] and every spool file
+# Runs the CLI with the records directory as argv[1] and every temp file
 # recorded, in whichever process makes it (a worker process's memory dies
-# with it): each spool gets a record file of its own, named by process id
-# and count, that holds the directory the spool was made in and, once the
-# spool is closed, a second line "closed".
+# with it): each spool, and each worker's records file, gets a record file
+# of its own, named by process id and count, that holds the module that made
+# the temp file, the directory it was made in and, once it is closed, a
+# third line "closed".
 _SPOOL_CHILD = """
 import itertools, os, sys, tempfile
 from speechpipe import cli
@@ -1721,6 +1729,7 @@ class Recorded:
     def __init__(self):
         self.file = make_file()
         self.record = os.path.join(records, f"{os.getpid()}.{next(numbers)}")
+        self.note(sys._getframe(1).f_globals["__name__"])
         self.note(os.path.dirname(os.readlink(f"/proc/self/fd/{self.file.fileno()}")))
 
     def note(self, line):
@@ -1730,6 +1739,12 @@ class Recorded:
     def close(self):
         self.file.close()
         self.note("closed")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def __getattr__(self, name):
         return getattr(self.file, name)
@@ -1744,9 +1759,9 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_spool_files_removed_on_every_exit_path(workers, tmp_path):
     # A float32 file with a NaN after its first decode block fails once its
     # first block is spooled; the good file is still planned. Every spool,
-    # in this process or a worker, is made in TMPDIR and closed, none is
-    # left to the collector (which would warn), and TMPDIR is empty after
-    # the failed run and a clean one.
+    # in this process or a worker, and every worker's records file is made
+    # in TMPDIR and closed, none is left to the collector (which would warn),
+    # and TMPDIR is empty after the failed run and a clean one.
     spool_dir = tmp_path / "spool"
     spool_dir.mkdir()
     x = (np.random.default_rng(5).standard_normal(wavefile._BLOCK_SAMPLES + SR) * 0.1).astype(np.float32)
@@ -1768,9 +1783,11 @@ def test_spool_files_removed_on_every_exit_path(workers, tmp_path):
         )
         assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr, result.stderr
         assert result.returncode == status, result.stderr
-        notes = [path.read_text().splitlines() for path in sorted(records.iterdir())]
-        assert notes == [[str(spool_dir), "closed"]] * len(paths), notes
-        assert len({path.name.split(".")[0] for path in records.iterdir()}) == min(int(workers), len(paths))
+        notes = sorted(path.read_text().splitlines() for path in records.iterdir())
+        made = min(int(workers), len(paths))
+        assert notes == ([["speechpipe.audio", str(spool_dir), "closed"]] * len(paths)
+                         + [["speechpipe.cli", str(spool_dir), "closed"]] * (made - 1)), notes
+        assert len({path.name.split(".")[0] for path in records.iterdir()}) == made
         assert list(spool_dir.iterdir()) == []
         doc = json.loads((tmp_path / "report.json").read_text())
         assert [f["path"] for f in doc["files"]] == [good]

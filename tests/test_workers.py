@@ -1,8 +1,8 @@
 """`--workers` runs a batch in forked worker processes, and this process runs
 a share: outputs are byte-identical at any worker count, a worker's input
-error or death is its items' errors, a program error in any process fails
-the command, and no worker outlives it. Each test forks at most two
-children."""
+error is that item's error, its death is the error of each item it had not
+finished, a program error in any process fails the command, and no worker
+outlives it. Each test forks at most two children."""
 
 from __future__ import annotations
 
@@ -112,6 +112,42 @@ def test_killed_child_makes_its_items_errors(containers, tmp_path, monkeypatch, 
     ended = "worker process was killed by signal 9 before sending its results"
     assert doc["errors"] == {containers[1]: ended, containers[3]: ended}
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rec0.csv", "rec0.rttm", "rec2.csv", "rec2.rttm"]
+
+
+@pytest.mark.parametrize("command", ["diarize", "chunk"])
+def test_killed_child_keeps_the_files_it_finished(command, wavs, containers, tmp_path, monkeypatch, capfd):
+    # The child runs items 1 and 3 and is killed reading item 3: item 1 is
+    # reported, and its outputs written, as at one worker.
+    out_dir = tmp_path / "out"
+    if command == "diarize":
+        paths, reader, lost = containers, "read_embeddings_file", "rec3."
+        argv = ["diarize", *paths, "--out-dir", str(out_dir)]
+    else:
+        paths, reader, lost = [*wavs, str(tmp_path / "w3.wav")], "mono_stream", "w3_"
+        shutil.copyfile(wavs[0], paths[3])
+        argv = ["chunk", *paths, "--min-dur", "1", "--max-dur", "2", "--write-chunks", str(out_dir)]
+    code, serial, _ = run_fd(capfd, [*argv, "--workers", "1"])
+    assert code == 0
+    written = tree(out_dir)
+    shutil.rmtree(out_dir)
+    parent, read = os.getpid(), getattr(cli, reader)
+
+    def read_or_die(path, *args):
+        if os.getpid() != parent and path == paths[3]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read(path, *args)
+
+    monkeypatch.setattr(cli, reader, read_or_die)
+    code, out, err = run_fd(capfd, [*argv, "--workers", "2"])
+    assert_no_children()
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["files"] == json.loads(serial)["files"][:3]
+    assert doc["errors"] == {paths[3]: "worker process was killed by signal 9 before sending its results"}
+    assert tree(out_dir) == {name: data for name, data in written.items() if not name.startswith(lost)}
+    if command == "chunk":  # the finished file's chunk WAVs are those of its plan
+        chunks = len(doc["files"][1]["chunks"])
+        assert sorted(n for n in tree(out_dir) if n.startswith("w1_")) == [f"w1_chunk{i:03d}.wav" for i in range(chunks)]
 
 
 @pytest.mark.parametrize("local", [False, True])
