@@ -3,17 +3,19 @@
 Covers downmix, polyphase resampling, peak normalization, high-pass
 filtering, framed energy, silence splitting and the spectral-flux
 music-presence heuristic. A signal is a `Waveform`, held in memory, or a
-`SpooledSignal`, float32 samples in an unnamed temporary file that are
-scaled by a gain as they are read back. The analyses and the chunk writer
-read either through `read(start, stop)`, a block of frames at a time, and
-resampling and high-pass turn float32 blocks into float32 blocks, so a long
-recording never needs to be held whole. No global state: the functions are
-safe to call concurrently, and each spooled signal is read by one thread.
+`SpooledSignal`, float32 samples written once to an unnamed temporary file
+and scaled as they are read back by a gain fixed when it is written. The
+analyses and the chunk writer read either through `read(start, stop)`, a
+block of frames at a time, and resampling and high-pass turn float32 blocks
+into float32 blocks, so a long recording never needs to be held whole. No
+global state: the functions are safe to call concurrently, and a spooled
+signal reads by position, so any thread or forked process may read it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ _BLOCK_SAMPLES = 2**18
 # The most taps a resampling filter may have, each a float64 temporary.
 _MAX_TAPS = 2**21
 _TAPS_PER_PHASE = 64  # resampling filter taps per phase of the upsampling factor
+_READ_SAMPLES = 2**28  # per positional read of a spool: Linux reads at most about 2 GB a call
 
 
 @dataclass
@@ -69,25 +72,27 @@ class Waveform:
 class SpooledSignal:
     """A mono signal written once, from its float32 blocks in order, to an
     unnamed `tempfile.TemporaryFile` in the standard temp dir: 4 bytes a
-    sample. `read` multiplies each slice it reads back by `gain` in float32,
-    which `normalize` sets as `peak_normalize` would. The file has no name,
-    so it is gone once closed (by `close`, the `with` block, or a block that
+    sample. `read` reads by position, so any process may read at once, and
+    multiplies each slice by `gain` in float32, fixed when the last block is
+    written: `peak_normalize`'s gain for a nonzero `peak_target`, else 1. The
+    file is gone once closed (by `close`, the `with` block, or a block that
     fails to come or is not finite) or once the process dies.
     """
 
-    def __init__(self, blocks: Iterable[np.ndarray], sample_rate: int):
+    def __init__(self, blocks: Iterable[np.ndarray], sample_rate: int, peak_target: float = 0.0):
         if sample_rate <= 0:
             raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
         self.sample_rate = sample_rate
-        self.gain = np.float32(1.0)
-        self._length, self._low, self._high = 0, 0.0, 0.0
+        self._length, low, high = 0, 0.0, 0.0
         self._file = tempfile.TemporaryFile()
         try:
             for block in blocks:
-                low, high = _finite_extremes(block)
-                self._low, self._high = min(self._low, low), max(self._high, high)
+                block_low, block_high = _finite_extremes(block)
+                low, high = min(low, block_low), max(high, block_high)
                 self._file.write(np.ascontiguousarray(block, dtype=np.float32))
                 self._length += len(block)
+            self._file.flush()
+            self.gain = _peak_gain(peak_target, low, high) if peak_target else np.float32(1.0)
         except BaseException:
             self._file.close()
             raise
@@ -99,15 +104,11 @@ class SpooledSignal:
     def duration_seconds(self) -> float:
         return self._length / self.sample_rate
 
-    def normalize(self, target_peak: float) -> None:
-        """Scale every later read so that max |sample| equals `target_peak`."""
-        self.gain = _peak_gain(target_peak, self._low, self._high)
-
     def read(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop) of the signal (0 <= start <= stop), times the gain."""
         out = np.empty(max(0, min(stop, self._length) - start), dtype=np.float32)
-        self._file.seek(4 * start)
-        self._file.readinto(out)
+        for at in range(0, len(out), _READ_SAMPLES):
+            os.preadv(self._file.fileno(), [out[at : at + _READ_SAMPLES]], 4 * (start + at))
         out *= self.gain
         return out
 

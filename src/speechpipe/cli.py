@@ -336,17 +336,14 @@ def _conditioned(path: str, cfg: PreprocessConfig) -> SpooledSignal:
     and peak-normalized, in a temporary file that the caller closes.
 
     Decoded, downmixed, resampled and high-passed a block at a time into the
-    spool, which notes the extremes; the peak gain scales each block read
+    spool, whose extremes fix the peak gain that scales each block read
     back. The samples read are those of
     `peak_normalize(highpass(load_mono(path, rate), hz), peak)`, byte for byte.
     """
     with mono_stream(path, cfg.target_sample_rate) as (rate, _, blocks):
         if cfg.highpass_hz:
             blocks = highpass_blocks(blocks, cfg.highpass_hz, rate)
-        signal = SpooledSignal(blocks, rate)
-    if cfg.peak_target:
-        signal.normalize(cfg.peak_target)
-    return signal
+        return SpooledSignal(blocks, rate, cfg.peak_target)
 
 
 def _speech_spans(w: SpooledSignal, s: SilenceConfig):
@@ -488,8 +485,8 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     if extra:
         raise PipelineError(f"hypothesis ids with no reference: {sorted(extra)}")
     # A recording that cannot be scored is that id's error; the rest still
-    # report. One worker: two threads measured slower, and two worker
-    # processes were faster on `score wer` only (README).
+    # report. One worker: two threads, and end to end mostly two worker
+    # processes too, measured slower than one (README).
     ids = sorted(refs)
     reports, errors = {}, {}
     for rid, (report, error) in zip(ids, _map_files(ids, lambda rid: score(rid, refs[rid], hyps), 1)):

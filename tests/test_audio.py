@@ -561,10 +561,7 @@ class TestBlockedEqualsReference:
 
 def spooled(w: Waveform, block: int, target_peak: float = 0.0) -> audio.SpooledSignal:
     """`w` spooled in blocks of `block` samples, normalized when `target_peak` is nonzero."""
-    signal = audio.SpooledSignal((w.samples[i : i + block] for i in range(0, len(w), block)), w.sample_rate)
-    if target_peak:
-        signal.normalize(target_peak)
-    return signal
+    return audio.SpooledSignal((w.samples[i : i + block] for i in range(0, len(w), block)), w.sample_rate, target_peak)
 
 
 class TestSpooledSignal:
@@ -626,11 +623,23 @@ class TestSpooledSignal:
 
         with pytest.raises(MemoryError):
             audio.SpooledSignal(failing(), SR)
-        assert len(opened) == 2 and all(fh.closed for fh in opened)
+        with pytest.raises(ParameterError, match="target_peak"):  # the gain is fixed after the last block
+            audio.SpooledSignal([np.ones(10, np.float32)], SR, 1.5)
+        assert len(opened) == 3 and all(fh.closed for fh in opened)
 
     def test_rejects_a_nonpositive_rate(self):
         with pytest.raises(ParameterError):
             audio.SpooledSignal([], 0)
+
+    def test_a_read_longer_than_one_call_reads_every_sample(self, monkeypatch):
+        # One positional read takes at most `_READ_SAMPLES`; a longer slice
+        # takes several, which read on where the last one stopped.
+        monkeypatch.setattr(audio, "_READ_SAMPLES", 7)
+        w = Waveform(np.random.default_rng(32).uniform(-0.5, 0.4, 1000).astype(np.float32), SR)
+        want = peak_normalize(w, 0.9).samples
+        with spooled(w, 300, 0.9) as signal:
+            for start, stop in ((0, 1000), (3, 10), (5, 12), (993, 1007), (500, 500)):
+                assert same_bytes(signal.read(start, stop), want[start:stop]), (start, stop)
 
 
 def write_tiled_pcm16(path, minutes: int, sr: int, n_channels: int, seed: int) -> None:

@@ -2,7 +2,8 @@
 a share: outputs are byte-identical at any worker count, a worker's input
 error is that item's error, its death is the error of each item it had not
 finished, a program error in any process fails the command, and no worker
-outlives it. Each test forks at most two children."""
+outlives it. A spool reads the same from the command and a worker at once.
+Each test forks at most two children."""
 
 from __future__ import annotations
 
@@ -10,12 +11,14 @@ import json
 import os
 import shutil
 import signal
+import struct
 import time
 
 import numpy as np
 import pytest
 
-from speechpipe import Waveform, cli, write_embeddings_file, write_wav
+from speechpipe import Waveform, cli, wav_bytes, write_embeddings, write_embeddings_file, write_wav
+from speechpipe.audio import SpooledSignal
 from speechpipe.cli import main
 from synth import SR, silence, tone, two_speaker_scene
 
@@ -203,3 +206,110 @@ def test_forks_one_child_fewer_than_the_workers_it_can_use(workers, forks, conta
     assert main(["cluster", *containers[:3], "--method", "kmeans", "--workers", workers]) == 0
     assert len(made) == forks
     assert len(json.loads(capsys.readouterr().out)["files"]) == 3
+
+
+def test_one_spool_read_from_two_processes_at_once():
+    # Reads are positional: this process and a forked child read one spool
+    # at once, and every read is the samples written times the gain. The
+    # child's exit status is its count of wrong reads, capped at 255.
+    x = np.random.default_rng(40).uniform(-0.6, 0.5, 2**20).astype(np.float32)
+    with SpooledSignal((x[i : i + 2**16] for i in range(0, len(x), 2**16)), SR, 0.9) as spool:
+        want = x * spool.gain
+
+        def wrong_reads(seed: int) -> int:
+            # Short ranges, read back to back and checked after: a read that
+            # moved a shared file offset would race the other process's.
+            rng = np.random.default_rng(seed)
+            ranges = [(a, a + n) for a, n in zip(rng.integers(0, len(x), 3000), rng.integers(0, 1024, 3000))]
+            reads = [spool.read(a, b) for a, b in ranges]
+            return sum(not np.array_equal(got, want[a:b]) for got, (a, b) in zip(reads, ranges))
+
+        started, start = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 255
+            try:
+                os.write(start, b"1")
+                status = min(wrong_reads(1), 255)
+            finally:
+                os._exit(status)
+        os.read(started, 1)
+        os.close(started)
+        os.close(start)
+        here = wrong_reads(2)
+        _, status = os.waitpid(pid, 0)
+    assert (here, os.waitstatus_to_exitcode(status)) == (0, 0)
+
+
+def riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """A RIFF WAVE file of `(id, payload)` chunks, each sized by its payload
+    and padded to an even length."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2) for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def damaged_wavs() -> dict[str, bytes]:
+    sig = np.concatenate([tone(440, 1.2), silence(0.6), tone(660, 0.8)])
+    good = wav_bytes([sig], SR)
+    fmt = struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16)
+    data = good[44:]
+    nan = sig.copy()
+    nan[1000:1010] = np.nan
+    return {
+        "good_a": good,
+        "truncated_data": good[: 44 + len(data) // 2],
+        "short_fmt": riff((b"fmt ", fmt[:10]), (b"data", data)),
+        "zero_rate": riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)), (b"data", data)),
+        "nan_samples": wav_bytes([nan], SR, "float32"),
+        "good_odd_chunk": riff((b"fmt ", fmt), (b"LIST", b"abc"), (b"data", data)),
+        "good_b": wav_bytes([sig[::-1].copy()], SR),
+    }
+
+
+def damaged_containers() -> dict[str, bytes]:
+    emb, _ = two_speaker_scene(seed=30, total_seconds=20.0, dim=8)
+    emb.recording_id = "good"
+    good = write_embeddings(emb)
+    n, d = emb.vectors.shape
+    vectors_end = 14 + 4 * n * d
+    nonfinite, unsorted = bytearray(good), bytearray(good)
+    nonfinite[14 + 4 * 5 : 14 + 4 * 6] = struct.pack("<f", np.inf)
+    first, second = slice(vectors_end, vectors_end + 16), slice(vectors_end + 16, vectors_end + 32)
+    unsorted[first], unsorted[second] = good[second], good[first]
+    return {
+        "good_a": good,
+        "bad_magic": b"EMB2" + good[4:],
+        "truncated_vectors": good[: vectors_end - 6],
+        "truncated_spans": good[: vectors_end + 24],
+        "nonfinite": bytes(nonfinite),
+        "unsorted": bytes(unsorted),
+        "trailing": good + b"\0\0\0",
+        "good_b": good.replace(b"good", b"more"),
+    }
+
+
+def test_damaged_inputs_give_the_same_result_at_one_and_two_workers(tmp_path, capfd):
+    # Each set mixes good files with damaged ones: every damaged file is an
+    # input error, reported and written the same at one and two workers.
+    paths = {}
+    for kind, files in (("wav", damaged_wavs()), ("emb", damaged_containers())):
+        for name, content in files.items():
+            (tmp_path / f"{name}.{kind}").write_bytes(content)
+        paths[kind] = [str(tmp_path / f"{name}.{kind}") for name in files]
+    out_dir = tmp_path / "out"
+    for kind, argv in (("wav", ["chunk", *paths["wav"], "--min-dur", "0.5", "--max-dur", "1",
+                                "--write-chunks", str(out_dir)]),
+                       ("wav", ["detect-music", *paths["wav"]]),
+                       ("emb", ["diarize", *paths["emb"], "--out-dir", str(out_dir)]),
+                       ("emb", ["cluster", *paths["emb"], "--method", "kmeans"])):
+        runs = []
+        for workers in ("1", "2"):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            runs.append((run_fd(capfd, [*argv, "--workers", workers]), tree(out_dir) if out_dir.exists() else {}))
+            assert_no_children()
+        (code, out, err), written = runs[0]
+        assert code in (0, 1, 2) and "Traceback" not in err, argv[0]
+        assert runs[1] == runs[0], argv[0]
+        damaged = sorted(p for p in paths[kind] if not os.path.basename(p).startswith("good"))
+        assert sorted(json.loads(out)["errors"]) == damaged, argv[0]
+        assert bool(written) == (argv[0] in ("chunk", "diarize")), argv[0]
